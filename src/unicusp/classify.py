@@ -99,20 +99,23 @@ class EnumerationReport:
 
 
 def degree_for(a: int, b: int, genus: int) -> int | None:
-    """Degree pairing (a, b) with the genus, or None if none exists.
+    """Degree pairing (a, b) with the genus, or None if none exists."""
+    return degree_for_products((a - 1) * (b - 1), genus)
 
-    Solves (d - 1)(d - 2) = (a - 1)(b - 1) + 2*genus for an integer d >= 1;
-    the discriminant 4(a-1)(b-1) + 8*genus + 1 must be an odd perfect
-    square.
+
+def degree_for_products(product_sum: int, genus: int) -> int | None:
+    """Degree d with (d - 1)(d - 2) = product_sum + 2*genus, or None.
+
+    product_sum is the sum of (a - 1)(b - 1) over the cusps.  The
+    discriminant 4*product_sum + 8*genus + 1 is odd, so when it is a
+    perfect square its root is odd and d = (root + 3) / 2 solves the
+    equation exactly.
     """
-    disc = 4 * (a - 1) * (b - 1) + 8 * genus + 1
+    disc = 4 * product_sum + 8 * genus + 1
     root = isqrt(disc)
     if root * root != disc:
         return None
-    d = (root + 3) // 2
-    if (d - 1) * (d - 2) != (a - 1) * (b - 1) + 2 * genus:
-        return None
-    return d
+    return (root + 3) // 2
 
 
 def _divisor_pairs(m: int) -> list[tuple[int, int]]:

@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from math import isqrt
 
-from .classify import enumerate_candidates, sector_bounds, sector_of
+from .classify import degree_for_products, enumerate_candidates, sector_bounds, sector_of
 from .families import (
     Candidate,
     fibonacci,
@@ -67,41 +67,30 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _derive_degree(pair_product_sum: int, genus: int) -> int | None:
-    disc = 4 * pair_product_sum + 8 * genus + 1
-    root = isqrt(disc)
-    if root * root != disc or root % 2 == 0:
-        return None
-    d = (root + 3) // 2
-    if (d - 1) * (d - 2) != pair_product_sum + 2 * genus:
-        return None
-    return d
-
-
 def _cmd_semigroup(args) -> int:
     s = Semigroup(args.a, args.b)
-    payload = {
-        "a": s.a,
-        "b": s.b,
-        "delta": s.delta,
-        "frobenius": s.frobenius,
-        "gaps": list(s.gaps),
-    }
-    if args.query is not None:
-        if args.arg is None:
-            return _fail("--query requires --arg")
-        m = args.arg
-        if args.query == "R":
-            value = s.elements_below(m)
-        elif args.query == "I":
-            value = s.gaps_at_least(m)
-        else:
-            if m < 1:
-                return _fail("gamma query needs --arg >= 1")
-            value = s.nth_element(m)
-        payload = {"a": s.a, "b": s.b, "delta": s.delta,
-                   "query": args.query, "arg": m, "value": value}
-    _emit("semigroup", payload)
+    if args.query is None:
+        _emit("semigroup", {
+            "a": s.a,
+            "b": s.b,
+            "delta": s.delta,
+            "frobenius": s.frobenius,
+            "gaps": list(s.gaps),
+        })
+        return 0
+    if args.arg is None:
+        return _fail("--query requires --arg")
+    m = args.arg
+    if args.query == "R":
+        value = s.elements_below(m)
+    elif args.query == "I":
+        value = s.gaps_at_least(m)
+    else:
+        if m < 1:
+            return _fail("gamma query needs --arg >= 1")
+        value = s.nth_element(m)
+    _emit("semigroup", {"a": s.a, "b": s.b, "delta": s.delta,
+                        "query": args.query, "arg": m, "value": value})
     return 0
 
 
@@ -133,7 +122,7 @@ def _cmd_check(args) -> int:
     product_sum = sum((a - 1) * (b - 1) for a, b in pairs)
     degree = args.d
     if degree is None:
-        degree = _derive_degree(product_sum, args.genus)
+        degree = degree_for_products(product_sum, args.genus)
         if degree is None:
             return _fail(
                 f"no integer degree pairs genus {args.genus} with {pairs}; pass -d explicitly"
@@ -389,12 +378,28 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with _unlimited_int_digits():
+            return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))
     except RuntimeError as exc:
         sys.stderr.write(f"computation rejected: {exc}\n")
         return 1
+
+
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit for output, then restore the
+    caller's setting.  Pythons without the limit have nothing to lift."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -51,16 +51,11 @@ def check_single(a: int, b: int, genus: int, degree: int) -> Verdict:
     """Run the full (j, k) grid for a single cusp of type <a, b>."""
     s = Semigroup(a, b)
     _require_degree_genus(degree, genus, s.delta, f"<{a},{b}>")
-    checks = 0
-    for j in range(-1, degree - 1):
-        tri = (j + 1) * (j + 2) // 2
-        for k in range(genus + 1):
-            value = s.elements_below(j * degree + 1 - 2 * k) + k - tri
-            checks += 1
-            verdict = _judge(value, genus, j, k, tri, checks)
-            if verdict is not None:
-                return verdict
-    return Verdict(True, None, checks)
+
+    def value_at(j: int, k: int) -> int:
+        return s.elements_below(j * degree + 1 - 2 * k) + k - (j + 1) * (j + 2) // 2
+
+    return _scan(genus, degree, value_at)
 
 
 def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdict:
@@ -76,17 +71,33 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     total_delta = sum(s.delta for s in semis)
     _require_degree_genus(degree, genus, total_delta, str(pairs))
     combined = reduce(convolve, (s.gap_function() for s in semis), GapFunction.zero())
-    checks = 0
-    for j in range(-1, degree - 1):
-        tri = (j + 1) * (j + 2) // 2
+
+    def value_at(j: int, k: int) -> int:
         tail = (degree - j - 2) * (degree - j - 1) // 2
-        for k in range(genus + 1):
-            value = combined(j * degree + 1 - 2 * k) - tail + genus - k
-            checks += 1
-            verdict = _judge(value, genus, j, k, tri, checks)
-            if verdict is not None:
-                return verdict
-    return Verdict(True, None, checks)
+        return combined(j * degree + 1 - 2 * k) - tail + genus - k
+
+    return _scan(genus, degree, value_at)
+
+
+def _scan(genus: int, degree: int, value_at) -> Verdict:
+    """First cell (j, k) whose value_at leaves [0, genus], in scan order.
+
+    A step k -> k + 1 moves the counting argument by -2, over which the
+    count changes by 0, 1 or 2 while the k term changes by 1, so the value
+    changes by at most 1.  After a value v in [0, genus] the next
+    min(v, genus - v) cells of the row therefore hold and are skipped;
+    `checks_performed` still counts every cell up to the witness.
+    """
+    for j in range(-1, degree - 1):
+        k = 0
+        while k <= genus:
+            value = value_at(j, k)
+            if not 0 <= value <= genus:
+                side = "lower" if value < 0 else "upper"
+                witness = ObstructionWitness(j, k, (j + 1) * (j + 2) // 2, value, side)
+                return Verdict(False, witness, (j + 1) * (genus + 1) + k + 1)
+            k += min(value, genus - value) + 1
+    return Verdict(True, None, degree * (genus + 1))
 
 
 def triangle_lower(s: Semigroup, degree: int, j: int) -> bool:
@@ -121,10 +132,3 @@ def _require_degree_genus(degree: int, genus: int, delta: int, label: str) -> No
             f"{(degree - 1) * (degree - 2)} but 2*(g + delta) = {2 * (genus + delta)}"
         )
 
-
-def _judge(value: int, genus: int, j: int, k: int, tri: int, checks: int) -> Verdict | None:
-    if value < 0:
-        return Verdict(False, ObstructionWitness(j, k, tri, value, "lower"), checks)
-    if value > genus:
-        return Verdict(False, ObstructionWitness(j, k, tri, value, "upper"), checks)
-    return None

@@ -24,12 +24,38 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
+from operator import add
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b) / m) over 0 <= i < n, for n, a, b >= 0, m >= 1.
+
+    Euclid-like reduction (as in the AtCoder Library): O(log(m + a)) steps.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
 
 
 class Semigroup:
-    """The numerical semigroup <a, b> with its gap data precomputed."""
+    """The numerical semigroup <a, b>, counted in closed form.
 
-    __slots__ = ("_a", "_b", "_delta", "_gaps", "_elements")
+    Every element has a unique form u*b + v*a with 0 <= u < a and v >= 0,
+    and m is an element exactly when its u = m * b^-1 mod a has u*b <= m.
+    Construction is O(1); no element or gap list is stored.
+    """
+
+    __slots__ = ("_a", "_b", "_delta", "_binv")
 
     def __init__(self, a: int, b: int):
         if a < 1:
@@ -38,22 +64,10 @@ class Semigroup:
             raise ValueError(f"generators must satisfy a < b, got a={a}, b={b}")
         if gcd(a, b) != 1:
             raise ValueError(f"generators must be coprime, got gcd({a}, {b}) = {gcd(a, b)}")
-        delta = (a - 1) * (b - 1) // 2
-        span = 2 * delta
-        hit = bytearray(span + 1)
-        hit[0] = 1
-        for gen in (a, b):
-            for i in range(gen, span + 1):
-                if hit[i - gen]:
-                    hit[i] = 1
         self._a = a
         self._b = b
-        self._delta = delta
-        # everything at or beyond 2*delta belongs to the semigroup
-        self._elements = tuple(i for i in range(span) if hit[i])
-        self._gaps = tuple(i for i in range(1, span) if not hit[i])
-        if len(self._gaps) != delta:
-            raise RuntimeError(f"sieve produced {len(self._gaps)} gaps, expected {delta}")
+        self._delta = (a - 1) * (b - 1) // 2
+        self._binv = pow(b, -1, a)
 
     @property
     def a(self) -> int:
@@ -70,48 +84,47 @@ class Semigroup:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        return self._gaps
+        """All gaps in increasing order; O(delta), built on every access."""
+        return tuple(m for m in range(1, 2 * self._delta) if not self.contains(m))
 
     @property
     def frobenius(self) -> int:
-        """Largest gap, or -1 when there is none (a = 1)."""
-        return self._gaps[-1] if self._gaps else -1
+        """Largest gap, ab - a - b; -1 when there is none (a = 1)."""
+        return self._a * self._b - self._a - self._b
 
     def contains(self, m: int) -> bool:
-        if m < 0:
-            return False
-        if m >= 2 * self._delta:
-            return True
-        i = bisect_left(self._elements, m)
-        return i < len(self._elements) and self._elements[i] == m
+        return (m * self._binv % self._a) * self._b <= m
 
     def nth_element(self, n: int) -> int:
         """The n-th smallest element, 1-indexed: nth_element(1) = 0."""
         if n < 1:
             raise ValueError(f"index must be >= 1, got {n}")
         if n <= self._delta:
-            return self._elements[n - 1]
+            # the smallest m with n elements in [0, m]
+            return bisect_left(range(2 * self._delta), n,
+                               key=lambda m: self.elements_below(m + 1))
         # beyond the conductor the elements are consecutive integers
         return self._delta + n - 1
 
     def elements_below(self, m: int) -> int:
-        """Count of semigroup elements strictly below m."""
+        """Count of semigroup elements strictly below m.
+
+        Summing over u, the elements u*b + v*a < m number
+        (m - 1 - u*b) // a + 1 for each u < min(a, (m - 1) // b + 1).
+        """
         if m <= 0:
             return 0
-        if m >= 2 * self._delta:
-            return m - self._delta
-        return bisect_left(self._elements, m)
+        a, b = self._a, self._b
+        terms = min(a, (m - 1) // b + 1)
+        # reversed order i = terms - 1 - u makes the slope b non-negative
+        return terms + _floor_sum(terms, a, b, m - 1 - (terms - 1) * b)
 
     def gaps_at_least(self, m: int) -> int:
         """Count of integers >= m outside the semigroup (negatives included)."""
-        if m <= 0:
-            return self._delta - m
-        if m >= 2 * self._delta:
-            return 0
-        return self._delta - bisect_left(self._gaps, m)
+        return self.elements_below(m) - m + self._delta
 
     def gap_function(self) -> GapFunction:
-        return GapFunction(self._delta, self._gaps)
+        return GapFunction(self._delta, self.gaps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Semigroup):
@@ -182,10 +195,10 @@ def convolve(f: GapFunction, g: GapFunction) -> GapFunction:
     if total == 0:
         return GapFunction.zero()
     fv = [f(m) for m in range(lo_span + 1)]
-    off = lo_span  # g evaluated on [-lo_span, span]
-    gv = [g(m) for m in range(-lo_span, span + 1)]
+    # g on [-lo_span, span], reversed: gr[span - s + m] = g(s - m)
+    gr = [g(m) for m in range(span, -lo_span - 1, -1)]
     h = [
-        min(fv[m] + gv[s - m + off] for m in range(lo_span + 1))
+        min(map(add, fv, gr[span - s:span - s + lo_span + 1]))
         for s in range(span + 1)
     ]
     if h[0] != total:

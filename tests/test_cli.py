@@ -1,6 +1,11 @@
 import json
+import sys
+import time
 
+from unicusp import fibonacci
 from unicusp.cli import run
+
+import oracles
 
 
 def invoke(capsys, *argv):
@@ -258,3 +263,37 @@ def test_identities_command(capsys):
 
 def test_unknown_subcommand(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
+
+
+def test_semigroup_query_at_huge_delta(capsys):
+    # delta is about 5e9: queries answer from closed forms, no gap listing
+    a, b = 100003, 100019
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "semigroup", "-a", str(a), "-b", str(b),
+                          "--query", "R", "--arg", "1000000")
+    assert code == 0
+    _, payload = payload_of(out)
+    assert payload["delta"] == (a - 1) * (b - 1) // 2
+    assert payload["value"] == oracles.count_below(a, b, 1000000)
+    elems = oracles.sieve_elements(a, b, 1000000)
+    code, out, _ = invoke(capsys, "semigroup", "-a", str(a), "-b", str(b),
+                          "--query", "gamma", "--arg", str(len(elems)))
+    assert code == 0
+    assert payload_of(out)[1]["value"] == elems[-1]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_families_huge_index(capsys):
+    # b = L_24001 = F_24002 for k = 2 has about 5000 digits, past Python's
+    # default int-to-str limit; the caller's own limit must survive the run
+    before = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, "families", "--k", "2", "--i", "6000")
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == before
+    expect = fibonacci(4 * 6000 + 2)
+    sys.set_int_max_str_digits(0)
+    try:
+        cand = payload_of(out)[1]["candidate"]
+        assert cand["b"] == expect
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from unicusp import (
     check_multi,
     check_single,
     convolve,
+    lucas_family,
     triangle_lower,
     triangle_upper,
 )
@@ -171,3 +173,38 @@ def test_verdict_is_deterministic():
     a = check_single(5, 8, 7, 8)
     b = check_single(5, 8, 7, 8)
     assert a == b
+
+
+def _position(verdict, genus, degree):
+    """checks_performed implied by the witness cell, or the full grid."""
+    if verdict.witness is None:
+        return degree * (genus + 1)
+    return (verdict.witness.j + 1) * (genus + 1) + verdict.witness.k + 1
+
+
+def test_grid_matches_oracle_on_enumerated_candidates():
+    # every candidate with g <= 6 and d <= 40, single and one-pair multi path
+    checked = rejected = 0
+    for g in range(0, 7):
+        for a, b, d in oracles.brute_enumerate(g, 40):
+            expect_ok, expect_cell = oracles.brute_admissible(a, b, g, d)
+            for v in (check_single(a, b, g, d), check_multi([(a, b)], g, d)):
+                assert v.admissible == expect_ok, (a, b, g, d)
+                if not expect_ok:
+                    assert (v.witness.j, v.witness.k) == expect_cell, (a, b, g, d)
+                assert v.checks_performed == _position(v, g, d), (a, b, g, d)
+            checked += 1
+            rejected += not expect_ok
+    assert checked > 1000 and 0 < rejected < checked
+
+
+def test_lucas_rung_beyond_sieve_scale():
+    # lucas_family(2, 6): local delta about 6.3e8, full grid of 2 * 46368 cells
+    c = lucas_family(2, 6)
+    assert (c.d, c.g) == (46368, 1)
+    start = time.perf_counter()
+    v = check_single(c.a, c.b, c.g, c.d)
+    elapsed = time.perf_counter() - start
+    assert v.admissible and v.witness is None
+    assert v.checks_performed == 2 * 46368
+    assert elapsed < 5.0, elapsed

@@ -160,3 +160,43 @@ def test_equality_and_hash():
     assert Semigroup(3, 7) == Semigroup(3, 7)
     assert Semigroup(3, 7) != Semigroup(3, 8)
     assert len({Semigroup(3, 7), Semigroup(3, 7), Semigroup(2, 5)}) == 2
+
+
+def test_counting_matches_oracle_up_to_large_generators():
+    # generators up to 10^5, every m <= 2000 against the double-loop oracle
+    rng = random.Random(5)
+    pairs = [(1, 2), (2, 3), (4, 7), (1, 100000), (99989, 99991)]
+    for lo, hi in ((2, 50), (50, 1000), (1000, 99990)):
+        for _ in range(8):
+            a = rng.randrange(lo, hi)
+            b = rng.randrange(a + 1, 100001)
+            while oracles.gcd(a, b) != 1:
+                b -= 1  # stops at a + 1 at the latest
+            pairs.append((a, b))
+    top = 2000
+    for a, b in pairs:
+        s = Semigroup(a, b)
+        delta = (a - 1) * (b - 1) // 2
+        elems = oracles.sieve_elements(a, b, top + 1)
+        members = set(elems)
+        small = (a - 1) * (b - 1) <= 20000
+        for m in range(-5, top + 1):
+            r = bisect_left(elems, m) if m > 0 else 0
+            assert s.elements_below(m) == r, (a, b, m)
+            if small:
+                expect_i = oracles.count_gaps_at_least(a, b, m)
+            else:
+                expect_i = delta - m + r  # gaps below m are m - r for m >= 0
+            assert s.gaps_at_least(m) == expect_i, (a, b, m)
+            assert s.contains(m) == (m in members), (a, b, m)
+        for n, e in enumerate(elems, start=1):
+            assert s.nth_element(n) == e, (a, b, n)
+        # beyond 2*delta: every integer is an element
+        assert s.frobenius == (2 * delta - 1 if delta else -1)
+        assert not s.contains(s.frobenius)
+        for m in (2 * delta, 2 * delta + 1, 2 * delta + 997, 7 * delta + 3):
+            assert s.elements_below(m) == m - delta, (a, b, m)
+            assert s.gaps_at_least(m) == 0, (a, b, m)
+            assert s.contains(m), (a, b, m)
+        for n in (delta + 1, delta + 2, 5 * delta + 11):
+            assert s.nth_element(n) == delta + n - 1, (a, b, n)

@@ -117,6 +117,8 @@ def _cmd_check(args) -> int:
         return _fail("-a and -b must be given together")
     if not single and args.pairs is None:
         return _fail("one of -a/-b or --pairs is required")
+    if args.genus < 0:
+        return _fail(f"genus must be >= 0, got {args.genus}")
 
     pairs = [(args.a, args.b)] if single else _parse_pairs(args.pairs)
     product_sum = sum((a - 1) * (b - 1) for a, b in pairs)

@@ -271,7 +271,7 @@ class IdentityReport:
         return not self.failures
 
 
-def _sqrt5_rational(digits: int = 80) -> Fraction:
+def _sqrt5_rational(digits: int) -> Fraction:
     scale = 10 ** digits
     return Fraction(isqrt(5 * scale * scale), scale)
 
@@ -289,8 +289,9 @@ def verify_fibonacci_identities(l_max: int) -> IdentityReport:
         F_{2l+3}^2 + F_{2l+1}^2 - 3 F_{2l+1} F_{2l+3} = -1
 
     The two limit gaps are evaluated at l = l_max in exact rational
-    arithmetic against a fixed-precision rational sqrt5, then reported as
-    floats; a failed identity lands in `failures`, never raises.
+    arithmetic against a rational sqrt5 whose precision grows with l_max,
+    then reported as floats; a failed identity lands in `failures`, never
+    raises.
     """
     if l_max < 2:
         raise ValueError(f"l_max must be >= 2, got {l_max}")
@@ -312,7 +313,11 @@ def verify_fibonacci_identities(l_max: int) -> IdentityReport:
             fails.append(f"determinant identity failure at k={k}")
         if fib[k - 2] + fib[k + 2] != 3 * fib[k]:
             fails.append(f"triple identity failure at k={k}")
-    s5 = _sqrt5_rational()
+    # The gaps shrink like phi^(-4 l) while the sqrt5 error is multiplied by
+    # F^2 ~ phi^(4 l), so sqrt5 needs 8 log10(phi) l ~ 1.672 l digits plus
+    # those the float keeps.  2 l digits cover both; never fewer than 80,
+    # so l_max <= 40 reports exactly what a fixed 80-digit sqrt5 gave.
+    s5 = _sqrt5_rational(max(80, 2 * l_max))
     f1, f2 = fib[2 * l_max - 1], fib[2 * l_max + 1]
     # F^2 * phi^4 - F'^2 -> (2/5)(phi^4 - 1) = 1 + (3/5) sqrt5
     gap_lower = abs(

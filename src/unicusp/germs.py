@@ -1,5 +1,7 @@
 """Local germ computations on two plane-curve models, done in exact
-truncated power series over the rationals.
+truncated power series.  Coefficients are Python ints, and Python's
+number tower turns them into `Fraction`s only where a division leaves a
+denominator, so every result stays exact.
 
 The node model is the parametrization x(t) = t/(1 + t^3),
 y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
@@ -9,10 +11,12 @@ y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
     f_n = c_{n-2} f_{n-1} - c_{n-1} x y f_{n-2},
 
 where c_n is the leading coefficient of f_n along the parametrization.
-Each f_n must vanish to order exactly 3n - 1 at the node, carry a nonzero
-y coefficient, have total degree n, and be supported on monomials
-x^i y^j with i + 2j == 2 (mod 3); any breach raises instead of passing
-silently.
+Evaluation along the parametrization is a ring homomorphism, so the same
+recursion, run on the series S_n = f_n(x(t), y(t)), gives each f_n's
+expansion without re-evaluating the polynomial.  Each f_n must vanish to
+order exactly 3n - 1 at the node, carry a nonzero y coefficient, have
+total degree n, and be supported on monomials x^i y^j with
+i + 2j == 2 (mod 3); any breach raises instead of passing silently.
 
 The flex model is x(t) = t, y(t) = t^3/(1 - t^2), where
 x^3 + x^2 y - y = 0 identically, so `flex_check` confirms that
@@ -24,6 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+
+Coeff = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,7 @@ class PowerSeries:
     order.  Mixed-order arithmetic truncates to the shorter operand.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Coeff, ...]
 
     @property
     def order(self) -> int:
@@ -42,14 +49,14 @@ class PowerSeries:
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
-        return cls(tuple([Fraction(0)] * order))
+        return cls((0,) * order)
 
     @classmethod
-    def monomial(cls, k: int, order: int, coeff: Fraction | int = 1) -> "PowerSeries":
+    def monomial(cls, k: int, order: int, coeff: Coeff = 1) -> "PowerSeries":
         if not 0 <= k < order:
             raise ValueError(f"exponent {k} outside truncation order {order}")
-        c = [Fraction(0)] * order
-        c[k] = Fraction(coeff)
+        c = [0] * order
+        c[k] = coeff
         return cls(tuple(c))
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
@@ -66,18 +73,12 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            out = [Fraction(0)] * n
-            for i, ci in enumerate(self.coeffs[:n]):
-                if ci == 0:
-                    continue
-                for j in range(n - i):
-                    cj = other.coeffs[j]
-                    if cj:
-                        out[i + j] += ci * cj
-            return PowerSeries(tuple(out))
+            a = self.coeffs
+            rb = other.coeffs[n - 1::-1]  # rb[n-1-j] is the t^j coefficient
+            return PowerSeries(tuple(sum(map(mul, a[:k + 1], rb[n - 1 - k:]))
+                                     for k in range(n)))
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return PowerSeries(tuple(c * f for c in self.coeffs))
+            return PowerSeries(tuple(c * other for c in self.coeffs))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -95,14 +96,14 @@ class PowerSeries:
         return acc
 
     def reciprocal(self) -> "PowerSeries":
-        if not self.coeffs or self.coeffs[0] == 0:
+        c = self.coeffs
+        if not c or c[0] == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = 1 / self.coeffs[0]
-        out = [Fraction(0)] * self.order
-        out[0] = inv0
+        inv0 = c[0] if c[0] in (1, -1) else Fraction(1, c[0])
+        out = [inv0]
         for k in range(1, self.order):
-            s = sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
-            out[k] = -inv0 * s
+            # sum of c[i] * out[k - i] over i in [1, k]
+            out.append(-inv0 * sum(map(mul, c[k:0:-1], out)))
         return PowerSeries(tuple(out))
 
     def valuation(self) -> int | None:
@@ -117,25 +118,25 @@ def node_parametrization(order: int) -> tuple[PowerSeries, PowerSeries]:
     """Alternating expansions of t/(1 + t^3) and t^2/(1 + t^3)."""
     if order < 3:
         raise ValueError(f"order must be >= 3, got {order}")
-    xs = [Fraction(0)] * order
-    ys = [Fraction(0)] * order
+    xs = [0] * order
+    ys = [0] * order
     sign = 1
     for k in range(0, order, 3):
         if k + 1 < order:
-            xs[k + 1] = Fraction(sign)
+            xs[k + 1] = sign
         if k + 2 < order:
-            ys[k + 2] = Fraction(sign)
+            ys[k + 2] = sign
         sign = -sign
     return (PowerSeries(tuple(xs)), PowerSeries(tuple(ys)))
 
 
-Poly = dict[tuple[int, int], Fraction]
+Poly = dict[tuple[int, int], Coeff]
 
 
 def _poly_add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for key, c in q.items():
-        s = out.get(key, Fraction(0)) + c
+        s = out.get(key, 0) + c
         if s:
             out[key] = s
         else:
@@ -143,7 +144,7 @@ def _poly_add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def _poly_scale(p: Poly, c: Fraction) -> Poly:
+def _poly_scale(p: Poly, c: Coeff) -> Poly:
     if c == 0:
         return {}
     return {key: v * c for key, v in p.items()}
@@ -154,29 +155,13 @@ def _poly_shift_xy(p: Poly) -> Poly:
     return {(i + 1, j + 1): c for (i, j), c in p.items()}
 
 
-def _poly_eval(p: Poly, x: PowerSeries, y: PowerSeries) -> PowerSeries:
-    order = min(x.order, y.order)
-    xpow = {0: PowerSeries.monomial(0, order)}
-    ypow = {0: PowerSeries.monomial(0, order)}
-
-    def power(cache, base, k):
-        while len(cache) <= k:
-            cache[len(cache)] = cache[len(cache) - 1] * base
-        return cache[k]
-
-    acc = PowerSeries.zero(order)
-    for (i, j), c in sorted(p.items()):
-        acc = acc + c * (power(xpow, x, i) * power(ypow, y, j))
-    return acc
-
-
 @dataclass(frozen=True)
 class GermRecord:
     """One step of the node recursion: the polynomial and its local data."""
 
     n: int
-    polynomial: tuple[tuple[tuple[int, int], Fraction], ...]
-    c: Fraction
+    polynomial: tuple[tuple[tuple[int, int], Coeff], ...]
+    c: Coeff
     valuation: int
 
 
@@ -184,7 +169,7 @@ def _check_invariants(n: int, poly: Poly) -> None:
     degree = max(i + j for i, j in poly)
     if degree != n:
         raise RuntimeError(f"step {n}: total degree {degree} != {n}")
-    if poly.get((0, 1), Fraction(0)) == 0:
+    if poly.get((0, 1), 0) == 0:
         raise RuntimeError(f"step {n}: vanishing y coefficient")
     bad = [(i, j) for i, j in poly if (i + 2 * j) % 3 != 2]
     if bad:
@@ -205,11 +190,10 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
     if order < 3 * n_max + 3:
         raise ValueError(f"order {order} too small; need at least {3 * n_max + 3}")
     x, y = node_parametrization(order)
-    polys: list[Poly] = [
-        {(0, 1): Fraction(1)},
-        {(0, 1): Fraction(1), (2, 0): Fraction(-1)},
-    ]
-    cs: list[Fraction] = []
+    xy = x * y
+    polys: list[Poly] = [{(0, 1): 1}, {(0, 1): 1, (2, 0): -1}]
+    evals = [y, y - x * x]  # evals[n - 1] is f_n(x(t), y(t))
+    cs: list[Coeff] = []
     records: list[GermRecord] = []
     for n in range(1, n_max + 1):
         if n > 2:
@@ -219,9 +203,10 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
                 _poly_scale(_poly_shift_xy(prev2), -cs[-1]),
             )
             polys.append(poly)
+            evals.append(cs[-2] * evals[-1] - cs[-1] * (xy * evals[-2]))
         poly = polys[n - 1]
         _check_invariants(n, poly)
-        series = _poly_eval(poly, x, y)
+        series = evals[n - 1]
         val = series.valuation()
         if val != 3 * n - 1:
             raise RuntimeError(f"step {n}: valuation {val}, expected {3 * n - 1}")

@@ -6,7 +6,8 @@ loops, direct scans) so agreement is meaningful.
 """
 
 from bisect import bisect_left
-from math import gcd, isqrt
+from fractions import Fraction
+from math import comb, gcd, isqrt
 
 
 def sieve_elements(a, b, limit):
@@ -119,3 +120,25 @@ def has_coprime_solution(n, y_limit):
         if gcd(x, y) == 1:
             return True
     return False
+
+
+def node_germ_series(poly, order):
+    """f(x(t), y(t)) with x = t/(1+t^3), y = t^2/(1+t^3), truncated at t^order.
+
+    poly maps (i, j) to the coefficient of x^i y^j.  Each monomial is
+    expanded on its own as t^(i+2j) * (1+t^3)^-(i+j), using the binomial
+    series (1+u)^-m = sum over r of (-1)^r C(m+r-1, r) u^r, so no series
+    product or recursion is shared with the package.  Returns a list of
+    Fractions.
+    """
+    out = [Fraction(0)] * order
+    for (i, j), c in poly.items():
+        m = i + j
+        if m == 0:
+            out[0] += Fraction(c)
+            continue
+        r = 0
+        while i + 2 * j + 3 * r < order:
+            out[i + 2 * j + 3 * r] += Fraction(c) * (-1) ** r * comb(m + r - 1, r)
+            r += 1
+    return out

@@ -1,6 +1,11 @@
 import json
+import shlex
 import sys
 import time
+from decimal import Decimal, localcontext
+from pathlib import Path
+
+import pytest
 
 from unicusp import fibonacci
 from unicusp.cli import run
@@ -104,6 +109,15 @@ def test_check_usage_errors(capsys):
     assert code == 2 and "pass -d" in err
     code, _, err = invoke(capsys, "check", "--genus", "3", "--pairs", "2;3")
     assert code == 2
+
+
+def test_check_negative_genus(capsys):
+    # without -d the degree formula would take the square root of a
+    # negative discriminant; the genus is rejected first, as it is with -d
+    with_d = invoke(capsys, "check", "--genus", "-9", "-a", "3", "-b", "5", "-d", "3")
+    assert with_d == (2, "", "error: genus must be >= 0, got -9\n")
+    assert invoke(capsys, "check", "--genus", "-9", "-a", "3", "-b", "5") == with_d
+    assert invoke(capsys, "check", "--genus", "-9", "--pairs", "3,5;2,3") == with_d
 
 
 def test_enumerate_tsv_rows(capsys):
@@ -259,6 +273,51 @@ def test_identities_command(capsys):
     float(payload["lim_gap_lower~"])
     float(payload["lim_gap_upper~"])
     assert invoke(capsys, "identities", "--lmax", "1")[0] == 2
+
+
+def test_identities_limit_gaps_against_high_precision(capsys):
+    # the gaps as defined, |F_{2l-1}^2 phi^4 - F_{2l+1}^2 - (2/5)(phi^4 - 1)|
+    # and |F_{2l-1}^2 - F_{2l+1}^2 phi^-4 - (2/5)(1 - phi^-4)|, at l = l_max,
+    # recomputed with 2000 significant digits
+    for l_max in (40, 90, 100):
+        code, out, _ = invoke(capsys, "identities", "--lmax", str(l_max))
+        assert code == 0
+        _, payload = payload_of(out)
+        fib = [0, 1]
+        while len(fib) < 2 * l_max + 2:
+            fib.append(fib[-1] + fib[-2])
+        with localcontext() as ctx:
+            ctx.prec = 2000
+            phi4 = ((1 + Decimal(5).sqrt()) / 2) ** 4
+            f1, f2 = Decimal(fib[2 * l_max - 1]), Decimal(fib[2 * l_max + 1])
+            lower = abs(f1 * f1 * phi4 - f2 * f2 - Decimal(2) / 5 * (phi4 - 1))
+            upper = abs(f1 * f1 - f2 * f2 / phi4 - Decimal(2) / 5 * (1 - 1 / phi4))
+        assert float(payload["lim_gap_lower~"]) == pytest.approx(float(lower), rel=1e-9)
+        assert float(payload["lim_gap_upper~"]) == pytest.approx(float(upper), rel=1e-9)
+
+
+def test_identities_huge_lmax(capsys):
+    code, out, err = invoke(capsys, "identities", "--lmax", "1000")
+    assert code == 0, err
+    _, payload = payload_of(out)
+    assert payload["all_hold"] is True
+    # the gaps are about phi^-4000 ~ 1e-836, below the smallest float
+    assert float(payload["lim_gap_lower~"]) == 0.0
+    assert float(payload["lim_gap_upper~"]) == 0.0
+
+
+def test_readme_examples_run(capsys):
+    # every "$ unicusp ..." line in README.md runs, and exits 1 exactly
+    # where its comment says so
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line[2:] for line in readme.read_text().splitlines()
+             if line.startswith("$ unicusp ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        expect = 1 if "exit 1" in line.partition("#")[2] else 0
+        code, _, err = invoke(capsys, *argv[1:])
+        assert code == expect, (line, err)
 
 
 def test_unknown_subcommand(capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from unicusp import (
     germ_sequence,
     node_parametrization,
 )
+
+import oracles
 
 
 def series(*coeffs):
@@ -58,6 +61,25 @@ class TestPowerSeries:
         with pytest.raises(ValueError):
             series(0, 1, 2).reciprocal()
 
+    def test_integer_series_stay_integer(self):
+        s = PowerSeries((1, 2, -1, 0, 3, 0, -2, 1))
+        negated = PowerSeries((-1, 0, 0, 4, 0, 0, 0, 0))
+        for result in (s * s, s ** 5, s.reciprocal(), negated.reciprocal(), 3 * s,
+                       s * negated.reciprocal()):
+            assert all(type(c) is int for c in result.coeffs)
+        assert (s * s.reciprocal()).coeffs == PowerSeries.monomial(0, 8).coeffs
+
+    def test_rational_fallback(self):
+        inverse = PowerSeries((2, -1, 0, 0, 0, 0, 0)).reciprocal()
+        assert inverse.coeffs == tuple(Fraction(1, 2 ** (k + 1)) for k in range(7))
+        assert all(type(c) is Fraction for c in inverse.coeffs)
+        ints = PowerSeries((1, 2, 3, 4))
+        q = series(Fraction(1, 3), Fraction(-1, 2), 0, Fraction(5, 7))
+        expected = (Fraction(1, 3), Fraction(1, 6), 0, Fraction(23, 42))
+        assert (ints * q).coeffs == expected
+        assert (q * ints).coeffs == expected
+        assert (ints * q * q.reciprocal()).coeffs == ints.coeffs
+
     def test_valuation(self):
         assert series(0, 0, 0, 5, 7).valuation() == 3
         assert series(1).valuation() == 0
@@ -87,6 +109,32 @@ def test_germ_sequence_valuations_and_leading_coefficients():
         assert coeffs[(0, 1)] == 1
         assert max(i + j for i, j in coeffs) == r.n
         assert all((i + 2 * j) % 3 == 2 for i, j in coeffs)
+
+
+def test_germ_sequence_matches_oracle_expansion():
+    # each f_n, expanded monomial by monomial, vanishes to order 3n - 1
+    # with leading coefficient c_n, at the default order and beyond it
+    for n_max in range(1, 21):
+        default = 3 * n_max + 3
+        for order in (default, default + 17):
+            records = germ_sequence(n_max, None if order == default else order)
+            assert len(records) == n_max
+            for r in records:
+                expansion = oracles.node_germ_series(dict(r.polynomial), order)
+                val = 3 * r.n - 1
+                assert not any(expansion[:val])
+                assert expansion[val] == r.c
+
+
+def test_germ_sequence_at_scale():
+    start = time.perf_counter()
+    records = germ_sequence(60)
+    assert time.perf_counter() - start < 2.0
+    assert all(r.c == 1 for r in records)
+    assert all(type(c) is int for r in records for _, c in r.polynomial)
+    expansion = oracles.node_germ_series(dict(records[-1].polynomial), 183)
+    assert not any(expansion[:179])
+    assert expansion[179] == 1
 
 
 def test_germ_sequence_first_three_polynomials():

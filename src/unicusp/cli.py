@@ -32,7 +32,7 @@ from .families import (
 from .germs import flex_check, germ_sequence
 from .obstruction import check_multi, check_single
 from .quadring import coprime_decompose, generating_set, has_solution
-from .semigroup import Semigroup
+from .semigroup import Semigroup, check_generators
 
 SCHEMA_VERSION = "1"
 
@@ -121,6 +121,13 @@ def _cmd_check(args) -> int:
         return _fail(f"genus must be >= 0, got {args.genus}")
 
     pairs = [(args.a, args.b)] if single else _parse_pairs(args.pairs)
+    # a bad pair can still yield an integer degree, or hide behind "no
+    # integer degree", so every pair is validated before the degree
+    for a, b in pairs:
+        try:
+            check_generators(a, b)
+        except ValueError as exc:
+            return _fail(f"invalid pair ({a}, {b}): {exc}")
     product_sum = sum((a - 1) * (b - 1) for a, b in pairs)
     degree = args.d
     if degree is None:

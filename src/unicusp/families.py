@@ -314,10 +314,10 @@ def verify_fibonacci_identities(l_max: int) -> IdentityReport:
         if fib[k - 2] + fib[k + 2] != 3 * fib[k]:
             fails.append(f"triple identity failure at k={k}")
     # The gaps shrink like phi^(-4 l) while the sqrt5 error is multiplied by
-    # F^2 ~ phi^(4 l), so sqrt5 needs 8 log10(phi) l ~ 1.672 l digits plus
-    # those the float keeps.  2 l digits cover both; never fewer than 80,
-    # so l_max <= 40 reports exactly what a fixed 80-digit sqrt5 gave.
-    s5 = _sqrt5_rational(max(80, 2 * l_max))
+    # F^2 ~ phi^(4 l), so sqrt5 needs 8 log10(phi) l ~ 1.672 l digits before
+    # any digit of a gap is right; 20 more leave the gap's relative error
+    # near 1e-20, below the float's own rounding.
+    s5 = _sqrt5_rational(1672 * l_max // 1000 + 20)
     f1, f2 = fib[2 * l_max - 1], fib[2 * l_max + 1]
     # F^2 * phi^4 - F'^2 -> (2/5)(phi^4 - 1) = 1 + (3/5) sqrt5
     gap_lower = abs(

@@ -19,14 +19,22 @@ For one cusp the two normalised test values agree cell by cell, so both
 checkers report the same witness on the same input.  Witnesses are
 deterministic: the scan runs j ascending from -1, then k ascending, and
 stops at the first violated cell.
+
+The grid is centrally symmetric: cell (j, k) and cell (d-3-j, g-k) hold
+the same value, for one cusp and for several.  The scan therefore stops
+after row (d-3)//2, and the multi-cusp check tabulates the convolution
+only up to the largest argument that half reads.  Neither changes a
+verdict, a witness or `checks_performed`, which still counts cells by
+their position in the full d(g+1)-cell grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .semigroup import GapFunction, Semigroup, convolve
+# `convolve` is no longer called here, but perfbench/spans.py rebinds
+# `unicusp.obstruction.convolve`, so the name stays bound.
+from .semigroup import Semigroup, convolution_values, convolve  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -70,25 +78,47 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     semis = [Semigroup(a, b) for a, b in pairs]
     total_delta = sum(s.delta for s in semis)
     _require_degree_genus(degree, genus, total_delta, str(pairs))
-    combined = reduce(convolve, (s.gap_function() for s in semis), GapFunction.zero())
+    # the largest argument j*d + 1 - 2k that the half scan reads
+    top = max(0, _last_row(degree) * degree + 1)
+    combined = convolution_values([s.gap_function() for s in semis], top)
 
     def value_at(j: int, k: int) -> int:
         tail = (degree - j - 2) * (degree - j - 1) // 2
-        return combined(j * degree + 1 - 2 * k) - tail + genus - k
+        arg = j * degree + 1 - 2 * k
+        ic = combined[arg] if arg >= 0 else total_delta - arg
+        return ic - tail + genus - k
 
     return _scan(genus, degree, value_at)
+
+
+def _last_row(degree: int) -> int:
+    """The last grid row the scan visits: (d-3)//2, half of -1..d-2."""
+    return (degree - 3) // 2
 
 
 def _scan(genus: int, degree: int, value_at) -> Verdict:
     """First cell (j, k) whose value_at leaves [0, genus], in scan order.
 
+    Half the grid suffices.  The argument m = j*d + 1 - 2k of cell (j, k)
+    and m' of its mirror (d-3-j, g-k) add up to 2*delta, because
+    (d-1)(d-2) = 2(g + delta).  A semigroup <a, b> is symmetric, so
+    R(m) = m - delta + R(2*delta - m), and the infimum convolution of such
+    gap functions keeps the identity IC(s) = delta - s + IC(2*delta - s).
+    With the triangular terms, either one gives
+    value(j, k) = value(d-3-j, g-k).  So if (j, k) fails with
+    j > (d-3)/2, its mirror fails too and lies in the earlier row
+    d-3-j: the first violated cell in scan order is never beyond row
+    (d-3)//2, and the scan stops there with the same verdict, witness
+    and count as a scan of all d rows.
+
     A step k -> k + 1 moves the counting argument by -2, over which the
     count changes by 0, 1 or 2 while the k term changes by 1, so the value
     changes by at most 1.  After a value v in [0, genus] the next
-    min(v, genus - v) cells of the row therefore hold and are skipped;
-    `checks_performed` still counts every cell up to the witness.
+    min(v, genus - v) cells of the row therefore hold and are skipped.
+    `checks_performed` counts every cell up to the witness by its
+    position in the full grid, and all d(g+1) cells when none fails.
     """
-    for j in range(-1, degree - 1):
+    for j in range(-1, _last_row(degree) + 1):
         k = 0
         while k <= genus:
             value = value_at(j, k)

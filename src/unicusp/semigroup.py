@@ -47,6 +47,16 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
+def check_generators(a: int, b: int) -> None:
+    """Raise ValueError unless 1 <= a < b and gcd(a, b) = 1."""
+    if a < 1:
+        raise ValueError(f"generator a must be >= 1, got {a}")
+    if a >= b:
+        raise ValueError(f"generators must satisfy a < b, got a={a}, b={b}")
+    if gcd(a, b) != 1:
+        raise ValueError(f"generators must be coprime, got gcd({a}, {b}) = {gcd(a, b)}")
+
+
 class Semigroup:
     """The numerical semigroup <a, b>, counted in closed form.
 
@@ -58,12 +68,7 @@ class Semigroup:
     __slots__ = ("_a", "_b", "_delta", "_binv")
 
     def __init__(self, a: int, b: int):
-        if a < 1:
-            raise ValueError(f"generator a must be >= 1, got {a}")
-        if a >= b:
-            raise ValueError(f"generators must satisfy a < b, got a={a}, b={b}")
-        if gcd(a, b) != 1:
-            raise ValueError(f"generators must be coprime, got gcd({a}, {b}) = {gcd(a, b)}")
+        check_generators(a, b)
         self._a = a
         self._b = b
         self._delta = (a - 1) * (b - 1) // 2
@@ -180,33 +185,51 @@ class GapFunction:
         return self.delta - bisect_left(self.gap_list, m)
 
 
+def convolution_values(parts: list[GapFunction], top: int) -> list[int]:
+    """Values at s = 0, 1, ..., top of the infimum convolution of all parts.
+
+    Below 0 no table is needed: there the convolution is
+    (sum of deltas) - s.  The parts are folded in increasing order of
+    delta, and each fold takes, with f the operand of smaller delta,
+
+        h(s) = min over 0 <= m <= min(s, 2*f.delta) of f(m) + g(s - m).
+
+    That window loses nothing.  Stepping m above s puts g on its slope
+    g(x) = g.delta - x, which rises by 1 per step while f falls by at most
+    1; stepping m below 0 does the same with the roles swapped; and
+    stepping m above 2*f.delta leaves f frozen at 0 while g cannot fall.
+    Every fold result again has the gap-function shape, so the argument
+    repeats for three or more parts.  Only values on [0, top] enter a
+    fold, so the cost is O(top * min(top, 2*delta)) per fold.
+    """
+    acc = [0] * (top + 1)  # the zero gap function on [0, top]
+    acc_delta = 0
+    for part in sorted(parts, key=lambda p: p.delta):
+        values = [part(m) for m in range(top + 1)]
+        if part.delta < acc_delta:
+            first, second, reach = values, acc, 2 * part.delta
+        else:
+            first, second, reach = acc, values, 2 * acc_delta
+        # second reversed: rev[top - s + m] = second(s - m)
+        rev = second[::-1]
+        head = first[:reach + 1]
+        acc = [min(map(add, head, rev[top - s:top - s + reach + 1]))
+               for s in range(top + 1)]
+        acc_delta += part.delta
+    return acc
+
+
 def convolve(f: GapFunction, g: GapFunction) -> GapFunction:
     """Infimum convolution h(s) = min over m of f(m) + g(s - m).
 
-    The minimum only needs m in [0, 2*f.delta]: stepping m below 0 raises
-    f by exactly 1 while g falls by at most 1, and stepping m above
-    2*f.delta leaves f frozen at 0 while g cannot fall, so the objective is
-    non-decreasing in both escape directions.  (Unit-tested against an
-    enlarged window.)
+    Tabulated by `convolution_values` on [0, 2*delta_total], past which h
+    is 0; h drops just past s exactly where the table falls from s to
+    s + 1.
     """
-    lo_span = 2 * f.delta
     total = f.delta + g.delta
     span = 2 * total
-    if total == 0:
-        return GapFunction.zero()
-    fv = [f(m) for m in range(lo_span + 1)]
-    # g on [-lo_span, span], reversed: gr[span - s + m] = g(s - m)
-    gr = [g(m) for m in range(span, -lo_span - 1, -1)]
-    h = [
-        min(map(add, fv, gr[span - s:span - s + lo_span + 1]))
-        for s in range(span + 1)
-    ]
-    if h[0] != total:
-        raise RuntimeError(f"convolution lost mass: h(0) = {h[0]}, expected {total}")
-    drops = tuple(s for s in range(1, span) if h[s] > h[s + 1])
-    if h[0] > h[1]:
-        raise RuntimeError("convolution dropped at 0; inputs were not gap functions")
-    return GapFunction(total, drops)
+    h = convolution_values([f, g], span)
+    return GapFunction(total, tuple(s for s in range(1, span) if h[s] > h[s + 1]))
 
 
 def combined_gap_value(parts: list[GapFunction], m: int) -> int:
@@ -217,7 +240,5 @@ def combined_gap_value(parts: list[GapFunction], m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"offset must be >= 0, got {m}")
-    acc = GapFunction.zero()
-    for part in parts:
-        acc = convolve(acc, part)
-    return acc(m + acc.delta)
+    s = m + sum(part.delta for part in parts)
+    return convolution_values(parts, s)[s]

@@ -7,6 +7,7 @@ loops, direct scans) so agreement is meaningful.
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, isqrt
 
 
@@ -74,6 +75,67 @@ def brute_admissible(a, b, genus, degree):
             if val < 0 or val > genus:
                 return False, (j, k)
     return True, None
+
+
+def gap_counter(a, b):
+    """I(m) of <a,b> for every integer m, as a callable over gap_list."""
+    gaps = gap_list(a, b)
+    delta = len(gaps)
+
+    def count(m):
+        if m <= 0:
+            return delta - m
+        return delta - bisect_left(gaps, m)
+
+    return count
+
+
+def multi_gap_counter(pairs, window):
+    """Infimum convolution of the pairs' I functions, as a callable.
+
+    The pairs are folded left to right, in the order given, each fold by
+    wide_convolve_value over m from min(s, 0) - window to
+    max(s, 0) + window; folded values are memoised so a three-cusp fold
+    stays affordable.
+    """
+    acc = gap_counter(*pairs[0])
+    for a, b in pairs[1:]:
+        acc = lru_cache(maxsize=None)(
+            lambda s, f=acc, g=gap_counter(a, b):
+                wide_convolve_value(f, g, s, window + max(0, -s)))
+    return acc
+
+
+def brute_multi_cells(pairs, genus, degree, window=None):
+    """Every cell of the full grid, in scan order: (j, k, value) triples.
+
+    value = IC(j*d + 1 - 2k) - (d-j-2)(d-j-1)/2 + g - k, with IC from
+    multi_gap_counter; the window defaults to 2*(total delta) + 2.  A
+    generator, so a caller can stop at the first violated cell.
+    """
+    delta = sum((a - 1) * (b - 1) // 2 for a, b in pairs)
+    if (degree - 1) * (degree - 2) != 2 * (genus + delta):
+        raise ValueError("degree-genus mismatch in oracle call")
+    ic = multi_gap_counter(pairs, 2 * delta + 2 if window is None else window)
+    for j in range(-1, degree - 1):
+        tail = (degree - j - 2) * (degree - j - 1) // 2
+        for k in range(genus + 1):
+            yield j, k, ic(j * degree + 1 - 2 * k) - tail + genus - k
+
+
+def brute_multi_verdict(pairs, genus, degree, window=None):
+    """(admissible, witness, checks) from a full-grid scan in order.
+
+    The witness is (j, k, side, value) of the first cell outside
+    [0, genus]; checks is that cell's position in the grid, or all
+    degree * (genus + 1) cells when none fails.
+    """
+    checks = 0
+    for j, k, value in brute_multi_cells(pairs, genus, degree, window):
+        checks += 1
+        if value < 0 or value > genus:
+            return False, (j, k, "lower" if value < 0 else "upper", value), checks
+    return True, None, checks
 
 
 def brute_enumerate(genus, d_max, allow_smooth=False):

@@ -7,6 +7,7 @@ established the same way.
 import random
 import time
 from bisect import bisect_left
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
@@ -185,28 +186,23 @@ def test_criterion_08_correspondence_elements():
     assert time.monotonic() - start < 1.0
 
 
-def _sqrt5_exact(digits=80):
-    from math import isqrt
-    scale = 10 ** digits
-    return Fraction(isqrt(5 * scale * scale), scale)
-
-
 def test_criterion_09_fibonacci_identities():
     start = time.monotonic()
     report = verify_fibonacci_identities(40)
     assert report.all_hold and report.failures == ()
     assert report.lim_gap_lower < 1e-30 and report.lim_gap_upper < 1e-30
-    # recompute both limit gaps from scratch with 80-digit arithmetic
-    root = _sqrt5_exact()
-    f1, f2 = Fraction(fibonacci(79)), Fraction(fibonacci(81))
-    lower = abs(float(
-        (Fraction(7, 2) * f1 * f1 - f2 * f2 - 1)
-        + (Fraction(3, 2) * f1 * f1 - Fraction(3, 5)) * root))
-    upper = abs(float(
-        (f1 * f1 - Fraction(7, 2) * f2 * f2 + 1)
-        + (Fraction(3, 2) * f2 * f2 - Fraction(3, 5)) * root))
-    assert report.lim_gap_lower == lower
-    assert report.lim_gap_upper == upper
+    # recompute both limit gaps from their definitions,
+    # |F_79^2 phi^4 - F_81^2 - (2/5)(phi^4 - 1)| and
+    # |F_79^2 - F_81^2 phi^-4 - (2/5)(1 - phi^-4)|, to 2000 digits; the
+    # reported floats must agree to a relative 1e-14 (about 45 float ulps)
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        phi4 = ((1 + Decimal(5).sqrt()) / 2) ** 4
+        f1, f2 = Decimal(fibonacci(79)), Decimal(fibonacci(81))
+        lower = abs(f1 * f1 * phi4 - f2 * f2 - Decimal(2) / 5 * (phi4 - 1))
+        upper = abs(f1 * f1 - f2 * f2 / phi4 - Decimal(2) / 5 * (1 - 1 / phi4))
+    assert abs(report.lim_gap_lower - float(lower)) <= 1e-14 * float(lower)
+    assert abs(report.lim_gap_upper - float(upper)) <= 1e-14 * float(upper)
 
     sp = asymptote_slopes(Fraction(1, 3), Fraction(1, 3))
     assert (sp.rational_part, sp.surd_coeff, sp.radicand) == (

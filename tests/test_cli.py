@@ -120,6 +120,24 @@ def test_check_negative_genus(capsys):
     assert invoke(capsys, "check", "--genus", "-9", "--pairs", "3,5;2,3") == with_d
 
 
+def test_check_bad_pair_named(capsys):
+    # a bad pair is reported as such, never as "no integer degree", with
+    # or without -d, alone or beside a good pair
+    cases = [((3, 2), "generators must satisfy a < b, got a=3, b=2"),
+             ((4, 6), "generators must be coprime, got gcd(4, 6) = 2"),
+             ((0, 5), "generator a must be >= 1, got 0"),
+             ((-2, 5), "generator a must be >= 1, got -2")]
+    for (a, b), reason in cases:
+        expect = (2, "", f"error: invalid pair ({a}, {b}): {reason}\n")
+        for degree in ([], ["-d", "4"]):
+            assert invoke(capsys, "check", "--genus", "1", "-a", str(a), "-b", str(b),
+                          *degree) == expect
+            assert invoke(capsys, "check", "--genus", "1", f"--pairs={a},{b}",
+                          *degree) == expect
+            assert invoke(capsys, "check", "--genus", "1", f"--pairs=2,3;{a},{b}",
+                          *degree) == expect
+
+
 def test_enumerate_tsv_rows(capsys):
     code, out, _ = invoke(capsys, "enumerate", "--genus", "1", "--dmax", "25",
                           "--format", "tsv", "--allow-smooth")

@@ -208,3 +208,64 @@ def test_lucas_rung_beyond_sieve_scale():
     assert v.admissible and v.witness is None
     assert v.checks_performed == 2 * 46368
     assert elapsed < 5.0, elapsed
+
+
+def _random_configs(rng, count, a_max, b_max):
+    """(pairs, genus, degree) with one to three cusps, at the smallest
+    degree the degree-genus identity allows or (one time in three) the
+    next one, so the genus stays small and many inputs are rejected."""
+    cusps = [(a, b) for a in range(2, a_max + 1) for b in range(a + 1, b_max)
+             if oracles.gcd(a, b) == 1]
+    out = []
+    for _ in range(count):
+        pairs = [rng.choice(cusps) for _ in range(rng.choice((1, 1, 1, 2, 2, 3)))]
+        delta = sum((a - 1) * (b - 1) // 2 for a, b in pairs)
+        d = next(d for d in range(1, 100) if (d - 1) * (d - 2) >= 2 * delta)
+        d += rng.randrange(3) == 0
+        out.append((pairs, (d - 1) * (d - 2) // 2 - delta, d))
+    return out
+
+
+def _verdict_tuple(v):
+    w = v.witness
+    return (v.admissible, None if w is None else (w.j, w.k, w.side, w.lhs_value),
+            v.checks_performed)
+
+
+def test_grid_is_centrally_symmetric():
+    # value(j, k) = value(d-3-j, g-k) over the whole oracle grid
+    sizes = {1: 0, 2: 0, 3: 0}
+    for pairs, g, d in _random_configs(random.Random(31), 150, 5, 14):
+        cells = {(j, k): value for j, k, value in oracles.brute_multi_cells(pairs, g, d)}
+        assert len(cells) == d * (g + 1)
+        for (j, k), value in cells.items():
+            assert cells[(d - 3 - j, g - k)] == value, (pairs, g, d, j, k)
+        sizes[len(pairs)] += 1
+    assert min(sizes.values()) > 20
+
+
+def test_half_scan_matches_full_grid_oracle():
+    # the half scan and the truncated convolution against a scan of every
+    # cell; the oracle window reaches 4 past [0, s] on both sides
+    configs = _random_configs(random.Random(37), 2000, 7, 20)
+    rejected = rejected_triples = 0
+    for pairs, g, d in configs:
+        expect = oracles.brute_multi_verdict(pairs, g, d, window=4)
+        assert _verdict_tuple(check_multi(pairs, g, d)) == expect, (pairs, g, d)
+        if len(pairs) == 1:
+            assert _verdict_tuple(check_single(*pairs[0], g, d)) == expect, (pairs, g, d)
+        rejected += not expect[0]
+        rejected_triples += not expect[0] and len(pairs) == 3
+    assert rejected >= 500 and rejected_triples > 0
+
+
+def test_two_cusp_check_at_scale():
+    # total delta 4500: the half scan tabulates the convolution on
+    # [0, 47*97 + 1] instead of [0, 9000]
+    pairs, g, d = [(2, 3001), (3, 3001)], 60, 97
+    start = time.perf_counter()
+    v = check_multi(pairs, g, d)
+    elapsed = time.perf_counter() - start
+    assert (v.witness.j, v.witness.k) == (2, 4) and v.checks_performed == 188
+    assert _verdict_tuple(v) == oracles.brute_multi_verdict(pairs, g, d, window=64)
+    assert elapsed < 10.0, elapsed

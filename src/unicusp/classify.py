@@ -17,7 +17,6 @@ quadratic-growth data used to reason about where families can live.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -159,8 +158,8 @@ def enumerate_candidates(
 
     Smooth models (a, b) = (1, 3d - 1) occur exactly when
     (d - 1)(d - 2) = 2*genus and are included only when `allow_smooth` is
-    set.  `jobs` > 1 fans degrees across threads; the report is assembled
-    in (d, a) order either way, so the output is byte-for-byte identical.
+    set.  `jobs` must be >= 1 and changes neither the work nor the
+    report: the sweep is pure Python and runs serially.
     """
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
@@ -168,15 +167,9 @@ def enumerate_candidates(
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    degrees = range(1, d_max + 1)
-    if jobs == 1:
-        per_degree = [_candidates_at_degree(genus, d, allow_smooth) for d in degrees]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_degree = list(
-                pool.map(lambda d: _candidates_at_degree(genus, d, allow_smooth), degrees)
-            )
-    candidates = sorted((c for batch in per_degree for c in batch), key=Candidate.key)
+    candidates = sorted((c for d in range(1, d_max + 1)
+                         for c in _candidates_at_degree(genus, d, allow_smooth)),
+                        key=Candidate.key)
     admissible = tuple(c for c in candidates if c.admissible)
     on_line = tuple(c for c in admissible if c.on_3d_line)
     exceptions = tuple((c, _tags_for(c)) for c in admissible if not c.on_3d_line)

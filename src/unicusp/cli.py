@@ -15,10 +15,10 @@ reported on standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .classify import degree_for_products, enumerate_candidates, sector_bounds, sector_of
 from .families import (
@@ -41,25 +41,61 @@ def _frac(q: Fraction) -> str:
     return str(q)
 
 
-def _candidate_payload(c: Candidate, tags: tuple[str, ...] | None = None) -> dict:
-    out = {
-        "a": c.a,
-        "b": c.b,
-        "d": c.d,
-        "g": c.g,
-        "on_3d_line": c.on_3d_line,
-        "element": str(c.element) if c.element is not None else None,
-    }
-    if c.admissible is not None:
-        out["admissible"] = c.admissible
-    if tags is not None:
-        out["tags"] = list(tags)
-    return out
+def _json(value, indent: str) -> str:
+    """JSON text of value, laid out as json.dumps(..., sort_keys=True,
+    indent=2) lays it out at the nesting depth len(indent) // 2.
+
+    Payloads hold dicts with str keys, lists, str, int, bool and None, plus
+    a `Candidate`, or a (Candidate, tags) tuple for a tagged one; both
+    render as the object the candidate's fields make.  Anything else
+    raises TypeError.
+    """
+    if type(value) is Candidate:
+        return _candidate_json(value, None, indent)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is tuple:
+        return _candidate_json(*value, indent)
+    inner = indent + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        items = f",\n{inner}".join([_json(v, inner) for v in value])
+        return f"[\n{inner}{items}\n{indent}]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                                    for k, v in sorted(value.items())])
+        return f"{{\n{inner}{items}\n{indent}}}"
+    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
+def _candidate_json(c: Candidate, tags: tuple[str, ...] | None, indent: str) -> str:
+    """A candidate's object from one template: its keys in sorted order are
+    a, admissible (when decided), b, d, element, g, on_3d_line, tags (when
+    given)."""
+    i = indent + "  "
+    admissible = ("" if c.admissible is None
+                  else f'{i}"admissible": {"true" if c.admissible else "false"},\n')
+    element = "null" if c.element is None else encode_basestring_ascii(str(c.element))
+    tail = "" if tags is None else f',\n{i}"tags": {_json(list(tags), i)}'
+    return (f'{{\n{i}"a": {c.a},\n{admissible}{i}"b": {c.b},\n{i}"d": {c.d},\n'
+            f'{i}"element": {element},\n{i}"g": {c.g},\n'
+            f'{i}"on_3d_line": {"true" if c.on_3d_line else "false"}{tail}\n{indent}}}')
 
 
 def _emit(command: str, payload: dict) -> None:
     record = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
-    sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json(record, "") + "\n")
 
 
 def _fail(message: str) -> int:
@@ -182,11 +218,11 @@ def _cmd_enumerate(args) -> int:
         "genus": report.g,
         "d_max": report.d_max,
         "allow_smooth": report.allow_smooth,
-        "candidates": [_candidate_payload(c) for c in report.candidates],
+        "candidates": list(report.candidates),
         "admissible_count": len(report.admissible),
         "on_3d_line_count": len(report.on_3d_line),
-        "exceptions": [_candidate_payload(c, tags) for c, tags in report.exceptions],
-        "untagged": [_candidate_payload(c) for c in report.untagged],
+        "exceptions": list(report.exceptions),
+        "untagged": list(report.untagged),
         "largest_exceptional_degree": report.largest_exceptional_degree,
     })
     return 0
@@ -224,8 +260,7 @@ def _cmd_pell(args) -> int:
             payload["orbits"] = [
                 {
                     "generator": str(z),
-                    "candidates": [_candidate_payload(c) for c in
-                                   orbit_candidates(z, args.genus, h_min, h_max)],
+                    "candidates": orbit_candidates(z, args.genus, h_min, h_max),
                 }
                 for z in generating_set(n)
             ]
@@ -242,7 +277,7 @@ def _cmd_families(args) -> int:
     else:
         cand = lucas_family_neg(args.k, args.j)
         which = {"j": args.j}
-    _emit("families", {"k": args.k, **which, "candidate": _candidate_payload(cand)})
+    _emit("families", {"k": args.k, **which, "candidate": cand})
     return 0
 
 
@@ -380,10 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so every call shares one
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

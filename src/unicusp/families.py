@@ -23,7 +23,6 @@ phi^-12.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -34,49 +33,44 @@ from .quadring import QuadInt, phi_power
 def fibonacci(n: int) -> int:
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    x, y = 0, 1
-    for _ in range(n):
-        x, y = y, x + y
-    return x
+    return _fib_pair(n)[0]
+
+
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F_n, F_{n+1}) for n >= 0 by fast doubling:
+    F_2m = F_m (2 F_{m+1} - F_m) and F_{2m+1} = F_m^2 + F_{m+1}^2."""
+    if n == 0:
+        return (0, 1)
+    f, g = _fib_pair(n >> 1)
+    even, odd = f * (2 * g - f), f * f + g * g
+    return (odd, even + odd) if n & 1 else (even, odd)
+
+
+def _fib_signed(n: int) -> int:
+    """F_n for every integer n, with F_{-n} = (-1)^(n+1) F_n."""
+    f = _fib_pair(abs(n))[0]
+    return -f if n < 0 and n % 2 == 0 else f
 
 
 class LucasSeq:
     """L_0 = k-1, L_1 = 1, L_{n+1} = L_n + L_{n-1}, indexed by all of Z.
 
-    Values are memoised in both directions; extension holds a lock so the
-    cache can be shared across threads.
+    Both sides of L_n = (k-1) F_{n-1} + F_n follow the Fibonacci
+    recurrence and agree at n = 0 and n = 1, so each value comes from two
+    Fibonacci numbers in O(log |n|) steps.
     """
 
     def __init__(self, k: int):
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
         self.k = k
-        self._lock = threading.Lock()
-        self._cache = {0: k - 1, 1: 1}
-        self._lo = 0
-        self._hi = 1
 
     def __call__(self, n: int) -> int:
-        with self._lock:
-            while self._hi < n:
-                self._cache[self._hi + 1] = self._cache[self._hi] + self._cache[self._hi - 1]
-                self._hi += 1
-            while self._lo > n:
-                self._cache[self._lo - 1] = self._cache[self._lo + 1] - self._cache[self._lo]
-                self._lo -= 1
-            return self._cache[n]
-
-
-_lucas_registry: dict[int, LucasSeq] = {}
-_registry_lock = threading.Lock()
+        return (self.k - 1) * _fib_signed(n - 1) + _fib_signed(n)
 
 
 def lucas(k: int, n: int) -> int:
-    with _registry_lock:
-        seq = _lucas_registry.get(k)
-        if seq is None:
-            seq = _lucas_registry[k] = LucasSeq(k)
-    return seq(n)
+    return LucasSeq(k)(n)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,16 @@ gap-counting functions:
     k - g  <=  IC(j*d + 1 - 2k) - (d-j-2)(d-j-1)/2  <=  k.
 
 For one cusp the two normalised test values agree cell by cell, so both
-checkers report the same witness on the same input.  Witnesses are
-deterministic: the scan runs j ascending from -1, then k ascending, and
-stops at the first violated cell.
+checkers report the same witness on the same input.  With G the
+gap-counting function (`gaps_at_least` for one cusp, IC for several)
+both read
+
+    0  <=  G(j*d + 1 - 2k) - k + c(j)  <=  g,   c(j) = g - (d-j-2)(d-j-1)/2,
+
+which is the form the scan evaluates.
+
+Witnesses are deterministic: the scan runs j ascending from -1, then k
+ascending, and stops at the first violated cell.
 
 The grid is centrally symmetric: cell (j, k) and cell (d-3-j, g-k) hold
 the same value, for one cusp and for several.  The scan therefore stops
@@ -59,11 +66,7 @@ def check_single(a: int, b: int, genus: int, degree: int) -> Verdict:
     """Run the full (j, k) grid for a single cusp of type <a, b>."""
     s = Semigroup(a, b)
     _require_degree_genus(degree, genus, s.delta, f"<{a},{b}>")
-
-    def value_at(j: int, k: int) -> int:
-        return s.elements_below(j * degree + 1 - 2 * k) + k - (j + 1) * (j + 2) // 2
-
-    return _scan(genus, degree, value_at)
+    return _scan(genus, degree, s.gaps_at_least)
 
 
 def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdict:
@@ -81,14 +84,8 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     # the largest argument j*d + 1 - 2k that the half scan reads
     top = max(0, _last_row(degree) * degree + 1)
     combined = convolution_values([s.gap_function() for s in semis], top)
-
-    def value_at(j: int, k: int) -> int:
-        tail = (degree - j - 2) * (degree - j - 1) // 2
-        arg = j * degree + 1 - 2 * k
-        ic = combined[arg] if arg >= 0 else total_delta - arg
-        return ic - tail + genus - k
-
-    return _scan(genus, degree, value_at)
+    return _scan(genus, degree,
+                 lambda m: combined[m] if m >= 0 else total_delta - m)
 
 
 def _last_row(degree: int) -> int:
@@ -96,8 +93,14 @@ def _last_row(degree: int) -> int:
     return (degree - 3) // 2
 
 
-def _scan(genus: int, degree: int, value_at) -> Verdict:
-    """First cell (j, k) whose value_at leaves [0, genus], in scan order.
+def _scan(genus: int, degree: int, gap_at) -> Verdict:
+    """First cell (j, k) whose value leaves [0, genus], in scan order.
+
+    The value of cell (j, k) is G(j*d + 1 - 2k) - k + c(j) with
+    G = gap_at and c(j) = g - (d-j-2)(d-j-1)/2.  For one cusp this is
+    R(j*d + 1 - 2k) + k - (j+1)(j+2)/2, by R(m) = m - delta + G(m) and
+    2*delta = (d-1)(d-2) - 2g; for several it is the convolution form
+    plus g - k.
 
     Half the grid suffices.  The argument m = j*d + 1 - 2k of cell (j, k)
     and m' of its mirror (d-3-j, g-k) add up to 2*delta, because
@@ -119,14 +122,17 @@ def _scan(genus: int, degree: int, value_at) -> Verdict:
     position in the full grid, and all d(g+1) cells when none fails.
     """
     for j in range(-1, _last_row(degree) + 1):
+        base = j * degree + 1
+        c = genus - (degree - j - 2) * (degree - j - 1) // 2
         k = 0
         while k <= genus:
-            value = value_at(j, k)
+            value = gap_at(base - 2 * k) - k + c
             if not 0 <= value <= genus:
                 side = "lower" if value < 0 else "upper"
                 witness = ObstructionWitness(j, k, (j + 1) * (j + 2) // 2, value, side)
                 return Verdict(False, witness, (j + 1) * (genus + 1) + k + 1)
-            k += min(value, genus - value) + 1
+            # min(value, genus - value) + 1, without the call
+            k += (value if 2 * value < genus else genus - value) + 1
     return Verdict(True, None, degree * (genus + 1))
 
 

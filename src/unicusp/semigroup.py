@@ -112,21 +112,29 @@ class Semigroup:
         return self._delta + n - 1
 
     def elements_below(self, m: int) -> int:
-        """Count of semigroup elements strictly below m.
-
-        Summing over u, the elements u*b + v*a < m number
-        (m - 1 - u*b) // a + 1 for each u < min(a, (m - 1) // b + 1).
-        """
-        if m <= 0:
-            return 0
-        a, b = self._a, self._b
-        terms = min(a, (m - 1) // b + 1)
-        # reversed order i = terms - 1 - u makes the slope b non-negative
-        return terms + _floor_sum(terms, a, b, m - 1 - (terms - 1) * b)
+        """Count of semigroup elements strictly below m."""
+        return m - self._delta + self.gaps_at_least(m)
 
     def gaps_at_least(self, m: int) -> int:
-        """Count of integers >= m outside the semigroup (negatives included)."""
-        return self.elements_below(m) - m + self._delta
+        """Count of integers >= m outside the semigroup (negatives included).
+
+        This is delta - m plus the number of elements below m.  Only
+        multiples of a lie below b, so for 0 < m <= b that number is
+        (m - 1) // a + 1.  In general, summing over u, the elements
+        u*b + v*a < m number (m - 1 - u*b) // a + 1 for each
+        u < min(a, (m - 1) // b + 1), a floor sum.
+        """
+        if m <= 0:
+            return self._delta - m
+        a, b = self._a, self._b
+        if m <= b:
+            return self._delta - m + (m - 1) // a + 1
+        terms = (m - 1) // b + 1
+        if terms > a:  # min(a, ...), without the call
+            terms = a
+        # reversed order i = terms - 1 - u makes the slope b non-negative
+        return (self._delta - m + terms
+                + _floor_sum(terms, a, b, m - 1 - (terms - 1) * b))
 
     def gap_function(self) -> GapFunction:
         return GapFunction(self._delta, self.gaps)

@@ -338,6 +338,32 @@ def test_readme_examples_run(capsys):
         assert code == expect, (line, err)
 
 
+def test_readme_output_blocks_are_real(capsys):
+    # in a fence, the lines after a "$ unicusp ..." line up to the next "$"
+    # line or the fence's end are that command's stdout; a block whose last
+    # line is "..." is a line prefix of it
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = []
+    in_fence, command = False, None
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_fence = not in_fence
+            command = None
+        elif in_fence and line.startswith("$ unicusp "):
+            command = line[2:]
+            blocks.append((command, []))
+        elif in_fence and command is not None:
+            blocks[-1][1].append(line)
+    shown = [(command, block) for command, block in blocks if block]
+    assert len(shown) >= 5
+    for command, block in shown:
+        _, out, _ = invoke(capsys, *shlex.split(command, comments=True)[1:])
+        if block[-1] == "...":
+            assert out.splitlines()[:len(block) - 1] == block[:-1], command
+        else:
+            assert out == "\n".join(block) + "\n", command
+
+
 def test_unknown_subcommand(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
 

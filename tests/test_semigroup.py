@@ -162,8 +162,8 @@ def test_equality_and_hash():
     assert len({Semigroup(3, 7), Semigroup(3, 7), Semigroup(2, 5)}) == 2
 
 
-def test_counting_matches_oracle_up_to_large_generators():
-    # generators up to 10^5, every m <= 2000 against the double-loop oracle
+def _large_generator_pairs():
+    """29 coprime pairs with generators up to 10^5, seeded."""
     rng = random.Random(5)
     pairs = [(1, 2), (2, 3), (4, 7), (1, 100000), (99989, 99991)]
     for lo, hi in ((2, 50), (50, 1000), (1000, 99990)):
@@ -173,6 +173,12 @@ def test_counting_matches_oracle_up_to_large_generators():
             while oracles.gcd(a, b) != 1:
                 b -= 1  # stops at a + 1 at the latest
             pairs.append((a, b))
+    return pairs
+
+
+def test_counting_matches_oracle_up_to_large_generators():
+    # generators up to 10^5, every m <= 2000 against the double-loop oracle
+    pairs = _large_generator_pairs()
     top = 2000
     for a, b in pairs:
         s = Semigroup(a, b)
@@ -200,3 +206,22 @@ def test_counting_matches_oracle_up_to_large_generators():
             assert s.contains(m), (a, b, m)
         for n in (delta + 1, delta + 2, 5 * delta + 11):
             assert s.nth_element(n) == delta + n - 1, (a, b, n)
+
+
+def test_counting_around_b_matches_oracle():
+    # gaps_at_least counts 0 < m <= b from the multiples of a alone and
+    # switches to the floor sum past b; both sides of the switch, and the
+    # last argument below 2b, against the oracles
+    pairs = _large_generator_pairs()
+    assert len(pairs) == 29
+    for a, b in pairs:
+        delta = (a - 1) * (b - 1) // 2
+        s = Semigroup(a, b)
+        for m in (b - 1, b, b + 1, 2 * b - 1):
+            r = oracles.count_below(a, b, m)
+            assert s.elements_below(m) == r, (a, b, m)
+            if (a - 1) * (b - 1) <= 20000:
+                expect_i = oracles.count_gaps_at_least(a, b, m)
+            else:
+                expect_i = delta - m + r  # gaps below m are m - r for m >= 0
+            assert s.gaps_at_least(m) == expect_i, (a, b, m)

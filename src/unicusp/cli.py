@@ -36,6 +36,15 @@ from .semigroup import Semigroup, check_generators
 
 SCHEMA_VERSION = "1"
 
+# Germ input ceilings.  The cost of a node germ grows steeply with both N
+# and the order (its series coefficients widen along the tail), so larger
+# inputs are refused before any series is built.  At the ceilings, `germ
+# --node 200 --order 1000` takes 4-5 s at 30 MB peak RSS and `germ
+# --flex 300 --order 1000` under 1 s (2-vCPU x86-64, Python 3.11.7).
+GERM_NODE_MAX = 200
+GERM_FLEX_MAX = 300
+GERM_ORDER_MAX = 1000
+
 
 def _frac(q: Fraction) -> str:
     return str(q)
@@ -306,6 +315,11 @@ def _cmd_sectors(args) -> int:
 def _cmd_germ(args) -> int:
     if (args.node is None) == (args.flex is None):
         return _fail("exactly one of --node or --flex is required")
+    for flag, value, ceiling in (("--node", args.node, GERM_NODE_MAX),
+                                 ("--flex", args.flex, GERM_FLEX_MAX),
+                                 ("--order", args.order, GERM_ORDER_MAX)):
+        if value is not None and value > ceiling:
+            return _fail(f"{flag} must be <= {ceiling}, got {value}")
     if args.node is not None:
         records = germ_sequence(args.node, args.order)
         payload = {

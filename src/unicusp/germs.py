@@ -3,6 +3,14 @@ truncated power series.  Coefficients are Python ints, and Python's
 number tower turns them into `Fraction`s only where a division leaves a
 denominator, so every result stays exact.
 
+A product of two series is one big-integer multiply, by Kronecker
+substitution: each operand's coefficients go into fixed-width slots of one
+int, wide enough that no coefficient of the product can leave its slot,
+CPython multiplies the two ints, and the low slots are read back.  Rational
+operands are first scaled to integers by the least common multiple of
+their denominators, and the product is divided by the two scales, so a
+product of int series still has int coefficients.
+
 The node model is the parametrization x(t) = t/(1 + t^3),
 y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
 `germ_sequence` runs the polynomial recursion
@@ -28,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import lcm
+from operator import attrgetter, mul
 
 Coeff = int | Fraction
 
@@ -73,10 +82,13 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            a = self.coeffs
-            rb = other.coeffs[n - 1::-1]  # rb[n-1-j] is the t^j coefficient
-            return PowerSeries(tuple(sum(map(mul, a[:k + 1], rb[n - 1 - k:]))
-                                     for k in range(n)))
+            a, a_scale = _integral(self.coeffs[:n])
+            b, b_scale = (a, a_scale) if other is self else _integral(other.coeffs[:n])
+            product = _kronecker(a, b)
+            scale = a_scale * b_scale
+            if scale == 1:
+                return PowerSeries(tuple(product))
+            return PowerSeries(tuple(Fraction(c, scale) for c in product))
         if isinstance(other, (int, Fraction)):
             return PowerSeries(tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -84,14 +96,22 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "PowerSeries":
+        """Square-and-multiply from the lowest set bit of k: bit_length(k) - 1
+        squarings and popcount(k) - 1 products, none of them by the series 1."""
         if k < 0:
             raise ValueError(f"negative power {k}; invert explicitly instead")
-        acc = PowerSeries.monomial(0, self.order)
+        if k == 0:
+            return PowerSeries.monomial(0, self.order)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        acc = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
         return acc
 
@@ -112,6 +132,57 @@ class PowerSeries:
             if c != 0:
                 return k
         return None
+
+
+def _integral(coeffs: tuple[Coeff, ...]) -> tuple[list[int], int]:
+    """(ints, scale) with coeffs[k] == ints[k] / scale, where scale is the
+    least common multiple of the denominators (1 for int coefficients)."""
+    scale = lcm(*map(attrgetter("denominator"), coeffs))
+    if scale == 1:
+        return list(map(attrgetter("numerator"), coeffs)), 1
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+
+def _pack(coeffs: list[int], size: int) -> int:
+    """sum of coeffs[i] * 2^(w*i) with w = 8*size, each |coeffs[i]| < 2^(w-1).
+
+    Linear time: the coefficients are written as w-bit two's complement
+    slots of one byte string, whose unsigned value u is the sum plus
+    2^w * N, where N has a 1 in each slot that holds a negative
+    coefficient.  The slots' sign bits give N.
+    """
+    u = int.from_bytes(b"".join([c.to_bytes(size, "little", signed=True) for c in coeffs]),
+                       "little")
+    w = 8 * size
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(coeffs), "little")
+    return u - (((u >> (w - 1)) & ones) << w)
+
+
+def _kronecker(a: list[int], b: list[int]) -> list[int]:
+    """The first len(a) coefficients of the product of the integer
+    polynomials a and b, which have equal length, by one big-integer
+    multiply.
+
+    Each operand is packed into one int with a slot of w = 8*size bits per
+    coefficient.  Every coefficient c_k of the product has
+    |c_k| <= n * max|a| * max|b| < 2^(w-1), so adding 2^(w-1) to each of
+    the low n slots leaves every digit in [1, 2^w - 1]: no slot borrows
+    from or carries into its neighbour, and the digits are read off one
+    byte string.
+    """
+    n = len(a)
+    bound = n * max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    if bound == 0:  # a zero operand; the slots below would not hold the other
+        return [0] * n
+    size = (bound.bit_length() + 8) // 8  # the least size with 2^(8*size - 1) > bound
+    packed = _pack(a, size)
+    product = packed * (packed if b is a else _pack(b, size))
+    width = size * n
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    digits = ((product + offset) & ((1 << 8 * width) - 1)).to_bytes(width, "little")
+    half = 1 << (8 * size - 1)
+    return [int.from_bytes(digits[i:i + size], "little") - half
+            for i in range(0, width, size)]
 
 
 def node_parametrization(order: int) -> tuple[PowerSeries, PowerSeries]:

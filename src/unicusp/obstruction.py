@@ -24,14 +24,15 @@ both read
 
 which is the form the scan evaluates.
 
-Witnesses are deterministic: the scan runs j ascending from -1, then k
-ascending, and stops at the first violated cell.
+Witnesses are deterministic: the witness is the first violated cell with
+j ascending from -1, then k ascending.  Rows -1 and 0 never fail (their
+values are k, and 0 then k - 1), so the scan starts at row 1.
 
 The grid is centrally symmetric: cell (j, k) and cell (d-3-j, g-k) hold
 the same value, for one cusp and for several.  The scan therefore stops
 after row (d-3)//2, and the multi-cusp check tabulates the convolution
-only up to the largest argument that half reads.  Neither changes a
-verdict, a witness or `checks_performed`, which still counts cells by
+only up to the largest argument that half reads.  None of this changes
+a verdict, a witness or `checks_performed`, which still counts cells by
 their position in the full d(g+1)-cell grid.
 """
 
@@ -114,6 +115,21 @@ def _scan(genus: int, degree: int, gap_at) -> Verdict:
     (d-3)//2, and the scan stops there with the same verdict, witness
     and count as a scan of all d rows.
 
+    Rows -1 and 0 always hold, so the scan starts at row 1.  Every
+    negative integer is a gap of a semigroup and 0 is not, so its
+    gap count has I(m) = delta - m for m <= 0, I(m) >= delta - m + 1 for
+    m >= 1, and I(1) = delta.  The infimum convolution keeps all three,
+    with delta_total: a split of s into m + (s - m) gives at least
+    delta_total - s, and at least delta_total - s + 1 when s >= 1, since
+    one part is then >= 1; the split 0 + s attains delta_total - s for
+    s <= 0, and 0 + 1 attains delta_total at s = 1.  So G(m) = delta - m
+    for m <= 0 and G(1) = delta, for one cusp and for several.  By
+    2(g + delta) = (d-1)(d-2), c(-1) = g - d(d-1)/2 = -delta - (d-1) and
+    c(0) = -delta.  Row -1 reads m = 1 - d - 2k <= 0, so
+    value(-1, k) = k.  Row 0 reads m = 1 at k = 0, so value(0, 0) = 0,
+    and m = 1 - 2k < 0 at k >= 1, so value(0, k) = k - 1.  All of these
+    lie in [0, genus].
+
     A step k -> k + 1 moves the counting argument by -2, over which the
     count changes by 0, 1 or 2 while the k term changes by 1, so the value
     changes by at most 1.  After a value v in [0, genus] the next
@@ -121,7 +137,7 @@ def _scan(genus: int, degree: int, gap_at) -> Verdict:
     `checks_performed` counts every cell up to the witness by its
     position in the full grid, and all d(g+1) cells when none fails.
     """
-    for j in range(-1, _last_row(degree) + 1):
+    for j in range(1, _last_row(degree) + 1):
         base = j * degree + 1
         c = genus - (degree - j - 2) * (degree - j - 1) // 2
         k = 0

@@ -204,3 +204,15 @@ def node_germ_series(poly, order):
             out[i + 2 * j + 3 * r] += Fraction(c) * (-1) ** r * comb(m + r - 1, r)
             r += 1
     return out
+
+
+def series_product(a, b):
+    """The first min(len(a), len(b)) coefficients of the product of two
+    truncated power series, given as coefficient lists, by the schoolbook
+    convolution over Fractions."""
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += Fraction(a[i]) * Fraction(b[j])
+    return out

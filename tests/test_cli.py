@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 
 from unicusp import fibonacci
-from unicusp.cli import run
+from unicusp.cli import GERM_FLEX_MAX, GERM_NODE_MAX, GERM_ORDER_MAX, run
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def invoke(capsys, *argv):
@@ -279,6 +282,34 @@ def test_germ_usage_errors(capsys):
     assert invoke(capsys, "germ", "--node", "3", "--flex", "5")[0] == 2
     assert invoke(capsys, "germ", "--node", "0")[0] == 2
     assert invoke(capsys, "germ", "--flex", "5", "--order", "10")[0] == 2
+
+
+def test_germ_ceilings_refuse_fast(capsys):
+    # one past each ceiling is a usage error before any series is built
+    for argv, flag in ((["--node", str(GERM_NODE_MAX + 1)], "--node"),
+                       (["--flex", str(GERM_FLEX_MAX + 1)], "--flex"),
+                       (["--node", "3", "--order", str(GERM_ORDER_MAX + 1)], "--order"),
+                       (["--flex", "5", "--order", str(GERM_ORDER_MAX + 1)], "--order")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "germ", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} must be <= ") and "Traceback" not in err
+
+
+def test_germ_ceilings_admit_the_benchmark_pool(capsys):
+    # every germ pool input lies within the ceilings, and the largest of
+    # each model, by (N or d, order), runs
+    ops = workloads.make_ops("germ", 0)
+    largest = {}
+    for kind, argv, _ in ops:
+        size, order = int(argv[2]), int(argv[4])
+        assert size <= (GERM_NODE_MAX if kind == "node" else GERM_FLEX_MAX)
+        assert order <= GERM_ORDER_MAX
+        largest[kind] = max(largest.get(kind, (0, 0, None)), (size, order, argv))
+    assert largest.keys() == {"node", "flex"}
+    for _, _, argv in largest.values():
+        assert invoke(capsys, *argv)[0] == 0
 
 
 def test_identities_command(capsys):

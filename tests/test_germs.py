@@ -1,5 +1,7 @@
+import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -45,12 +47,90 @@ class TestPowerSeries:
         assert (one_plus * Fraction(1, 2)).coeffs == (
             Fraction(1, 2), Fraction(1, 2), 0, 0, 0)
 
+    def test_product_matches_oracle(self):
+        # random operands of mixed orders, including the empty and the
+        # length-1 series, int, huge int and Fraction coefficients, and
+        # squares of one operand
+        rng = random.Random(59)
+        kinds = {
+            "small": lambda: rng.randint(-5, 5),
+            "sparse": lambda: rng.choice((0, 0, 0, rng.randint(-3, 3))),
+            "huge": lambda: rng.choice((-1, 1)) * rng.getrandbits(rng.randint(300, 340)),
+            "rational": lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
+            "huge rational": lambda: Fraction(rng.getrandbits(320) - 2 ** 319,
+                                              rng.getrandbits(200) + 1),
+        }
+        names = sorted(kinds)
+
+        def operand():
+            make = kinds[rng.choice(names)]
+            return [make() for _ in range(rng.randint(0, 24))]
+
+        for _ in range(600):
+            a, b = operand(), operand()
+            sa, sb = PowerSeries(tuple(a)), PowerSeries(tuple(b))
+            assert (sa * sb).coeffs == tuple(oracles.series_product(a, b)), (a, b)
+            assert (sa * sa).coeffs == tuple(oracles.series_product(a, a)), a
+            if all(type(c) is int for c in a + b):
+                assert all(type(c) is int for c in (sa * sb).coeffs)
+
+    def test_product_edge_operands(self):
+        big = 2 ** 300
+        cases = [
+            ((), ()), ((), (1, 2)), ((0, 0, 0), (4, 5, 6)), ((5,), (-7, 3)),
+            ((1, 2, 3, 4, 5), (1, -1)),  # truncates to the shorter operand
+            ((-big, big + 1, 0, -3), (big - 1, -big, 7, 2)),
+            ((Fraction(1, 3), Fraction(-2, 5)), (Fraction(7, 4), Fraction(3, 10))),
+            ((2, -3, 5), (Fraction(1, 6), 0, Fraction(-5, 9))),
+            ((Fraction(4, 2), Fraction(-6, 3)), (3, 1)),  # denominators of 1
+        ]
+        for a, b in cases:
+            expect = tuple(oracles.series_product(a, b))
+            assert (PowerSeries(a) * PowerSeries(b)).coeffs == expect, (a, b)
+            assert (PowerSeries(b) * PowerSeries(a)).coeffs == expect, (a, b)
+
+    def test_product_at_the_width_bound(self):
+        # n copies of A times n copies of B: the t^(n-1) coefficient is
+        # n*A*B, the bound the slot width must exceed.  At n*A*B = 2^(8m-1)
+        # a slot one bit narrower overflows.
+        for m in (1, 2, 3, 5):
+            for log_n in (0, 1, 3):
+                n = 2 ** log_n
+                for A, B in ((2 ** (8 * m - 1 - log_n), 1),
+                             (2 ** 3, 2 ** (8 * m - 4 - log_n)),
+                             (2 ** (8 * m - 1) - 1, 1)):
+                    for sign in (1, -1):
+                        a, b = (sign * A,) * n, (B,) * n
+                        product = (PowerSeries(a) * PowerSeries(b)).coeffs
+                        assert product == tuple(oracles.series_product(a, b))
+                        assert product[-1] == sign * n * A * B
+
     def test_powers(self):
         one_plus = series(1, 1, 0, 0, 0)
         assert (one_plus ** 3).coeffs == (1, 3, 3, 1, 0)
         assert (one_plus ** 0).coeffs == (1, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             one_plus ** -1
+        binomial = PowerSeries((1, 1) + (0,) * 48)
+        for k in range(1, 70):
+            assert (binomial ** k).coeffs == tuple(comb(k, i) for i in range(50))
+
+    def test_power_wastes_no_product(self, monkeypatch):
+        # bit_length(k) - 1 squarings and popcount(k) - 1 products
+        products = []
+        mul = PowerSeries.__mul__
+
+        def counted(a, b):
+            products.append(b is a)
+            return mul(a, b)
+
+        monkeypatch.setattr(PowerSeries, "__mul__", counted)
+        base = PowerSeries((1, 2, -1, 0, 3, 0))
+        for k in (1, 2, 3, 8, 13, 64, 255):
+            products.clear()
+            base ** k
+            assert products.count(True) == k.bit_length() - 1
+            assert products.count(False) == bin(k).count("1") - 1
 
     def test_reciprocal_roundtrip(self):
         s = series(1, 0, -1, 0, 0, 0, 0, 0)  # 1 - t^2
@@ -127,14 +207,18 @@ def test_germ_sequence_matches_oracle_expansion():
 
 
 def test_germ_sequence_at_scale():
-    start = time.perf_counter()
-    records = germ_sequence(60)
-    assert time.perf_counter() - start < 2.0
-    assert all(r.c == 1 for r in records)
-    assert all(type(c) is int for r in records for _, c in r.polynomial)
-    expansion = oracles.node_germ_series(dict(records[-1].polynomial), 183)
-    assert not any(expansion[:179])
-    assert expansion[179] == 1
+    for n_max, budget in ((60, 2.0), (150, 10.0)):
+        start = time.perf_counter()
+        records = germ_sequence(n_max)
+        assert time.perf_counter() - start < budget
+        assert [(r.n, r.valuation) for r in records] == [
+            (n, 3 * n - 1) for n in range(1, n_max + 1)]
+        assert all(r.c == 1 for r in records)
+        assert all(type(c) is int for r in records for _, c in r.polynomial)
+        order = 3 * n_max + 3
+        expansion = oracles.node_germ_series(dict(records[-1].polynomial), order)
+        assert not any(expansion[:order - 4])
+        assert expansion[order - 4] == 1
 
 
 def test_germ_sequence_first_three_polynomials():
@@ -166,6 +250,13 @@ def test_flex_check_range():
         assert report.d == d
         assert report.valuation == 3 * d
         assert report.collapse_exact
+
+
+def test_flex_check_at_scale():
+    start = time.perf_counter()
+    report = flex_check(400)
+    assert time.perf_counter() - start < 10.0
+    assert (report.d, report.valuation, report.collapse_exact) == (400, 1200, True)
 
 
 def test_flex_check_default_order_and_validation():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -242,6 +243,21 @@ def test_grid_is_centrally_symmetric():
             assert cells[(d - 3 - j, g - k)] == value, (pairs, g, d, j, k)
         sizes[len(pairs)] += 1
     assert min(sizes.values()) > 20
+
+
+def test_first_two_rows_have_closed_forms():
+    # the scan starts at row 1 because rows -1 and 0 hold by these forms;
+    # their arguments are at most 1, and the oracle window reaches 4 past
+    # [0, s], which holds every split that attains the minimum there
+    sizes = {1: 0, 2: 0, 3: 0}
+    for pairs, g, d in _random_configs(random.Random(41), 300, 7, 20):
+        cells = itertools.islice(oracles.brute_multi_cells(pairs, g, d, window=4),
+                                 2 * (g + 1))
+        for j, k, value in cells:
+            expect = k if j == -1 else max(k - 1, 0)
+            assert value == expect, (pairs, g, d, j, k)
+        sizes[len(pairs)] += 1
+    assert min(sizes.values()) > 40
 
 
 def test_half_scan_matches_full_grid_oracle():

@@ -3,8 +3,9 @@
 perfbench/spans.py records spans by rebinding public names where their
 callers look them up (for example `unicusp.obstruction.convolve`).  A
 refactor that drops one of those bindings breaks `perfbench/run.py
---trace 1`; this test installs the tracer, runs two commands through it,
-and checks that uninstalling restores every binding.
+--trace 1`; this test installs the tracer, runs four commands through it
+(two of them germ models, whose series products it counts), and checks
+that uninstalling restores every binding.
 """
 
 import importlib
@@ -42,15 +43,21 @@ def test_tracer_installs_runs_and_restores():
         assert all(before[key] is not now for key, now in _bindings().items())
         codes = []
         for op, argv in enumerate((["check", "--genus", "3", "--pairs", "2,3;2,5"],
-                                   ["enumerate", "--genus", "1", "--dmax", "12"])):
+                                   ["enumerate", "--genus", "1", "--dmax", "12"],
+                                   ["germ", "--node", "3", "--order", "12"],
+                                   ["germ", "--flex", "5"])):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 codes.append(tracer.run_op(op, cli.run, argv))
     finally:
         tracer.uninstall()
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0, 0]
     names = {span[3] for span in tracer.spans}
     assert {"cli.run", "obstruction.check_multi", "obstruction.check_single",
-            "semigroup.construct", "classify.enumerate"} <= names
+            "semigroup.construct", "classify.enumerate", "germs.sequence",
+            "germs.flex"} <= names
+    # series products are counted per op, and only the germ ops make any
+    assert set(tracer.series_mul) == {2, 3}
+    assert all(count > 0 for count in tracer.series_mul.values())
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)

@@ -39,11 +39,23 @@ SCHEMA_VERSION = "1"
 # Germ input ceilings.  The cost of a node germ grows steeply with both N
 # and the order (its series coefficients widen along the tail), so larger
 # inputs are refused before any series is built.  At the ceilings, `germ
-# --node 200 --order 1000` takes 4-5 s at 30 MB peak RSS and `germ
-# --flex 300 --order 1000` under 1 s (2-vCPU x86-64, Python 3.11.7).
+# --node 200 --order 1000` takes 1.8-2.3 s at 30 MB peak RSS, most of it
+# in CPython's big-integer multiply, and `germ --flex 300 --order 1000`
+# about 0.2 s (2-vCPU x86-64, Python 3.11.7, whole process).
 GERM_NODE_MAX = 200
 GERM_FLEX_MAX = 300
 GERM_ORDER_MAX = 1000
+
+# Listing a semigroup's gaps takes O(delta) time and memory: at delta =
+# 10^6 about 1.1-1.3 s and 145 MB on the same host.  The counting queries
+# (--query) use closed forms and stay unbounded.
+SEMIGROUP_DELTA_MAX = 10 ** 6
+
+# `pell` factors n by trial division, which stays under 0.5 s up to the
+# 10^12 that `quadring.factorize` is meant for (a prime n near 10^12),
+# while a 19-digit prime n does not finish in 20 s.  The bound is checked
+# before any factoring.
+PELL_N_MAX = 10 ** 12
 
 
 def _frac(q: Fraction) -> str:
@@ -115,6 +127,9 @@ def _fail(message: str) -> int:
 def _cmd_semigroup(args) -> int:
     s = Semigroup(args.a, args.b)
     if args.query is None:
+        if s.delta > SEMIGROUP_DELTA_MAX:
+            return _fail(f"listing the gaps needs delta <= {SEMIGROUP_DELTA_MAX}, got "
+                         f"delta = {s.delta}; --query R|I|gamma answers at any delta")
         _emit("semigroup", {
             "a": s.a,
             "b": s.b,
@@ -246,6 +261,9 @@ def _cmd_pell(args) -> int:
         n = args.n
     if n == 0:
         return _fail("--n must be nonzero")
+    if abs(n) > PELL_N_MAX:
+        given = f"--n {n}" if args.genus is None else f"--genus {args.genus} (n = {n})"
+        return _fail(f"|n| must be <= {PELL_N_MAX}, got {given}")
     payload: dict = {"n": n, "genus": args.genus, "solvable": has_solution(n)}
     dec = coprime_decompose(n) if n >= 1 else None
     if dec is None:

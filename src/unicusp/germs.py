@@ -11,6 +11,16 @@ operands are first scaled to integers by the least common multiple of
 their denominators, and the product is divided by the two scales, so a
 product of int series still has int coefficients.
 
+Packing and unpacking stay in C.  A slot of at most 8 bytes is rounded up
+to a machine word of 1, 2, 4 or 8 bytes, so `array` writes an operand's
+slots in one call and `memoryview.cast` reads the product's back; each
+digit is biased by half a slot so that no slot borrows, and an XOR with
+that half turns the digit into the coefficient's two's complement.  Wider
+slots go through `int.to_bytes` per coefficient.  Leading zeros are never
+packed: with valuations va and vb, the product is va + vb zeros followed by
+the product of coeffs[va:n - vb] and coeffs[vb:n - va], and a series times
+the int 1 is the series itself.
+
 The node model is the parametrization x(t) = t/(1 + t^3),
 y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
 `germ_sequence` runs the polynomial recursion
@@ -34,10 +44,13 @@ exactly 3d.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from math import lcm
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul, not_, sub
 
 Coeff = int | Fraction
 
@@ -69,26 +82,34 @@ class PowerSeries:
         return cls(tuple(c))
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n)))
+        return PowerSeries(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n)))
+        return PowerSeries(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
+            # with valuations va and vb, the first va + vb coefficients of
+            # the product are zero, and only coeffs[va:n - vb] of self and
+            # coeffs[vb:n - va] of other reach the rest
             n = min(self.order, other.order)
-            a, a_scale = _integral(self.coeffs[:n])
-            b, b_scale = (a, a_scale) if other is self else _integral(other.coeffs[:n])
+            va = _leading_zeros(self.coeffs, n)
+            vb = va if other is self else _leading_zeros(other.coeffs, n)
+            if va + vb >= n:
+                return PowerSeries.zero(n)
+            a, a_scale = _integral(self.coeffs[va:n - vb])
+            b, b_scale = ((a, a_scale) if other is self
+                          else _integral(other.coeffs[vb:n - va]))
             product = _kronecker(a, b)
             scale = a_scale * b_scale
-            if scale == 1:
-                return PowerSeries(tuple(product))
-            return PowerSeries(tuple(Fraction(c, scale) for c in product))
+            if scale != 1:
+                product = [Fraction(c, scale) for c in product]
+            return PowerSeries((0,) * (va + vb) + tuple(product))
+        if type(other) is int and other == 1:
+            return self
         if isinstance(other, (int, Fraction)):
             return PowerSeries(tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -128,10 +149,13 @@ class PowerSeries:
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, None for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return None
+        k = _leading_zeros(self.coeffs, self.order)
+        return None if k == self.order else k
+
+
+def _leading_zeros(coeffs: tuple[Coeff, ...], n: int) -> int:
+    """The number of zero coefficients that open coeffs, at most n."""
+    return min(n, len(list(takewhile(not_, coeffs))))
 
 
 def _integral(coeffs: tuple[Coeff, ...]) -> tuple[list[int], int]:
@@ -143,45 +167,66 @@ def _integral(coeffs: tuple[Coeff, ...]) -> tuple[list[int], int]:
     return [c.numerator * (scale // c.denominator) for c in coeffs], scale
 
 
-def _pack(coeffs: list[int], size: int) -> int:
-    """sum of coeffs[i] * 2^(w*i) with w = 8*size, each |coeffs[i]| < 2^(w-1).
+# The array typecode of each signed machine word size in bytes, chosen by
+# itemsize.  `array` and `memoryview` lay words out in the host's byte
+# order, while the slots are joined and split as little-endian ints (slot
+# 0 lowest).  Both orders agree only on a little-endian host, so a
+# big-endian one packs every product through the byte join.
+_WORD_CODES = ({array(code).itemsize: code for code in "bhilq"}
+               if sys.byteorder == "little" else {})
+# _WORDS[size]: the word size a slot of `size` bytes is rounded up to
+_WORDS = [min((w for w in _WORD_CODES if w >= size), default=size) for size in range(9)]
+
+
+def _pack(coeffs: list[int], size: int, ones: int) -> int:
+    """sum of coeffs[i] * 2^(w*i) with w = 8*size, each |coeffs[i]| < 2^(w-1);
+    ones has a 1 at the bottom of each of the len(coeffs) slots.
 
     Linear time: the coefficients are written as w-bit two's complement
     slots of one byte string, whose unsigned value u is the sum plus
     2^w * N, where N has a 1 in each slot that holds a negative
-    coefficient.  The slots' sign bits give N.
+    coefficient.  The slots' sign bits give N.  A word-sized slot is
+    written by `array` in C, a wider one by `int.to_bytes` per coefficient.
     """
-    u = int.from_bytes(b"".join([c.to_bytes(size, "little", signed=True) for c in coeffs]),
-                       "little")
+    code = _WORD_CODES.get(size)
+    if code is None:
+        raw = b"".join([c.to_bytes(size, "little", signed=True) for c in coeffs])
+    else:
+        raw = array(code, coeffs).tobytes()
+    u = int.from_bytes(raw, "little")
     w = 8 * size
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(coeffs), "little")
     return u - (((u >> (w - 1)) & ones) << w)
 
 
 def _kronecker(a: list[int], b: list[int]) -> list[int]:
     """The first len(a) coefficients of the product of the integer
-    polynomials a and b, which have equal length, by one big-integer
-    multiply.
+    polynomials a and b, which have equal length and nonzero constant
+    terms, by one big-integer multiply.
 
     Each operand is packed into one int with a slot of w = 8*size bits per
-    coefficient.  Every coefficient c_k of the product has
+    coefficient, size rounded up to a machine word (1, 2, 4 or 8 bytes)
+    when it fits one.  Every coefficient c_k of the product has
     |c_k| <= n * max|a| * max|b| < 2^(w-1), so adding 2^(w-1) to each of
-    the low n slots leaves every digit in [1, 2^w - 1]: no slot borrows
-    from or carries into its neighbour, and the digits are read off one
-    byte string.
+    the low n slots leaves every digit c_k + 2^(w-1) in [1, 2^w - 1]: no
+    slot borrows from or carries into its neighbour.  XOR with 2^(w-1)
+    then turns each digit into c_k's w-bit two's complement, which a word
+    slot reads back as a machine word, and a wider slot by `int.from_bytes`.
     """
     n = len(a)
-    bound = n * max(map(abs, a), default=0) * max(map(abs, b), default=0)
-    if bound == 0:  # a zero operand; the slots below would not hold the other
-        return [0] * n
+    bound = n * max(map(abs, a)) * max(map(abs, b))
     size = (bound.bit_length() + 8) // 8  # the least size with 2^(8*size - 1) > bound
-    packed = _pack(a, size)
-    product = packed * (packed if b is a else _pack(b, size))
+    if size < len(_WORDS):
+        size = _WORDS[size]
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+    packed = _pack(a, size, ones)
+    product = packed * (packed if b is a else _pack(b, size, ones))
     width = size * n
-    offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
-    digits = ((product + offset) & ((1 << 8 * width) - 1)).to_bytes(width, "little")
-    half = 1 << (8 * size - 1)
-    return [int.from_bytes(digits[i:i + size], "little") - half
+    offset = ones << (8 * size - 1)
+    digits = (((product + offset) & ((1 << 8 * width) - 1)) ^ offset).to_bytes(width, "little")
+    code = _WORD_CODES.get(size)
+    if code is not None:
+        return memoryview(digits).cast(code).tolist()
+    return [int.from_bytes(digits[i:i + size], "little", signed=True)
             for i in range(0, width, size)]
 
 

@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 from unicusp import fibonacci
-from unicusp.cli import GERM_FLEX_MAX, GERM_NODE_MAX, GERM_ORDER_MAX, run
+from unicusp import cli
+from unicusp.cli import (
+    GERM_FLEX_MAX,
+    GERM_NODE_MAX,
+    GERM_ORDER_MAX,
+    PELL_N_MAX,
+    SEMIGROUP_DELTA_MAX,
+    run,
+)
 
 import oracles
 
@@ -415,6 +423,43 @@ def test_semigroup_query_at_huge_delta(capsys):
     assert code == 0
     assert payload_of(out)[1]["value"] == elems[-1]
     assert time.perf_counter() - start < 1.0
+
+
+def test_semigroup_gap_listing_ceiling(capsys, monkeypatch):
+    # listing the gaps above the delta ceiling is refused at once and
+    # points to --query, which answers the same semigroup
+    a, b = 100003, 100019
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "semigroup", "-a", str(a), "-b", str(b))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: listing the gaps needs delta <= {SEMIGROUP_DELTA_MAX}")
+    assert "--query" in err and "Traceback" not in err
+    code, _, _ = invoke(capsys, "semigroup", "-a", str(a), "-b", str(b),
+                        "--query", "I", "--arg", "0")
+    assert code == 0
+    # the ceiling itself is admitted: <4, 7> has delta 9
+    monkeypatch.setattr(cli, "SEMIGROUP_DELTA_MAX", 9)
+    assert invoke(capsys, "semigroup", "-a", "4", "-b", "7")[0] == 0
+    assert invoke(capsys, "semigroup", "-a", "4", "-b", "9")[0] == 2
+
+
+def test_pell_bound_refuses_before_factoring(capsys):
+    # |n| above 10^12 is refused before any trial division, from either flag
+    refused = (["--n", str(PELL_N_MAX + 1)], ["--n", str(-PELL_N_MAX - 1)],
+               ["--n", "1000000000000000031"],
+               ["--genus", str((PELL_N_MAX // 4 + 2) // 2)], ["--genus", "-125000000000"])
+    for argv in refused:
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "pell", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: |n| must be <= {PELL_N_MAX}, got {argv[0]}")
+    for argv in (["--n", str(PELL_N_MAX)], ["--n", str(-PELL_N_MAX)],
+                 ["--genus", str(PELL_N_MAX // 8)]):
+        code, out, _ = invoke(capsys, "pell", *argv)
+        assert code == 0, argv
+        assert abs(payload_of(out)[1]["n"]) <= PELL_N_MAX
 
 
 def test_families_huge_index(capsys):

@@ -105,6 +105,74 @@ class TestPowerSeries:
                         assert product == tuple(oracles.series_product(a, b))
                         assert product[-1] == sign * n * A * B
 
+    def test_product_at_the_word_bounds(self):
+        # n copies of A times n copies of B put n*A*B = T in the last
+        # coefficient, the bound the slot must exceed.  T just below 2^(w-1)
+        # fits a w-bit word slot, and T = 2^(w-1) or 2^(w-1) + 1 needs the
+        # next size: the 1, 2, 4 and 8 byte words and the first wide slot.
+        for w in (8, 16, 32, 64):
+            for T in (2 ** (w - 1) - 2, 2 ** (w - 1) - 1, 2 ** (w - 1), 2 ** (w - 1) + 1):
+                splits = [(1, T, 1), (1, 1, T)]
+                for n in (2, 3, 7):
+                    if T % n == 0:
+                        rest = T // n
+                        B = next(f for f in (3, 5, 7, 43, 127, rest) if rest % f == 0)
+                        splits.append((n, rest // B, B))
+                for n, A, B in splits:
+                    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                        a, b = (sa * A,) * n, (sb * B,) * n
+                        product = (PowerSeries(a) * PowerSeries(b)).coeffs
+                        assert product == tuple(oracles.series_product(a, b)), (n, A, B)
+                        assert product[-1] == sa * sb * T
+                        assert all(type(c) is int for c in product)
+                        square = (PowerSeries(a) ** 2).coeffs
+                        assert square == tuple(oracles.series_product(a, a)), (n, A)
+
+    def test_product_trims_leading_zeros(self):
+        # valuations va and vb with va + vb at n - 1, n and n + 1, a zero
+        # operand, truncation to the shorter operand, squares and rationals
+        rng = random.Random(17)
+        n = 9
+
+        def with_valuation(v, order, make):
+            return (0,) * v + tuple(make() for _ in range(order - v))
+
+        makers = (lambda: rng.choice((-1, 1)) * rng.randint(1, 9),
+                  lambda: rng.choice((-1, 1)) * rng.getrandbits(90),
+                  lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12)))
+        for make in makers:
+            for va in range(n + 1):
+                for vb in range(n + 1):
+                    if va + vb not in (n - 1, n, n + 1) and (va + vb) % 4:
+                        continue
+                    for order_b in (n, n + 3):
+                        a = with_valuation(va, n, make)
+                        b = with_valuation(vb, order_b, make)
+                        expect = tuple(oracles.series_product(a, b))
+                        assert (PowerSeries(a) * PowerSeries(b)).coeffs == expect, (a, b)
+                        assert (PowerSeries(b) * PowerSeries(a)).coeffs == expect, (a, b)
+                s = PowerSeries(with_valuation(va, n, make))
+                assert (s * s).coeffs == tuple(oracles.series_product(s.coeffs, s.coeffs))
+        zero = PowerSeries.zero(n)
+        s = PowerSeries(with_valuation(2, n + 4, makers[0]))
+        for product in (zero * s, s * zero, zero * zero):
+            assert product.coeffs == (0,) * n
+        # neither operand is zero, but va + vb reaches the shorter order
+        late = PowerSeries((0,) * n + (5, 6))
+        assert (late * s).coeffs == (s * late).coeffs == (0,) * (n + 2)
+
+    def test_scalar_products(self):
+        s = PowerSeries((0, 3, -2, 0, 7))
+        for product in (s * 1, 1 * s):
+            assert product.coeffs == s.coeffs
+            assert all(type(c) is int for c in product.coeffs)
+        for product in (s * Fraction(1), Fraction(1) * s):
+            assert product.coeffs == s.coeffs
+            assert all(type(c) is Fraction for c in product.coeffs)
+        assert (s * -1).coeffs == (-s).coeffs
+        q = series(1, Fraction(1, 2))
+        assert (q * 1).coeffs == (1 * q).coeffs == q.coeffs
+
     def test_powers(self):
         one_plus = series(1, 1, 0, 0, 0)
         assert (one_plus ** 3).coeffs == (1, 3, 3, 1, 0)

@@ -29,19 +29,19 @@ from .families import (
     orbit_candidates,
     verify_fibonacci_identities,
 )
-from .germs import flex_check, germ_sequence
+from .germs import GermRecord, flex_check, germ_sequence
 from .obstruction import check_multi, check_single
 from .quadring import coprime_decompose, generating_set, has_solution
 from .semigroup import Semigroup, check_generators
 
 SCHEMA_VERSION = "1"
 
-# Germ input ceilings.  The cost of a node germ grows steeply with both N
-# and the order (its series coefficients widen along the tail), so larger
-# inputs are refused before any series is built.  At the ceilings, `germ
-# --node 200 --order 1000` takes 1.8-2.3 s at 30 MB peak RSS, most of it
-# in CPython's big-integer multiply, and `germ --flex 300 --order 1000`
-# about 0.2 s (2-vCPU x86-64, Python 3.11.7, whole process).
+# Germ input ceilings.  The cost of a germ grows with both its exponent and
+# the order, and a node germ prints about N^2 / 2 polynomial terms (1.9 MB
+# at N = 200), so larger inputs are refused before any series is built.
+# At the ceilings, `germ --node 200 --order 1000` takes 0.22-0.45 s at
+# 26 MB peak RSS, and `germ --flex 300 --order 1000` 0.19-0.33 s (2-vCPU
+# x86-64, Python 3.11.7, whole process).
 GERM_NODE_MAX = 200
 GERM_FLEX_MAX = 300
 GERM_ORDER_MAX = 1000
@@ -68,8 +68,8 @@ def _json(value, indent: str) -> str:
 
     Payloads hold dicts with str keys, lists, str, int, bool and None, plus
     a `Candidate`, or a (Candidate, tags) tuple for a tagged one; both
-    render as the object the candidate's fields make.  Anything else
-    raises TypeError.
+    render as the object the candidate's fields make.  A `GermRecord`
+    renders as a node step's object.  Anything else raises TypeError.
     """
     if type(value) is Candidate:
         return _candidate_json(value, None, indent)
@@ -97,6 +97,8 @@ def _json(value, indent: str) -> str:
         items = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
                                     for k, v in sorted(value.items())])
         return f"{{\n{inner}{items}\n{indent}}}"
+    if type(value) is GermRecord:
+        return _step_json(value, indent)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
@@ -112,6 +114,21 @@ def _candidate_json(c: Candidate, tags: tuple[str, ...] | None, indent: str) -> 
     return (f'{{\n{i}"a": {c.a},\n{admissible}{i}"b": {c.b},\n{i}"d": {c.d},\n'
             f'{i}"element": {element},\n{i}"g": {c.g},\n'
             f'{i}"on_3d_line": {"true" if c.on_3d_line else "false"}{tail}\n{indent}}}')
+
+
+def _step_json(r: GermRecord, indent: str) -> str:
+    """A node step's object from one template: its keys in sorted order are
+    c, n, polynomial and valuation, and each polynomial term x^i y^j with
+    coefficient c renders as the list [i, j, "c"]."""
+    i = indent + "  "
+    j = i + "  "
+    k = j + "  "
+    terms = f",\n{j}".join([
+        f"[\n{k}{a},\n{k}{b},\n{k}{encode_basestring_ascii(_frac(c))}\n{j}]"
+        for (a, b), c in r.polynomial])
+    polynomial = f"[\n{j}{terms}\n{i}]" if terms else "[]"
+    return (f'{{\n{i}"c": {encode_basestring_ascii(_frac(r.c))},\n{i}"n": {r.n},\n'
+            f'{i}"polynomial": {polynomial},\n{i}"valuation": {r.valuation}\n{indent}}}')
 
 
 def _emit(command: str, payload: dict) -> None:
@@ -344,15 +361,7 @@ def _cmd_germ(args) -> int:
             "model": "node",
             "n_max": args.node,
             "order": args.order if args.order is not None else 3 * args.node + 3,
-            "steps": [
-                {
-                    "n": r.n,
-                    "valuation": r.valuation,
-                    "c": _frac(r.c),
-                    "polynomial": [[i, j, _frac(c)] for (i, j), c in r.polynomial],
-                }
-                for r in records
-            ],
+            "steps": records,
         }
     else:
         report = flex_check(args.flex, args.order)

@@ -30,11 +30,18 @@ y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
 
 where c_n is the leading coefficient of f_n along the parametrization.
 Evaluation along the parametrization is a ring homomorphism, so the same
-recursion, run on the series S_n = f_n(x(t), y(t)), gives each f_n's
-expansion without re-evaluating the polynomial.  Each f_n must vanish to
+recursion runs on series without re-evaluating any polynomial.  It runs on
+the unit-scaled U_n = (1 + t^3)^n f_n(x(t), y(t)): since
+x y (1 + t^3)^2 = t^3, it reads U_n = c_{n-2} (U_{n-1} + t^3 U_{n-1})
+- c_{n-1} t^3 U_{n-2} from U_1 = t^2 and U_2 = t^5, so a step is two
+shifts by 3, an add and a subtract over int lists, and no series product.
+U_n has the valuation and leading coefficient of f_n(x(t), y(t)), because
+(1 + t^3)^n is a unit with constant term 1.  Each f_n must vanish to
 order exactly 3n - 1 at the node, carry a nonzero y coefficient, have
 total degree n, and be supported on monomials x^i y^j with
 i + 2j == 2 (mod 3); any breach raises instead of passing silently.
+Each step comes back as a `GermRecord`, which `unicusp germ --node` prints
+from one JSON template, with one f-string per polynomial term.
 
 The flex model is x(t) = t, y(t) = t^3/(1 - t^2), where
 x^3 + x^2 y - y = 0 identically, so `flex_check` confirms that
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 from math import lcm
-from operator import add, attrgetter, mul, not_, sub
+from operator import add, attrgetter, not_, sub
 
 Coeff = int | Fraction
 
@@ -137,14 +144,20 @@ class PowerSeries:
         return acc
 
     def reciprocal(self) -> "PowerSeries":
+        """1 / self, by out[k] = -out[0] * (sum of c[i] * out[k - i] over
+        i in [1, k]).  The sum runs over the nonzero c[i] alone, so the cost
+        is O(order * nnz) for nnz nonzero coefficients past the constant."""
         c = self.coeffs
         if not c or c[0] == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
         inv0 = c[0] if c[0] in (1, -1) else Fraction(1, c[0])
+        terms = [(i, ci) for i, ci in enumerate(c) if i and ci]
         out = [inv0]
+        reach = 0  # terms[:reach] are the terms with i <= k
         for k in range(1, self.order):
-            # sum of c[i] * out[k - i] over i in [1, k]
-            out.append(-inv0 * sum(map(mul, c[k:0:-1], out)))
+            if reach < len(terms) and terms[reach][0] == k:
+                reach += 1
+            out.append(-inv0 * sum([ci * out[k - i] for i, ci in terms[:reach]]))
         return PowerSeries(tuple(out))
 
     def valuation(self) -> int | None:
@@ -292,12 +305,36 @@ def _check_invariants(n: int, poly: Poly) -> None:
         raise RuntimeError(f"step {n}: support off the residue class: {sorted(bad)}")
 
 
+def _scaled(coeffs: list[Coeff], c: Coeff) -> list[Coeff]:
+    """coeffs times the scalar c; the list itself when c is 1."""
+    if c == 1:
+        return coeffs
+    return [c * v for v in coeffs]
+
+
 def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
     """Run the node recursion up to f_{n_max} and certify each step.
 
     The truncation order defaults to 3*n_max + 3, enough to see past every
     expected valuation 3n - 1.  Raises RuntimeError the moment a step
     vanishes to the wrong order or breaks a structural invariant.
+
+    The valuations and leading coefficients are read off
+    U_n = (1 + t^3)^n S_n, where S_n = f_n(x(t), y(t)).  Multiplying
+    f_n = c_{n-2} f_{n-1} - c_{n-1} x y f_{n-2} by (1 + t^3)^n and using
+    x y (1 + t^3)^2 = t^3 gives
+
+        U_n = c_{n-2} (U_{n-1} + t^3 U_{n-1}) - c_{n-1} t^3 U_{n-2},
+        U_1 = (1 + t^3) y = t^2,  U_2 = (1 + t^3)^2 (y - x^2) = t^5.
+
+    This is exact at every truncation.  The first `order` coefficients of
+    a product depend only on the first `order` of each factor, so the
+    recursion run on lists truncated at t^order gives U_n mod t^order, and
+    U_n = P S_n mod t^order with P = (1 + t^3)^n.  P has constant term 1,
+    so it is a unit mod t^order: U_n vanishes mod t^order exactly when
+    S_n does, and if S_n = a t^v + (higher terms) with a != 0 and v < order,
+    then U_n = a t^v + (higher terms) too.  The checks below therefore
+    see the valuation and the leading coefficient of S_n.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -305,10 +342,10 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
         order = 3 * n_max + 3
     if order < 3 * n_max + 3:
         raise ValueError(f"order {order} too small; need at least {3 * n_max + 3}")
-    x, y = node_parametrization(order)
-    xy = x * y
     polys: list[Poly] = [{(0, 1): 1}, {(0, 1): 1, (2, 0): -1}]
-    evals = [y, y - x * x]  # evals[n - 1] is f_n(x(t), y(t))
+    # units[n - 1] is U_n = (1 + t^3)^n f_n(x(t), y(t)): U_1 = t^2, U_2 = t^5
+    units = [[0] * order, [0] * order]
+    units[0][2] = units[1][5] = 1
     cs: list[Coeff] = []
     records: list[GermRecord] = []
     for n in range(1, n_max + 1):
@@ -319,14 +356,18 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
                 _poly_scale(_poly_shift_xy(prev2), -cs[-1]),
             )
             polys.append(poly)
-            evals.append(cs[-2] * evals[-1] - cs[-1] * (xy * evals[-2]))
+            # U_n = c_{n-2} U_{n-1} + t^3 (c_{n-2} U_{n-1} - c_{n-1} U_{n-2})
+            u1 = _scaled(units[-1], cs[-2])
+            u2 = _scaled(units[-2], cs[-1])
+            units.append(u1[:3] + list(map(add, u1[3:], map(sub, u1, u2))))
         poly = polys[n - 1]
         _check_invariants(n, poly)
-        series = evals[n - 1]
-        val = series.valuation()
+        unit = units[n - 1]
+        val = _leading_zeros(unit, order)
         if val != 3 * n - 1:
-            raise RuntimeError(f"step {n}: valuation {val}, expected {3 * n - 1}")
-        c = series.coeffs[val]
+            shown = None if val == order else val
+            raise RuntimeError(f"step {n}: valuation {shown}, expected {3 * n - 1}")
+        c = unit[val]
         if c == 0:
             raise RuntimeError(f"step {n}: zero leading coefficient")
         cs.append(c)

@@ -1,17 +1,19 @@
 """The CLI's JSON writer gives the bytes of json.dumps(indent=2).
 
 `unicusp.cli` renders its records with a small writer and one template per
-candidate instead of `json.dumps(record, sort_keys=True, indent=2)`.  These
-tests hold the two to the same bytes on a sample of the benchmark's
-commands and on the payload shapes the sample may miss, and check that the
-parser every `run` call shares keeps no state between calls.
+candidate and per node step instead of `json.dumps(record, sort_keys=True,
+indent=2)`.  These tests hold the two to the same bytes on a sample of the
+benchmark's commands and on the payload shapes the sample may miss, and
+check that the parser every `run` call shares keeps no state between calls.
 """
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from unicusp.cli import run
+from unicusp import GermRecord
+from unicusp.cli import _emit, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -25,6 +27,9 @@ EXTRA_ARGVS = [
     ["pell", "--genus", "3", "--orbit=-2:4"],
     ["families", "--k", "3", "--j", "2"],
     ["sectors", "--genus", "2", "--lmax", "5"],
+    # node steps render from their own template
+    *[["germ", "--node", str(n)] for n in range(1, 21)],
+    ["germ", "--node", "14", "--order", "95"],
 ]
 
 
@@ -54,6 +59,26 @@ def test_writer_matches_json_dumps_on_edge_payloads(capsys):
     assert all("admissible" not in c
                for orbit in payloads[3]["orbits"] for c in orbit["candidates"])
     assert payloads[3]["orbits"][0]["candidates"]
+
+
+def test_writer_matches_json_dumps_on_a_rational_node_step(capsys):
+    # germ_sequence gives int data only, so a Fraction c, a Fraction term
+    # and negative multi-digit coefficients are built by hand
+    steps = [
+        GermRecord(n=1, polynomial=(((0, 1), 1),), c=1, valuation=2),
+        GermRecord(n=7, polynomial=(((0, 1), Fraction(-22, 7)), ((2, 11), -1234567),
+                                    ((13, 4), 10 ** 30)),
+                   c=Fraction(-355, 113), valuation=20),
+    ]
+    payload = {"model": "node", "n_max": 7, "order": 24, "steps": steps}
+    _emit("germ", payload)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert json.loads(out)["payload"]["steps"] == [
+        {"c": "1", "n": 1, "polynomial": [[0, 1, "1"]], "valuation": 2},
+        {"c": "-355/113", "n": 7, "valuation": 20,
+         "polynomial": [[0, 1, "-22/7"], [2, 11, "-1234567"], [13, 4, str(10 ** 30)]]},
+    ]
 
 
 def test_shared_parser_keeps_no_state(capsys):

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from unicusp import (
+    GermRecord,
     PowerSeries,
     flex_check,
     germ_sequence,
@@ -209,6 +210,32 @@ class TestPowerSeries:
         with pytest.raises(ValueError):
             series(0, 1, 2).reciprocal()
 
+    def test_reciprocal_matches_oracle(self):
+        # s times its reciprocal is 1 under the oracle's schoolbook product,
+        # for sparse, dense and rational series with unit and non-unit
+        # constant terms
+        rng = random.Random(41)
+        order = 16
+        kinds = {
+            "sparse": lambda: rng.choice((0, 0, 0, 0, rng.randint(-9, 9))),
+            "dense": lambda: rng.choice((-1, 1)) * rng.randint(1, 40),
+            "rational": lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+        }
+        one = (1,) + (0,) * (order - 1)
+        for name, make in sorted(kinds.items()):
+            for c0 in (1, -1, 2, -3, Fraction(2, 5)):
+                for _ in range(12):
+                    s = PowerSeries((c0,) + tuple(make() for _ in range(order - 1)))
+                    inverse = s.reciprocal()
+                    expect = tuple(oracles.series_product(s.coeffs, inverse.coeffs))
+                    assert expect == one, (name, s)
+                    assert (s * inverse).coeffs == expect, (name, s)
+                    if name != "rational" and c0 in (1, -1):
+                        assert all(type(c) is int for c in inverse.coeffs)
+        # a single nonzero coefficient past the constant, at a large order
+        inverse = PowerSeries((1, 0, -1) + (0,) * 997).reciprocal()
+        assert inverse.coeffs == (1, 0) * 500
+
     def test_integer_series_stay_integer(self):
         s = PowerSeries((1, 2, -1, 0, 3, 0, -2, 1))
         negated = PowerSeries((-1, 0, 0, 4, 0, 0, 0, 0))
@@ -287,6 +314,48 @@ def test_germ_sequence_at_scale():
         expansion = oracles.node_germ_series(dict(records[-1].polynomial), order)
         assert not any(expansion[:order - 4])
         assert expansion[order - 4] == 1
+
+
+def _series_space_sequence(n_max, order):
+    """The node recursion run on S_n = f_n(x(t), y(t)) itself, with series
+    products by x*y, giving the records germ_sequence should give."""
+    x, y = node_parametrization(order)
+    xy = x * y
+    polys = [{(0, 1): 1}, {(0, 1): 1, (2, 0): -1}]
+    evals = [y, y - x * x]
+    records = []
+    for n in range(1, n_max + 1):
+        if n > 2:
+            c2, c1 = records[-2].c, records[-1].c
+            poly = {key: c2 * v for key, v in polys[-1].items()}
+            for (i, j), v in polys[-2].items():
+                poly[(i + 1, j + 1)] = poly.get((i + 1, j + 1), 0) - c1 * v
+            polys.append({key: v for key, v in poly.items() if v})
+            evals.append(c2 * evals[-1] - c1 * (xy * evals[-2]))
+        series = evals[n - 1]
+        val = series.valuation()
+        records.append(GermRecord(n=n, polynomial=tuple(sorted(polys[n - 1].items())),
+                                  c=series.coeffs[val], valuation=val))
+    return records
+
+
+def test_germ_sequence_matches_series_space_recursion():
+    for n_max in range(1, 21):
+        for order in (3 * n_max + 3, 3 * n_max + 40):
+            records = germ_sequence(n_max, order)
+            assert records == _series_space_sequence(n_max, order), (n_max, order)
+            assert all(type(r.c) is int for r in records)
+
+
+def test_germ_sequence_at_the_ceiling():
+    start = time.perf_counter()
+    records = germ_sequence(200, 1000)
+    assert time.perf_counter() - start < 1.0
+    assert [(r.n, r.valuation, r.c) for r in records] == [
+        (n, 3 * n - 1, 1) for n in range(1, 201)]
+    expansion = oracles.node_germ_series(dict(records[-1].polynomial), 1000)
+    assert not any(expansion[:599])
+    assert expansion[599] == 1
 
 
 def test_germ_sequence_first_three_polynomials():

@@ -40,7 +40,7 @@ SCHEMA_VERSION = "1"
 # the order, and a node germ prints about N^2 / 2 polynomial terms (1.9 MB
 # at N = 200), so larger inputs are refused before any series is built.
 # At the ceilings, `germ --node 200 --order 1000` takes 0.22-0.45 s at
-# 26 MB peak RSS, and `germ --flex 300 --order 1000` 0.19-0.33 s (2-vCPU
+# 26 MB peak RSS, and `germ --flex 300 --order 1000` 0.11-0.14 s (2-vCPU
 # x86-64, Python 3.11.7, whole process).
 GERM_NODE_MAX = 200
 GERM_FLEX_MAX = 300
@@ -56,6 +56,16 @@ SEMIGROUP_DELTA_MAX = 10 ** 6
 # while a 19-digit prime n does not finish in 20 s.  The bound is checked
 # before any factoring.
 PELL_N_MAX = 10 ** 12
+
+# `sectors` locates each puncture pair by walking the walls from l = 2, so
+# its cost grows like lmax^2: --lmax 400 takes about 2.2 s at 18 MB, and
+# --lmax 1000 does not finish in 20 s.  `families` prints Lucas numbers of
+# about 0.84 i (or j) digits, and CPython's int-to-str conversion is
+# quadratic in the digits: --i 100000 takes about 1 s for 0.42 MB of
+# output, and --i 300000 about 7 s for 1.25 MB.  Both bounds are checked
+# before any work (same host).
+SECTORS_LMAX_MAX = 400
+FAMILIES_INDEX_MAX = 10 ** 5
 
 
 def _frac(q: Fraction) -> str:
@@ -315,6 +325,9 @@ def _cmd_pell(args) -> int:
 def _cmd_families(args) -> int:
     if (args.i is None) == (args.j is None):
         return _fail("exactly one of --i or --j is required")
+    for flag, value in (("--i", args.i), ("--j", args.j)):
+        if value is not None and value > FAMILIES_INDEX_MAX:
+            return _fail(f"{flag} must be <= {FAMILIES_INDEX_MAX}, got {value}")
     if args.i is not None:
         cand = lucas_family(args.k, args.i)
         which = {"i": args.i}
@@ -328,6 +341,8 @@ def _cmd_families(args) -> int:
 def _cmd_sectors(args) -> int:
     if args.lmax < 2:
         return _fail("--lmax must be >= 2")
+    if args.lmax > SECTORS_LMAX_MAX:
+        return _fail(f"--lmax must be <= {SECTORS_LMAX_MAX}, got {args.lmax}")
     sectors = []
     for l in range(2, args.lmax + 1):
         a_max, b_max = sector_bounds(args.genus, l)

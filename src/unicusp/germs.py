@@ -3,23 +3,10 @@ truncated power series.  Coefficients are Python ints, and Python's
 number tower turns them into `Fraction`s only where a division leaves a
 denominator, so every result stays exact.
 
-A product of two series is one big-integer multiply, by Kronecker
-substitution: each operand's coefficients go into fixed-width slots of one
-int, wide enough that no coefficient of the product can leave its slot,
-CPython multiplies the two ints, and the low slots are read back.  Rational
-operands are first scaled to integers by the least common multiple of
-their denominators, and the product is divided by the two scales, so a
-product of int series still has int coefficients.
-
-Packing and unpacking stay in C.  A slot of at most 8 bytes is rounded up
-to a machine word of 1, 2, 4 or 8 bytes, so `array` writes an operand's
-slots in one call and `memoryview.cast` reads the product's back; each
-digit is biased by half a slot so that no slot borrows, and an XOR with
-that half turns the digit into the coefficient's two's complement.  Wider
-slots go through `int.to_bytes` per coefficient.  Leading zeros are never
-packed: with valuations va and vb, the product is va + vb zeros followed by
-the product of coeffs[va:n - vb] and coeffs[vb:n - va], and a series times
-the int 1 is the series itself.
+`PowerSeries` is the general series type: sums, a truncated schoolbook
+product (one `sum(map(mul, ...))` per coefficient), powers by squaring and
+a sparse reciprocal.  Neither model below multiplies two series: both run
+on plain int lists, where multiplying by a monomial is a shift.
 
 The node model is the parametrization x(t) = t/(1 + t^3),
 y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
@@ -46,18 +33,21 @@ from one JSON template, with one f-string per polynomial term.
 The flex model is x(t) = t, y(t) = t^3/(1 - t^2), where
 x^3 + x^2 y - y = 0 identically, so `flex_check` confirms that
 y^d + x^3 + x^2 y - y collapses to y^d on the nose, with valuation
-exactly 3d.
+exactly 3d.  Dividing a series by 1 - t^2 is h[k] += h[k - 2] for rising
+k, that is, one running sum over the even slots and one over the odd
+slots.  So y is t^3 after one such division and y^d = t^{3d} / (1 - t^2)^d
+is t^{3d} after d of them, each a single running sum over the slots
+t^{3d + 2i}, the only ones that fill.  The tail x^3 + x^2 y - y is t^3
+plus y shifted by 2, minus y.  The collapse and the valuation are read off these computed
+lists, not assumed.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
-from math import lcm
-from operator import add, attrgetter, not_, sub
+from itertools import accumulate, takewhile
+from operator import add, mul, not_, sub
 
 Coeff = int | Fraction
 
@@ -99,24 +89,12 @@ class PowerSeries:
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
-            # with valuations va and vb, the first va + vb coefficients of
-            # the product are zero, and only coeffs[va:n - vb] of self and
-            # coeffs[vb:n - va] of other reach the rest
+            # coefficient k is a[0] b[k] + a[1] b[k-1] + ... + a[k] b[0]
             n = min(self.order, other.order)
-            va = _leading_zeros(self.coeffs, n)
-            vb = va if other is self else _leading_zeros(other.coeffs, n)
-            if va + vb >= n:
-                return PowerSeries.zero(n)
-            a, a_scale = _integral(self.coeffs[va:n - vb])
-            b, b_scale = ((a, a_scale) if other is self
-                          else _integral(other.coeffs[vb:n - va]))
-            product = _kronecker(a, b)
-            scale = a_scale * b_scale
-            if scale != 1:
-                product = [Fraction(c, scale) for c in product]
-            return PowerSeries((0,) * (va + vb) + tuple(product))
-        if type(other) is int and other == 1:
-            return self
+            a = self.coeffs
+            rb = other.coeffs[:n][::-1]
+            return PowerSeries(tuple([sum(map(mul, a[:k + 1], rb[n - 1 - k:]))
+                                      for k in range(n)]))
         if isinstance(other, (int, Fraction)):
             return PowerSeries(tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -169,78 +147,6 @@ class PowerSeries:
 def _leading_zeros(coeffs: tuple[Coeff, ...], n: int) -> int:
     """The number of zero coefficients that open coeffs, at most n."""
     return min(n, len(list(takewhile(not_, coeffs))))
-
-
-def _integral(coeffs: tuple[Coeff, ...]) -> tuple[list[int], int]:
-    """(ints, scale) with coeffs[k] == ints[k] / scale, where scale is the
-    least common multiple of the denominators (1 for int coefficients)."""
-    scale = lcm(*map(attrgetter("denominator"), coeffs))
-    if scale == 1:
-        return list(map(attrgetter("numerator"), coeffs)), 1
-    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
-
-
-# The array typecode of each signed machine word size in bytes, chosen by
-# itemsize.  `array` and `memoryview` lay words out in the host's byte
-# order, while the slots are joined and split as little-endian ints (slot
-# 0 lowest).  Both orders agree only on a little-endian host, so a
-# big-endian one packs every product through the byte join.
-_WORD_CODES = ({array(code).itemsize: code for code in "bhilq"}
-               if sys.byteorder == "little" else {})
-# _WORDS[size]: the word size a slot of `size` bytes is rounded up to
-_WORDS = [min((w for w in _WORD_CODES if w >= size), default=size) for size in range(9)]
-
-
-def _pack(coeffs: list[int], size: int, ones: int) -> int:
-    """sum of coeffs[i] * 2^(w*i) with w = 8*size, each |coeffs[i]| < 2^(w-1);
-    ones has a 1 at the bottom of each of the len(coeffs) slots.
-
-    Linear time: the coefficients are written as w-bit two's complement
-    slots of one byte string, whose unsigned value u is the sum plus
-    2^w * N, where N has a 1 in each slot that holds a negative
-    coefficient.  The slots' sign bits give N.  A word-sized slot is
-    written by `array` in C, a wider one by `int.to_bytes` per coefficient.
-    """
-    code = _WORD_CODES.get(size)
-    if code is None:
-        raw = b"".join([c.to_bytes(size, "little", signed=True) for c in coeffs])
-    else:
-        raw = array(code, coeffs).tobytes()
-    u = int.from_bytes(raw, "little")
-    w = 8 * size
-    return u - (((u >> (w - 1)) & ones) << w)
-
-
-def _kronecker(a: list[int], b: list[int]) -> list[int]:
-    """The first len(a) coefficients of the product of the integer
-    polynomials a and b, which have equal length and nonzero constant
-    terms, by one big-integer multiply.
-
-    Each operand is packed into one int with a slot of w = 8*size bits per
-    coefficient, size rounded up to a machine word (1, 2, 4 or 8 bytes)
-    when it fits one.  Every coefficient c_k of the product has
-    |c_k| <= n * max|a| * max|b| < 2^(w-1), so adding 2^(w-1) to each of
-    the low n slots leaves every digit c_k + 2^(w-1) in [1, 2^w - 1]: no
-    slot borrows from or carries into its neighbour.  XOR with 2^(w-1)
-    then turns each digit into c_k's w-bit two's complement, which a word
-    slot reads back as a machine word, and a wider slot by `int.from_bytes`.
-    """
-    n = len(a)
-    bound = n * max(map(abs, a)) * max(map(abs, b))
-    size = (bound.bit_length() + 8) // 8  # the least size with 2^(8*size - 1) > bound
-    if size < len(_WORDS):
-        size = _WORDS[size]
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
-    packed = _pack(a, size, ones)
-    product = packed * (packed if b is a else _pack(b, size, ones))
-    width = size * n
-    offset = ones << (8 * size - 1)
-    digits = (((product + offset) & ((1 << 8 * width) - 1)) ^ offset).to_bytes(width, "little")
-    code = _WORD_CODES.get(size)
-    if code is not None:
-        return memoryview(digits).cast(code).tolist()
-    return [int.from_bytes(digits[i:i + size], "little", signed=True)
-            for i in range(0, width, size)]
 
 
 def node_parametrization(order: int) -> tuple[PowerSeries, PowerSeries]:
@@ -391,11 +297,29 @@ class FlexReport:
     collapse_exact: bool  # x^3 + x^2 y - y vanished identically
 
 
+def _flex_y_power(d: int, order: int) -> list[int]:
+    """y^d = t^{3d} / (1 - t^2)^d below t^order, for y = t^3 / (1 - t^2).
+
+    Dividing h by 1 - t^2 is g[k] = h[k] + g[k - 2]: a running sum over the
+    even slots and one over the odd slots.  Starting from t^{3d}, only the
+    slots t^{3d + 2i} are ever nonzero, so each of the d divisions is one
+    running sum over those."""
+    h = [0] * order
+    if 3 * d < order:
+        steps = [1] + [0] * ((order - 3 * d - 1) // 2)
+        for _ in range(d):
+            steps = list(accumulate(steps))
+        h[3 * d::2] = steps
+    return h
+
+
 def flex_check(d: int, order: int | None = None) -> FlexReport:
     """Certify that y^d + x^3 + x^2 y - y has valuation exactly 3d.
 
     Along x = t, y = t^3/(1 - t^2) the tail x^3 + x^2 y - y cancels to
-    zero, so the whole germ is y^d with valuation 3d on the nose.
+    zero, so the whole germ is y^d with valuation 3d on the nose.  Both
+    facts are read off int lists truncated at t^order: y^d from
+    `_flex_y_power`, and the tail as t^3 plus y shifted by 2, minus y.
     """
     if d <= 2:
         raise ValueError(f"d must be > 2, got {d}")
@@ -403,13 +327,15 @@ def flex_check(d: int, order: int | None = None) -> FlexReport:
         order = 3 * d + 3
     if order < 3 * d + 3:
         raise ValueError(f"order {order} too small; need at least {3 * d + 3}")
-    x = PowerSeries.monomial(1, order)
-    one = PowerSeries.monomial(0, order)
-    y = PowerSeries.monomial(3, order) * (one - PowerSeries.monomial(2, order)).reciprocal()
-    tail = x ** 3 + x ** 2 * y - y
-    collapse = tail.valuation() is None
-    germ = y ** d + tail
-    val = germ.valuation()
+    y = _flex_y_power(1, order)
+    x3 = [0] * order
+    x3[3] = 1
+    x2y = [0, 0] + y[:-2]
+    tail = list(map(sub, map(add, x3, x2y), y))
+    collapse = not any(tail)
+    germ = list(map(add, _flex_y_power(d, order), tail))
+    val = _leading_zeros(germ, order)
     if val != 3 * d:
-        raise RuntimeError(f"flex germ at d={d}: valuation {val}, expected {3 * d}")
+        shown = None if val == order else val
+        raise RuntimeError(f"flex germ at d={d}: valuation {shown}, expected {3 * d}")
     return FlexReport(d=d, valuation=val, collapse_exact=collapse)

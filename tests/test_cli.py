@@ -10,10 +10,12 @@ import pytest
 from unicusp import fibonacci
 from unicusp import cli
 from unicusp.cli import (
+    FAMILIES_INDEX_MAX,
     GERM_FLEX_MAX,
     GERM_NODE_MAX,
     GERM_ORDER_MAX,
     PELL_N_MAX,
+    SECTORS_LMAX_MAX,
     SEMIGROUP_DELTA_MAX,
     run,
 )
@@ -476,3 +478,34 @@ def test_families_huge_index(capsys):
         assert cand["b"] == expect
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_sectors_and_families_ceilings(capsys):
+    # one past each ceiling is refused at once, with exit 2 and a message
+    for argv, flag in ((["sectors", "--genus", "1", "--lmax", str(SECTORS_LMAX_MAX + 1)],
+                        "--lmax"),
+                       (["sectors", "--genus", "0", "--lmax", "100000000"], "--lmax"),
+                       (["families", "--k", "2", "--i", str(FAMILIES_INDEX_MAX + 1)], "--i"),
+                       (["families", "--k", "3", "--j", str(FAMILIES_INDEX_MAX + 1)], "--j"),
+                       (["families", "--k", "2", "--i", "10000000"], "--i")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {flag} must be <= ") and "Traceback" not in err
+    # the ceilings themselves run, within a few seconds each
+    for argv, key, value in (
+            (["sectors", "--genus", "1", "--lmax", str(SECTORS_LMAX_MAX)], "l_max",
+             SECTORS_LMAX_MAX),
+            (["families", "--k", "2", "--i", str(FAMILIES_INDEX_MAX)], "i", FAMILIES_INDEX_MAX),
+            (["families", "--k", "2", "--j", str(FAMILIES_INDEX_MAX)], "j", FAMILIES_INDEX_MAX)):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 10.0
+        assert code == 0, err
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert payload_of(out)[1][key] == value
+        finally:
+            sys.set_int_max_str_digits(before)

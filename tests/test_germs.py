@@ -12,6 +12,7 @@ from unicusp import (
     germ_sequence,
     node_parametrization,
 )
+from unicusp.germs import _flex_y_power
 
 import oracles
 
@@ -402,3 +403,30 @@ def test_flex_check_default_order_and_validation():
         flex_check(2)
     with pytest.raises(ValueError):
         flex_check(5, order=10)
+
+
+def test_flex_y_power_matches_oracle_products():
+    # y^d from d running-sum passes equals y multiplied by itself d times
+    # under the oracle's schoolbook product, at the default order, past it,
+    # and where t^{3d} is at or beyond the truncation
+    for d, order in ((1, 8), (3, 12), (3, 40), (4, 12), (5, 15), (5, 18), (5, 45),
+                     (8, 27), (8, 60), (12, 39), (12, 70), (17, 80)):
+        y = [1 if k >= 3 and k % 2 else 0 for k in range(order)]
+        expect = y
+        for _ in range(d - 1):
+            expect = oracles.series_product(expect, y)
+        power = _flex_y_power(d, order)
+        assert power == expect, (d, order)
+        assert all(type(c) is int for c in power)
+        assert power == list((PowerSeries(tuple(y)) ** d).coeffs), (d, order)
+
+
+def test_flex_check_makes_no_series_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("flex_check used PowerSeries arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__pow__", "reciprocal"):
+        monkeypatch.setattr(PowerSeries, name, refuse)
+    for d, order in ((3, 12), (37, 120), (300, 1000)):
+        report = flex_check(d, order)
+        assert (report.valuation, report.collapse_exact) == (3 * d, True)

@@ -50,6 +50,7 @@ from .classify import (
     mediant_bound,
     sector_bounds,
     sector_of,
+    walk_sectors,
 )
 from .germs import (
     FlexReport,
@@ -109,4 +110,5 @@ __all__ = [
     "triangle_lower",
     "triangle_upper",
     "verify_fibonacci_identities",
+    "walk_sectors",
 ]

@@ -8,16 +8,21 @@ admissibility verdict to each pair, and splits the outcome into pairs on
 the line a + b = 3d versus exceptions, tagging exceptions that belong to
 one of the known syntactic families.
 
-The slope plane b/a > 1 is cut by the sector walls
-(F_{2l+3}/F_{2l+1})^2; `sector_of` places a pair exactly (integer
-arithmetic only), `sector_bounds` gives the per-sector search box for a
-genus, and `mediant_bound` / `asymptote_slopes` supply the Farey and
-quadratic-growth data used to reason about where families can live.
+The slope plane b/a > 1 is cut by the sector walls (F_{2l+1}/F_{2l-1})^2,
+l = 2, 3, ..., which climb from 25/4 toward phi^4.  `walk_sectors` is the
+one place the walls and the puncture pairs (F_{2l-1}, F_{2l+3}) are
+computed: a single walk over the odd-index Fibonacci numbers, stepped by
+F_{k+2} = 3 F_k - F_{k-2}.  `sector_of` places a pair exactly along that
+walk (integer arithmetic only), `sector_bounds` gives the per-sector
+search box for a genus, and `mediant_bound` / `asymptote_slopes` supply
+the Farey and quadratic-growth data used to reason about where families
+can live.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -55,9 +60,6 @@ class SlopePair:
         lo = float(self.rational_part) - float(self.surd_coeff) * root
         hi = float(self.rational_part) + float(self.surd_coeff) * root
         return (lo, hi)
-
-
-_EXCEPTION_TAGS = ("(l,9l+1)", "(p,p+3)", "(p,2p-1)", "(3n,21n+1)")
 
 
 def _tags_for(c: Candidate) -> tuple[str, ...]:
@@ -212,9 +214,24 @@ def exceptional_family(kind: int, param: int) -> Candidate:
     return Candidate(g, a, b, d, element=pair_to_element(a, b), admissible=verdict.admissible)
 
 
-def _wall(l: int) -> Fraction:
-    """Squared Fibonacci ratio (F_{2l+1} / F_{2l-1})^2."""
-    return Fraction(fibonacci(2 * l + 1) ** 2, fibonacci(2 * l - 1) ** 2)
+def walk_sectors() -> Iterator[Sector]:
+    """Sectors l = 2, 3, ... in order, without end.
+
+    Sector l lies between the walls (F_{2l+1} / F_{2l-1})^2 and
+    (F_{2l+3} / F_{2l+1})^2, with puncture (F_{2l-1}, F_{2l+3}).  The walk
+    starts from F_3, F_5, F_7 = 2, 5, 13 and steps the odd-index Fibonacci
+    numbers by F_{k+2} = 3 F_k - F_{k-2}, so each wall is built once and
+    serves as the high wall of one sector and the low wall of the next.
+    """
+    f_lo, f_mid, f_hi = 2, 5, 13
+    low = Fraction(f_mid * f_mid, f_lo * f_lo)
+    l = 2
+    while True:
+        high = Fraction(f_hi * f_hi, f_mid * f_mid)
+        yield Sector(l=l, low=low, high=high, puncture=(f_lo, f_hi))
+        f_lo, f_mid, f_hi = f_mid, f_hi, 3 * f_hi - f_mid
+        low = high
+        l += 1
 
 
 def sector_of(a: int, b: int) -> Sector | None:
@@ -224,6 +241,7 @@ def sector_of(a: int, b: int) -> Sector | None:
     slope at or above phi^4 lives in no sector (the test is exact: b/a is
     below phi^4 iff 2b - 7a < 0 or (2b - 7a)^2 < 45 a^2), nor does one at
     or below the first wall 25/4, nor one sitting exactly on any wall.
+    Any other slope lies below some wall, so the walk stops.
     """
     if a < 1 or b <= a:
         raise ValueError(f"need 1 <= a < b, got ({a}, {b})")
@@ -234,19 +252,13 @@ def sector_of(a: int, b: int) -> Sector | None:
     if 4 * b <= 25 * a:
         return None
     slope = Fraction(b, a)
-    l = 2
-    while True:
-        low, high = _wall(l), _wall(l + 1)
-        if slope == low or slope == high:
+    # slope > 25/4, the first low wall, and every later low wall is the
+    # high wall the slope has just passed, so only the high wall can equal it
+    for sector in walk_sectors():
+        if slope == sector.high:
             return None
-        if slope < high:
-            return Sector(
-                l=l,
-                low=low,
-                high=high,
-                puncture=(fibonacci(2 * l - 1), fibonacci(2 * l + 3)),
-            )
-        l += 1
+        if slope < sector.high:
+            return sector
 
 
 def sector_bounds(genus: int, l: int) -> tuple[int, int]:

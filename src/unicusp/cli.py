@@ -15,15 +15,16 @@ reported on standard error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
-from .classify import degree_for_products, enumerate_candidates, sector_bounds, sector_of
+from .classify import degree_for_products, enumerate_candidates, sector_bounds, walk_sectors
 from .families import (
     Candidate,
-    fibonacci,
     lucas_family,
     lucas_family_neg,
     orbit_candidates,
@@ -57,19 +58,26 @@ SEMIGROUP_DELTA_MAX = 10 ** 6
 # before any factoring.
 PELL_N_MAX = 10 ** 12
 
-# `sectors` locates each puncture pair by walking the walls from l = 2, so
-# its cost grows like lmax^2: --lmax 400 takes about 2.2 s at 18 MB, and
-# --lmax 1000 does not finish in 20 s.  `families` prints Lucas numbers of
-# about 0.84 i (or j) digits, and CPython's int-to-str conversion is
-# quadratic in the digits: --i 100000 takes about 1 s for 0.42 MB of
-# output, and --i 300000 about 7 s for 1.25 MB.  Both bounds are checked
-# before any work (same host).
+# `pell --orbit HMIN:HMAX` prints, per generator, candidates whose digits
+# grow with |h|: at genus 1 (one generator) --orbit -3000:3000 takes
+# 1.2-1.4 s for 5.0 MB of output at 36 MB peak RSS, 0:4000 about 1.4 s for
+# 8.7 MB, and 0:8000 about 8 s for 34 MB.  The bound is on
+# max(|HMIN|, |HMAX|), checked before any factoring.  The cost is per
+# generator, and a genus within PELL_N_MAX has up to 64 of them.
+PELL_ORBIT_MAX = 3000
+
+# `sectors` walks the walls once, so the bound keeps its output small:
+# --lmax 400 prints 0.47 MB in about 0.15 s, and --lmax 2000 would print
+# 10 MB.  `families` prints Lucas numbers of about 0.84 i (or j) digits,
+# and CPython's int-to-str conversion is quadratic in the digits: --i
+# 100000 takes about 1 s for 0.42 MB of output, and --i 300000 about 7 s
+# for 1.25 MB.  `identities` checks O(l_max) identities on numbers of
+# O(l_max) digits: --lmax 4000 takes 1.2-1.7 s, 5000 about 2.5-2.9 s and
+# 8000 about 8 s.  All three bounds are checked before any work (same
+# host, whole process).
 SECTORS_LMAX_MAX = 400
 FAMILIES_INDEX_MAX = 10 ** 5
-
-
-def _frac(q: Fraction) -> str:
-    return str(q)
+IDENTITIES_LMAX_MAX = 4000
 
 
 def _json(value, indent: str) -> str:
@@ -134,10 +142,10 @@ def _step_json(r: GermRecord, indent: str) -> str:
     j = i + "  "
     k = j + "  "
     terms = f",\n{j}".join([
-        f"[\n{k}{a},\n{k}{b},\n{k}{encode_basestring_ascii(_frac(c))}\n{j}]"
+        f"[\n{k}{a},\n{k}{b},\n{k}{encode_basestring_ascii(str(c))}\n{j}]"
         for (a, b), c in r.polynomial])
     polynomial = f"[\n{j}{terms}\n{i}]" if terms else "[]"
-    return (f'{{\n{i}"c": {encode_basestring_ascii(_frac(r.c))},\n{i}"n": {r.n},\n'
+    return (f'{{\n{i}"c": {encode_basestring_ascii(str(r.c))},\n{i}"n": {r.n},\n'
             f'{i}"polynomial": {polynomial},\n{i}"valuation": {r.valuation}\n{indent}}}')
 
 
@@ -291,11 +299,18 @@ def _cmd_pell(args) -> int:
     if abs(n) > PELL_N_MAX:
         given = f"--n {n}" if args.genus is None else f"--genus {args.genus} (n = {n})"
         return _fail(f"|n| must be <= {PELL_N_MAX}, got {given}")
+    if args.orbit is not None:
+        if args.genus is None:
+            return _fail("--orbit requires --genus")
+        h_min, h_max = args.orbit
+        if max(abs(h_min), abs(h_max)) > PELL_ORBIT_MAX:
+            return _fail(f"--orbit must be <= {PELL_ORBIT_MAX} in absolute value, "
+                         f"got {h_min}:{h_max}")
     payload: dict = {"n": n, "genus": args.genus, "solvable": has_solution(n)}
     dec = coprime_decompose(n) if n >= 1 else None
-    if dec is None:
-        payload["coprime"] = None
-    else:
+    gens = []
+    payload["coprime"] = None
+    if dec is not None:
         gens = generating_set(n)
         payload["coprime"] = {
             "a_part": dec.a_part,
@@ -305,19 +320,13 @@ def _cmd_pell(args) -> int:
             "generators": [str(z) for z in gens],
         }
     if args.orbit is not None:
-        if args.genus is None:
-            return _fail("--orbit requires --genus")
-        if dec is None:
-            payload["orbits"] = []
-        else:
-            h_min, h_max = args.orbit
-            payload["orbits"] = [
-                {
-                    "generator": str(z),
-                    "candidates": orbit_candidates(z, args.genus, h_min, h_max),
-                }
-                for z in generating_set(n)
-            ]
+        payload["orbits"] = [
+            {
+                "generator": str(z),
+                "candidates": orbit_candidates(z, args.genus, h_min, h_max),
+            }
+            for z in gens
+        ]
     _emit("pell", payload)
     return 0
 
@@ -344,17 +353,18 @@ def _cmd_sectors(args) -> int:
     if args.lmax > SECTORS_LMAX_MAX:
         return _fail(f"--lmax must be <= {SECTORS_LMAX_MAX}, got {args.lmax}")
     sectors = []
-    for l in range(2, args.lmax + 1):
-        a_max, b_max = sector_bounds(args.genus, l)
-        puncture = (fibonacci(2 * l - 1), fibonacci(2 * l + 3))
-        sector = sector_of(*puncture)
-        if sector is None or sector.l != l:
-            raise RuntimeError(f"puncture pair {puncture} missed sector {l}")
+    for sector in islice(walk_sectors(), args.lmax - 1):
+        a_max, b_max = sector_bounds(args.genus, sector.l)
+        # the walls rise from 25/4 toward phi^4, so a puncture strictly
+        # inside its own walls is exactly one that sector_of places there
+        a, b = sector.puncture
+        if not sector.low < Fraction(b, a) < sector.high:
+            raise RuntimeError(f"puncture pair {sector.puncture} missed sector {sector.l}")
         sectors.append({
-            "l": l,
-            "low": _frac(sector.low),
-            "high": _frac(sector.high),
-            "puncture": list(puncture),
+            "l": sector.l,
+            "low": str(sector.low),
+            "high": str(sector.high),
+            "puncture": list(sector.puncture),
             "a_max": a_max,
             "b_max": b_max,
         })
@@ -392,6 +402,8 @@ def _cmd_germ(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    if args.lmax > IDENTITIES_LMAX_MAX:
+        return _fail(f"--lmax must be <= {IDENTITIES_LMAX_MAX}, got {args.lmax}")
     report = verify_fibonacci_identities(args.lmax)
     _emit("identities", {
         "l_max": report.l_max,
@@ -474,10 +486,35 @@ def _build_parser() -> argparse.ArgumentParser:
 # parse_args leaves the parser as it was, so every call shares one
 _PARSER = _build_parser()
 
+_NEGATIVE_START = re.compile(r"-\d")
+
+
+def _attach_negative_windows(argv: list[str]) -> list[str]:
+    """argparse reads a token such as -2:4 as an option, so `pell --orbit
+    -2:4` would leave --orbit (or a prefix of it) without its value.  Join
+    such a value to its flag as `--orbit=-2:4`, which argparse reads as
+    meant; tokens after `--` stay as they are."""
+    if argv[:1] != ["pell"]:
+        return argv
+    out = argv[:1]
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":
+            return out + argv[i:]
+        if (len(token) > 2 and "--orbit".startswith(token) and i + 1 < len(argv)
+                and _NEGATIVE_START.match(argv[i + 1])):
+            out.append(f"{token}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
 
 def run(argv: list[str]) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_attach_negative_windows(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

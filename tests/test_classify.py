@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from unicusp import (
     mediant_bound,
     sector_bounds,
     sector_of,
+    walk_sectors,
 )
 from unicusp.classify import _tags_for
 
@@ -148,6 +150,24 @@ def test_sector_walls_climb_to_phi4():
         w = Fraction(fibonacci(2 * l + 1) ** 2, fibonacci(2 * l - 1) ** 2)
         t = 2 * w - 7
         assert t < 0 or t * t < 45
+
+
+def test_walk_sectors_matches_closed_forms():
+    # the first 300 sectors, l = 2..301, against fast-doubling Fibonacci
+    walked = list(islice(walk_sectors(), 300))
+    assert [s.l for s in walked] == list(range(2, 302))
+    for s in walked:
+        l = s.l
+        f_lo, f_mid, f_hi = (fibonacci(2 * l - 1), fibonacci(2 * l + 1),
+                             fibonacci(2 * l + 3))
+        assert s.low == Fraction(f_mid ** 2, f_lo ** 2)
+        assert s.high == Fraction(f_hi ** 2, f_mid ** 2)
+        assert s.puncture == (f_lo, f_hi)
+
+
+def test_sector_of_returns_the_walked_sector():
+    for s in islice(walk_sectors(), 59):  # l = 2..60
+        assert sector_of(*s.puncture) == s
 
 
 def test_sector_bounds_formulas():

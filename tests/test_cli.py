@@ -8,13 +8,15 @@ from pathlib import Path
 import pytest
 
 from unicusp import fibonacci
-from unicusp import cli
+from unicusp import cli, quadring
 from unicusp.cli import (
     FAMILIES_INDEX_MAX,
     GERM_FLEX_MAX,
     GERM_NODE_MAX,
     GERM_ORDER_MAX,
+    IDENTITIES_LMAX_MAX,
     PELL_N_MAX,
+    PELL_ORBIT_MAX,
     SECTORS_LMAX_MAX,
     SEMIGROUP_DELTA_MAX,
     run,
@@ -227,6 +229,36 @@ def test_pell_orbit(capsys):
     assert "admissible" not in orbit["candidates"][0]
 
 
+def test_pell_orbit_negative_window(capsys):
+    # a window with a negative HMIN reads the same after --orbit (or a
+    # prefix of it) as its own token as after "="
+    for window in ("-2:4", "-5:-1", "-3:x", "-2"):
+        joined = invoke(capsys, "pell", "--genus", "1", f"--orbit={window}")
+        assert invoke(capsys, "pell", "--genus", "1", "--orbit", window) == joined
+        assert invoke(capsys, "pell", "--genus", "1", "--orb", window) == joined
+    code, out, _ = invoke(capsys, "pell", "--genus", "1", "--orbit", "-2:4")
+    assert code == 0
+    triples = [(c["a"], c["b"], c["d"]) for c in payload_of(out)[1]["orbits"][0]["candidates"]]
+    assert triples == [(1, 8, 3)]
+    # a negative window anywhere but after --orbit is still a usage error
+    for argv in (["pell", "--genus", "-2:4"], ["pell", "--genus", "1", "-2:4"],
+                 ["pell", "--genus", "1", "--", "--orbit", "-2:4"],
+                 ["sectors", "--genus", "1", "--lmax", "3", "--orbit", "-2:4"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "-2:4" in err or "expected one argument" in err, argv
+
+
+def test_pell_orbit_reuses_generators(capsys, monkeypatch):
+    # one factorisation each for has_solution, coprime_decompose and the
+    # generating set, which --orbit reuses
+    calls = []
+    factorize = quadring.factorize
+    monkeypatch.setattr(quadring, "factorize", lambda n: calls.append(n) or factorize(n))
+    assert invoke(capsys, "pell", "--genus", "1", "--orbit", "0:50")[0] == 0
+    assert len(calls) == 3
+
+
 def test_pell_usage_errors(capsys):
     assert invoke(capsys, "pell")[0] == 2
     assert invoke(capsys, "pell", "--n", "5", "--genus", "1")[0] == 2
@@ -265,6 +297,14 @@ def test_sectors_payload(capsys):
     assert (three["a_max"], three["b_max"]) == (28, 70)
     assert invoke(capsys, "sectors", "--genus", "1", "--lmax", "1")[0] == 2
     assert invoke(capsys, "sectors", "--genus", "0", "--lmax", "3")[0] == 2
+
+
+def test_sectors_walk_the_walls_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "sectors", "--genus", "1", "--lmax", "400")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert [s["l"] for s in payload_of(out)[1]["sectors"]] == list(range(2, 401))
 
 
 def test_germ_node(capsys):
@@ -499,6 +539,37 @@ def test_sectors_and_families_ceilings(capsys):
              SECTORS_LMAX_MAX),
             (["families", "--k", "2", "--i", str(FAMILIES_INDEX_MAX)], "i", FAMILIES_INDEX_MAX),
             (["families", "--k", "2", "--j", str(FAMILIES_INDEX_MAX)], "j", FAMILIES_INDEX_MAX)):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 10.0
+        assert code == 0, err
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert payload_of(out)[1][key] == value
+        finally:
+            sys.set_int_max_str_digits(before)
+
+
+def test_identities_and_orbit_ceilings(capsys):
+    # one past each ceiling is refused at once, with exit 2 and a message
+    over = PELL_ORBIT_MAX + 1
+    for argv, flag in ((["identities", "--lmax", str(IDENTITIES_LMAX_MAX + 1)], "--lmax"),
+                       (["identities", "--lmax", "100000"], "--lmax"),
+                       (["pell", "--genus", "1", "--orbit", f"0:{over}"], "--orbit"),
+                       (["pell", "--genus", "1", "--orbit", f"-{over}:0"], "--orbit"),
+                       (["pell", "--genus", "1", f"--orbit=-{over}:{over}"], "--orbit"),
+                       (["pell", "--genus", "1", "--orbit", "0:100000000"], "--orbit")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {flag} must be <= ") and "Traceback" not in err
+    # the ceilings themselves run, within a few seconds each
+    for argv, key, value in (
+            (["identities", "--lmax", str(IDENTITIES_LMAX_MAX)], "l_max", IDENTITIES_LMAX_MAX),
+            (["pell", "--genus", "1", "--orbit", f"-{PELL_ORBIT_MAX}:{PELL_ORBIT_MAX}"],
+             "genus", 1)):
         start = time.perf_counter()
         code, out, err = invoke(capsys, *argv)
         assert time.perf_counter() - start < 10.0

@@ -176,10 +176,14 @@ def orbit_candidates(z: QuadInt, genus: int, h_min: int, h_max: int) -> list[Can
     if h_min > h_max:
         raise ValueError(f"empty exponent window [{h_min}, {h_max}]")
     seen: dict[tuple[int, int], Candidate] = {}
-    for h in range(h_min, h_max + 1):
-        cand = element_to_pair(z * phi_power(2 * h), genus)
+    # one multiply by phi^2 per exponent, from phi^(2 h_min) * z
+    step = phi_power(2)
+    w = z * phi_power(2 * h_min)
+    for _ in range(h_min, h_max + 1):
+        cand = element_to_pair(w, genus)
         if cand is not None:
             seen.setdefault((cand.a, cand.b), cand)
+        w = w * step
     return sorted(seen.values(), key=Candidate.key)
 
 
@@ -291,7 +295,9 @@ def verify_fibonacci_identities(l_max: int) -> IdentityReport:
         raise ValueError(f"l_max must be >= 2, got {l_max}")
     fails: list[str] = []
     checks = 0
-    fib = [fibonacci(n) for n in range(2 * l_max + 6)]
+    fib = [0, 1]
+    for _ in range(2 * l_max + 4):
+        fib.append(fib[-1] + fib[-2])
     for l in range(1, l_max + 1):
         f1, f2, f3 = fib[2 * l - 1], fib[2 * l + 1], fib[2 * l + 3]
         checks += 4

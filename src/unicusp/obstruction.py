@@ -67,7 +67,7 @@ def check_single(a: int, b: int, genus: int, degree: int) -> Verdict:
     """Run the full (j, k) grid for a single cusp of type <a, b>."""
     s = Semigroup(a, b)
     _require_degree_genus(degree, genus, s.delta, f"<{a},{b}>")
-    return _scan(genus, degree, s.gaps_at_least)
+    return _scan(genus, degree, s.gaps_at_least, s.first_pair)
 
 
 def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdict:
@@ -86,7 +86,8 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     top = max(0, _last_row(degree) * degree + 1)
     combined = convolution_values([s.gap_function() for s in semis], top)
     return _scan(genus, degree,
-                 lambda m: combined[m] if m >= 0 else total_delta - m)
+                 lambda m: combined[m] if m >= 0 else total_delta - m,
+                 sum(s.first_pair for s in semis))
 
 
 def _last_row(degree: int) -> int:
@@ -94,7 +95,7 @@ def _last_row(degree: int) -> int:
     return (degree - 3) // 2
 
 
-def _scan(genus: int, degree: int, gap_at) -> Verdict:
+def _scan(genus: int, degree: int, gap_at, pair_sum: int) -> Verdict:
     """First cell (j, k) whose value leaves [0, genus], in scan order.
 
     The value of cell (j, k) is G(j*d + 1 - 2k) - k + c(j) with
@@ -130,26 +131,83 @@ def _scan(genus: int, degree: int, gap_at) -> Verdict:
     and m = 1 - 2k < 0 at k >= 1, so value(0, k) = k - 1.  All of these
     lie in [0, genus].
 
-    A step k -> k + 1 moves the counting argument by -2, over which the
-    count changes by 0, 1 or 2 while the k term changes by 1, so the value
-    changes by at most 1.  After a value v in [0, genus] the next
-    min(v, genus - v) cells of the row therefore hold and are skipped.
+    A step k -> k + 1 moves the counting argument from m to m - 2.  For
+    one cusp G(m - 2) - G(m) counts the gaps among m - 2 and m - 1 (IC
+    has the same step shape), so the value changes by -1, 0 or 1, and
+    falls only when m - 2 and m - 1 are both elements.  After a value v
+    in [0, genus] the next min(v, genus - v) cells of the row therefore
+    hold and are skipped.
+
+    Each row also ends in a monotone tail.  Let x* be the smallest x
+    with x and x + 1 both elements of <a, b> (`Semigroup.first_pair`).
+    Write m >= 0 as u*b + v*a with u = m * b^-1 mod a, so m is an
+    element exactly when u*b <= m; going from x to x + 1 turns u into
+    u' = u + b^-1 mod a.  If u' = u + b^-1, then x + 1 needs
+    (u + b^-1)*b <= x + 1, so x >= b^-1*b - 1, and x = b^-1*b - 1 itself
+    works: it is a multiple of a (u = 0) since b^-1*b = 1 mod a.  If
+    u' = u - (a - b^-1), then x needs x >= u*b >= (a - b^-1)*b, and
+    x = (a - b^-1)*b works: its u is a - b^-1 and u' = 0.  Hence
+    x* = min(b^-1*b - 1, (a - b^-1)*b).  Once m - 2 < x*, no step
+    lowers the value any more.
+
+    For several cusps pair_sum is X = sum of the x*_i, and again no
+    step with s - 2 < X lowers the value, which moves by
+    IC(s - 2) - IC(s) - 1 from cell k to k + 1 (s = m there): take a
+    split s - 2 = sum of m_i attaining IC(s - 2).  Since the m_i add up
+    to less than X, some m_i < x*_i, so m_i and m_i + 1 are not both
+    elements of the i-th semigroup (negatives are gaps) and
+    G_i(m_i + 2) <= G_i(m_i) - 1.  Raising that part by 2 splits s, so
+    IC(s) <= IC(s - 2) - 1.  For one cusp X = x*.  Any smaller X only
+    starts the tail later, which is safe.
+
+    So every step from k0 = (j*d + 1 - X)//2 on reads m - 2 < X.  From
+    the first cell the scan evaluates at or after k0, holding value v,
+    the rest of the row is non-decreasing and rises by at most 1 per
+    step: no cell falls below 0, the next genus - v cells stay within
+    genus, and a later cell exceeds genus only if the last cell,
+    k = genus, does.  Then a bisection between the last cell known to
+    hold and k = genus finds the first cell above genus, since the
+    cells between are non-decreasing.  Every earlier cell of the row was
+    checked or skipped by the steps above, so that cell is the first
+    violated one in scan order, the one a cell-by-cell scan reports.
+
     `checks_performed` counts every cell up to the witness by its
     position in the full grid, and all d(g+1) cells when none fails.
     """
     for j in range(1, _last_row(degree) + 1):
         base = j * degree + 1
         c = genus - (degree - j - 2) * (degree - j - 1) // 2
+        tail = (base - pair_sum) // 2
         k = 0
         while k <= genus:
             value = gap_at(base - 2 * k) - k + c
             if not 0 <= value <= genus:
-                side = "lower" if value < 0 else "upper"
-                witness = ObstructionWitness(j, k, (j + 1) * (j + 2) // 2, value, side)
-                return Verdict(False, witness, (j + 1) * (genus + 1) + k + 1)
+                return _rejected(j, k, value, genus)
+            if k >= tail:
+                # cells up to k + genus - value hold; bisect (lo, hi]
+                lo, hi = k + genus - value, genus
+                if lo >= hi:
+                    break
+                last = gap_at(base - 2 * hi) - hi + c
+                if last <= genus:
+                    break
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    value = gap_at(base - 2 * mid) - mid + c
+                    if value > genus:
+                        hi, last = mid, value
+                    else:
+                        lo = mid
+                return _rejected(j, hi, last, genus)
             # min(value, genus - value) + 1, without the call
             k += (value if 2 * value < genus else genus - value) + 1
     return Verdict(True, None, degree * (genus + 1))
+
+
+def _rejected(j: int, k: int, value: int, genus: int) -> Verdict:
+    side = "lower" if value < 0 else "upper"
+    witness = ObstructionWitness(j, k, (j + 1) * (j + 2) // 2, value, side)
+    return Verdict(False, witness, (j + 1) * (genus + 1) + k + 1)
 
 
 def triangle_lower(s: Semigroup, degree: int, j: int) -> bool:

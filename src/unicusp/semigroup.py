@@ -97,6 +97,20 @@ class Semigroup:
         """Largest gap, ab - a - b; -1 when there is none (a = 1)."""
         return self._a * self._b - self._a - self._b
 
+    @property
+    def first_pair(self) -> int:
+        """Smallest x with x and x + 1 both elements.
+
+        That is x* = min(b^-1*b - 1, (a - b^-1)*b), with b^-1 taken mod a;
+        `obstruction._scan` proves it and uses it.  At a = 1, where every
+        m >= 0 is an element, the formula would give -1 (b^-1 = 0); this
+        returns the true value 0 there instead.
+        """
+        a, b, binv = self._a, self._b, self._binv
+        if a == 1:
+            return 0
+        return min(binv * b - 1, (a - binv) * b)
+
     def contains(self, m: int) -> bool:
         return (m * self._binv % self._a) * self._b <= m
 

@@ -111,6 +111,25 @@ def test_orbit_candidates_frozen():
         orbit_candidates(z, 1, 3, 2)
 
 
+def test_orbit_candidates_step_matches_powers():
+    # stepping by phi^2 gives the candidates of one phi_power per exponent,
+    # on windows that cross h = 0
+    def by_powers(z, genus, h_min, h_max):
+        seen = {}
+        for h in range(h_min, h_max + 1):
+            cand = element_to_pair(z * phi_power(2 * h), genus)
+            if cand is not None:
+                seen.setdefault((cand.a, cand.b), cand)
+        return sorted(seen.values(), key=Candidate.key)
+
+    for (a, b), genus in (((1, 11), 3), ((1, 8), 1), ((4, 29), 3), ((2, 13), 0),
+                          ((1, 5), 0)):
+        z = pair_to_element(a, b)
+        for h_min, h_max in ((-40, 40), (-7, 0), (0, 9), (-1, 1), (-25, 3), (0, 0)):
+            assert orbit_candidates(z, genus, h_min, h_max) == by_powers(
+                z, genus, h_min, h_max), (a, b, h_min, h_max)
+
+
 def test_genus_mod_three_trichotomy():
     # 2g-1 = 0 mod 3 (i.e. g = 2 mod 3) makes 3 divide every solution pair,
     # so no coprime solutions and no candidate pairs at all

@@ -13,6 +13,7 @@ from unicusp import (
     triangle_lower,
     triangle_upper,
 )
+from unicusp import obstruction
 
 import oracles
 
@@ -285,3 +286,85 @@ def test_two_cusp_check_at_scale():
     assert (v.witness.j, v.witness.k) == (2, 4) and v.checks_performed == 188
     assert _verdict_tuple(v) == oracles.brute_multi_verdict(pairs, g, d, window=64)
     assert elapsed < 10.0, elapsed
+
+
+def _tail_start(pairs, j, d):
+    """k0 of row j: from here on the row is non-decreasing."""
+    return (j * d + 1 - sum(Semigroup(a, b).first_pair for a, b in pairs)) // 2
+
+
+def test_row_tails_match_single_oracle():
+    # a seeded 500 of the 24,192 single-cusp candidates with g < 60 and
+    # d < 90 (about 2 s, nearly all of it the oracle); many end on an
+    # upper-side witness inside the row's monotone tail, found there by
+    # bisection rather than cell by cell
+    candidates = [(a, b, g, d) for g in range(60)
+                  for a, b, d in oracles.brute_enumerate(g, 89)]
+    assert len(candidates) == 24192
+    in_tail = 0
+    for a, b, g, d in random.Random(53).sample(candidates, 500):
+        v = check_single(a, b, g, d)
+        expect_ok, expect_cell = oracles.brute_admissible(a, b, g, d)
+        assert v.admissible == expect_ok, (a, b, g, d)
+        assert v.checks_performed == _position(v, g, d), (a, b, g, d)
+        if expect_ok:
+            continue
+        w = v.witness
+        assert (w.j, w.k) == expect_cell, (a, b, g, d)
+        assert (w.side == "lower") == (w.lhs_value < 0), (a, b, g, d)
+        in_tail += w.side == "upper" and w.k > _tail_start([(a, b)], w.j, d)
+    assert in_tail > 150, in_tail
+
+
+def test_row_tails_match_multi_oracle():
+    # two and three cusps at their smallest degree, against a scan of every
+    # cell (about 2 s); the three-cusp tails start from the sum of the
+    # cusps' first pairs
+    cusps = [(a, b) for a in range(2, 8) for b in range(a + 1, 20)
+             if oracles.gcd(a, b) == 1]
+    rng = random.Random(61)
+    in_tail = {2: 0, 3: 0}
+    for _ in range(300):
+        pairs = [rng.choice(cusps) for _ in range(rng.choice((2, 3)))]
+        delta = sum((a - 1) * (b - 1) // 2 for a, b in pairs)
+        d = next(d for d in range(1, 100) if (d - 1) * (d - 2) >= 2 * delta)
+        g = (d - 1) * (d - 2) // 2 - delta
+        v = check_multi(pairs, g, d)
+        assert _verdict_tuple(v) == oracles.brute_multi_verdict(pairs, g, d, window=4), (
+            pairs, g, d)
+        w = v.witness
+        if w is not None and w.side == "upper" and w.k > _tail_start(pairs, w.j, d):
+            in_tail[len(pairs)] += 1
+    assert in_tail[2] > 0 and in_tail[3] > 5, in_tail
+
+
+def test_convolution_falls_below_the_first_pair_sum():
+    # IC(s) <= IC(s - 2) - 1 whenever s - 2 < sum of the cusps' first pairs
+    rng = random.Random(67)
+    cusps = [(a, b) for a in range(2, 7) for b in range(a + 1, 18)
+             if oracles.gcd(a, b) == 1]
+    for _ in range(40):
+        pairs = [rng.choice(cusps) for _ in range(rng.choice((2, 3)))]
+        pair_sum = sum(Semigroup(a, b).first_pair for a, b in pairs)
+        delta = sum((a - 1) * (b - 1) // 2 for a, b in pairs)
+        ic = oracles.multi_gap_counter(pairs, 2 * delta + 2)
+        for s in range(-3, pair_sum + 2):
+            assert ic(s) <= ic(s - 2) - 1, (pairs, s)
+
+
+def test_scan_evaluates_only_row_ends_in_the_tail():
+    # <349, 352> at g = 351, d = 352: a cell-by-cell scan with the
+    # min(v, g - v) skip makes 2,529 gap counts; the tails cut that
+    # below 1,000
+    s = Semigroup(349, 352)
+    calls = 0
+
+    def gap_at(m):
+        nonlocal calls
+        calls += 1
+        return s.gaps_at_least(m)
+
+    v = obstruction._scan(351, 352, gap_at, s.first_pair)
+    assert v == check_single(349, 352, 351, 352)
+    assert v.admissible and v.checks_performed == 352 * 352
+    assert calls <= 1000, calls

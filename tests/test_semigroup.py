@@ -67,6 +67,24 @@ def test_counting_functions_match_sieve():
             assert r == m - s.delta + i
 
 
+def test_first_pair_matches_sieve():
+    # smallest x with x and x + 1 both elements, by search over a sieve;
+    # x = (a - 1) * (b - 1), the conductor, always qualifies
+    for b in range(3, 61):
+        for a in range(2, b):
+            if oracles.gcd(a, b) != 1:
+                continue
+            conductor = (a - 1) * (b - 1)
+            elems = set(oracles.sieve_elements(a, b, conductor + 2))
+            expect = next(x for x in range(conductor + 1)
+                          if x in elems and x + 1 in elems)
+            assert Semigroup(a, b).first_pair == expect, (a, b)
+    # at a = 1 every m >= 0 is an element: the true value 0, not the
+    # closed form's -1
+    for b in (2, 3, 10, 59):
+        assert Semigroup(1, b).first_pair == 0
+
+
 def test_nth_element_indexing():
     s = Semigroup(3, 7)
     elems = oracles.sieve_elements(3, 7, 3 * s.delta + 30)

@@ -63,7 +63,11 @@ PELL_N_MAX = 10 ** 12
 # 1.2-1.4 s for 5.0 MB of output at 36 MB peak RSS, 0:4000 about 1.4 s for
 # 8.7 MB, and 0:8000 about 8 s for 34 MB.  The bound is on
 # max(|HMIN|, |HMAX|), checked before any factoring.  The cost is per
-# generator, and a genus within PELL_N_MAX has up to 64 of them.
+# generator, and a genus within PELL_N_MAX has up to 64 of them (genus
+# 13862504035 at --orbit -3000:0 took 45-48 s for 320 MB of output at
+# 932 MB peak RSS).  So once the generators are known, generators times
+# (HMAX - HMIN + 1) may not exceed one generator's full window,
+# 2 * PELL_ORBIT_MAX + 1 = 6001.
 PELL_ORBIT_MAX = 3000
 
 # `sectors` walks the walls once, so the bound keeps its output small:
@@ -78,6 +82,21 @@ PELL_ORBIT_MAX = 3000
 SECTORS_LMAX_MAX = 400
 FAMILIES_INDEX_MAX = 10 ** 5
 IDENTITIES_LMAX_MAX = 4000
+
+# `check` scans grid rows 1..(d-3)//2 at a few gap counts per row, whatever
+# the genus, so its cost grows about linearly in the degree.  At d = 10^5
+# a single cusp took 0.06-0.2 s at g = 0 and 2.2 s for <d-2, d-1>, the
+# slowest shape found (in-process, 2-vCPU x86-64, Python 3.11.7).  With
+# several cusps the check also holds the gap lists, O(total delta) memory:
+# total delta 10^6 took 0.2 s at 92 MB.  Its lazy convolution reads about
+# degree * X terms, where X is the total delta less the largest local
+# delta (for two cusps, the smaller local delta), and three or more cusps
+# first fold all but the largest by `convolve`, about X^2 more.  At
+# degree * X = 3 * 10^6, admissible two-cusp inputs took 0.7-1.7 s.  All
+# three bounds are checked before any work.
+CHECK_DEGREE_MAX = 10 ** 5
+CHECK_PAIRS_DELTA_MAX = 10 ** 6
+CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 
 
 def _json(value, indent: str) -> str:
@@ -231,6 +250,19 @@ def _cmd_check(args) -> int:
             return _fail(
                 f"no integer degree pairs genus {args.genus} with {pairs}; pass -d explicitly"
             )
+    if degree > CHECK_DEGREE_MAX:
+        return _fail(f"degree must be <= {CHECK_DEGREE_MAX}, got {degree}")
+    if not single:
+        deltas = [(a - 1) * (b - 1) // 2 for a, b in pairs]
+        total = sum(deltas)
+        if total > CHECK_PAIRS_DELTA_MAX:
+            return _fail(f"--pairs needs total delta <= {CHECK_PAIRS_DELTA_MAX}, got {total}")
+        x = total - max(deltas)
+        work = degree * x + (x * x if len(pairs) > 2 else 0)
+        if work > CHECK_PAIRS_WORK_MAX:
+            return _fail(f"--pairs needs a work estimate <= {CHECK_PAIRS_WORK_MAX}, got {work} "
+                         f"(degree * X{' + X^2' if len(pairs) > 2 else ''}, X = {x}, the "
+                         f"total delta less the largest local delta)")
     if single:
         verdict = check_single(args.a, args.b, args.genus, degree)
     else:
@@ -320,6 +352,11 @@ def _cmd_pell(args) -> int:
             "generators": [str(z) for z in gens],
         }
     if args.orbit is not None:
+        width = h_max - h_min + 1
+        if len(gens) * width > 2 * PELL_ORBIT_MAX + 1:
+            return _fail(f"--orbit {h_min}:{h_max} covers {width} exponents for each of "
+                         f"{len(gens)} generators, more than the {2 * PELL_ORBIT_MAX + 1} "
+                         f"of one generator's full window")
         payload["orbits"] = [
             {
                 "generator": str(z),

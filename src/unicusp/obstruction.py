@@ -30,19 +30,21 @@ values are k, and 0 then k - 1), so the scan starts at row 1.
 
 The grid is centrally symmetric: cell (j, k) and cell (d-3-j, g-k) hold
 the same value, for one cusp and for several.  The scan therefore stops
-after row (d-3)//2, and the multi-cusp check tabulates the convolution
-only up to the largest argument that half reads.  None of this changes
-a verdict, a witness or `checks_performed`, which still counts cells by
-their position in the full d(g+1)-cell grid.
+after row (d-3)//2, and the multi-cusp check evaluates the convolution
+only at the arguments the scan reads, never as a table.  None of this
+changes a verdict, a witness or `checks_performed`, which still counts
+cells by their position in the full d(g+1)-cell grid.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, attrgetter, sub
 
-# `convolve` is no longer called here, but perfbench/spans.py rebinds
-# `unicusp.obstruction.convolve`, so the name stays bound.
-from .semigroup import Semigroup, convolution_values, convolve  # noqa: F401
+from .semigroup import Semigroup, convolve
 
 
 @dataclass(frozen=True)
@@ -76,18 +78,65 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     The witness value is normalised by adding g - k to the convolution
     form, which makes it coincide with the single-cusp value whenever
     len(pairs) == 1.
+
+    The infimum convolution IC is never tabulated: `_scan` reads it at a
+    few dozen arguments per check (22 on average over the stored two-cusp
+    benchmark rows), and each is evaluated on its own from two operands'
+    sorted gap lists.  With three or more cusps, all but the one of
+    largest delta are first folded by `convolve`; the fold and the
+    remaining cusp are the two operands, F and H.  With one cusp, F is
+    the zero gap function.
+
+    Let m_0 = 0 and m_i = (i-th gap of F) + 1, so F(m) = delta_F - i
+    from m_i to m_{i+1} - 1.  On that run H(s - m) only grows with m,
+    since H is non-increasing, so the run's smallest m, m_i, is a
+    minimiser of F(m) + H(s - m) over the run.  The window argument of
+    `convolution_values` restricts m to [0, min(s, 2*delta_F)], which the
+    runs with m_i <= s cover.  With H(x) = delta_H - #{gaps of H < x} for
+    x >= 0,
+
+        IC(s) = Delta - max over m_i <= s of (i + #{gaps of H < s - m_i}),
+
+    Delta the total delta.  IC is symmetric in its operands, so each call
+    enumerates whichever has fewer m_i <= s.  Below 0 the closed form
+    IC(s) = Delta - s holds.  A run's smallest m is a minimiser but not
+    always the only one, so no further condition on H at s - m_i (such as
+    s - m_i - 1 being a gap of H) may prune the runs.
     """
     if not pairs:
         raise ValueError("at least one cusp is required")
-    semis = [Semigroup(a, b) for a, b in pairs]
+    semis = sorted((Semigroup(a, b) for a, b in pairs), key=attrgetter("delta"))
     total_delta = sum(s.delta for s in semis)
     _require_degree_genus(degree, genus, total_delta, str(pairs))
-    # the largest argument j*d + 1 - 2k that the half scan reads
-    top = max(0, _last_row(degree) * degree + 1)
-    combined = convolution_values([s.gap_function() for s in semis], top)
-    return _scan(genus, degree,
-                 lambda m: combined[m] if m >= 0 else total_delta - m,
+    *rest, last = semis
+    if len(rest) > 1:
+        first = reduce(convolve, [s.gap_function() for s in rest]).gap_list
+    else:
+        first = rest[0].gaps if rest else ()
+    return _scan(genus, degree, _lazy_convolution(total_delta, first, last.gaps),
                  sum(s.first_pair for s in semis))
+
+
+def _lazy_convolution(total_delta: int, gaps_f, gaps_h):
+    """IC(s) of the two gap functions with these sorted gap lists, as a
+    function of s; `check_multi` gives the formula and its proof."""
+    starts_f = [0, *(x + 1 for x in gaps_f)]
+    starts_h = [0, *(x + 1 for x in gaps_h)]
+    below_f = partial(bisect_left, gaps_f)
+    below_h = partial(bisect_left, gaps_h)
+
+    def gap_at(s: int) -> int:
+        if s < 0:
+            return total_delta - s
+        n = bisect_right(starts_f, s)
+        n_h = bisect_right(starts_h, s)
+        if n <= n_h:
+            starts, below = starts_f, below_h
+        else:
+            n, starts, below = n_h, starts_h, below_f
+        return total_delta - max(map(add, range(n), map(below, map(sub, repeat(s, n), starts))))
+
+    return gap_at
 
 
 def _last_row(degree: int) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from operator import add
 
@@ -89,8 +90,16 @@ class Semigroup:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """All gaps in increasing order; O(delta), built on every access."""
-        return tuple(m for m in range(1, 2 * self._delta) if not self.contains(m))
+        """All gaps in increasing order; O(delta), built on every access.
+
+        m > 0 is a gap exactly when its u = m * b^-1 mod a has u*b > m, that
+        is m = u*b - v*a with 1 <= u < a and v >= 1.  Each u gives one
+        ascending range of step a, from u*b mod a up to u*b - a; sorting
+        the a - 1 concatenated runs merges them.
+        """
+        a, b = self._a, self._b
+        return tuple(sorted(chain.from_iterable(
+            range(u * b % a, u * b, a) for u in range(1, a))))
 
     @property
     def frobenius(self) -> int:
@@ -222,11 +231,14 @@ def convolution_values(parts: list[GapFunction], top: int) -> list[int]:
     stepping m above 2*f.delta leaves f frozen at 0 while g cannot fall.
     Every fold result again has the gap-function shape, so the argument
     repeats for three or more parts.  Only values on [0, top] enter a
-    fold, so the cost is O(top * min(top, 2*delta)) per fold.
+    fold, so the cost is O(top * min(top, 2*delta)) per fold.  The
+    smallest part starts the fold as it is; no parts give the zero gap
+    function.
     """
-    acc = [0] * (top + 1)  # the zero gap function on [0, top]
-    acc_delta = 0
-    for part in sorted(parts, key=lambda p: p.delta):
+    smallest, *rest = sorted(parts, key=lambda p: p.delta) or [GapFunction.zero()]
+    acc = [smallest(m) for m in range(top + 1)]
+    acc_delta = smallest.delta
+    for part in rest:
         values = [part(m) for m in range(top + 1)]
         if part.delta < acc_delta:
             first, second, reach = values, acc, 2 * part.delta

@@ -91,12 +91,26 @@ IDENTITIES_LMAX_MAX = 4000
 # total delta 10^6 took 0.2 s at 92 MB.  Its lazy convolution reads about
 # degree * X terms, where X is the total delta less the largest local
 # delta (for two cusps, the smaller local delta), and three or more cusps
-# first fold all but the largest by `convolve`, about X^2 more.  At
-# degree * X = 3 * 10^6, admissible two-cusp inputs took 0.7-1.7 s.  All
+# first fold all but the largest by `convolve`, at most about X^2 / 2
+# additions more; the estimate keeps X^2.  At degree * X = 3 * 10^6,
+# admissible two-cusp inputs took 0.7-1.7 s; three <40, 43> cusps at
+# d = 72 and 74, with degree * X + X^2 = 2.8 * 10^6, took 0.06 s.  All
 # three bounds are checked before any work.
 CHECK_DEGREE_MAX = 10 ** 5
 CHECK_PAIRS_DELTA_MAX = 10 ** 6
 CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
+
+# `enumerate` walks every degree up to --dmax: it factors (d-1)(d-2) - 2g
+# by trial division and scans the grid of every candidate it finds.  At
+# g = 0 most candidates fail in the first grid row, and --dmax 500, 1000
+# and 2000 took 0.5, 1.0 and 3.6 s (8.5 MB of output at 50 MB peak RSS at
+# 2000).  At a large genus nearly every candidate is admissible and its
+# scan runs through half the grid: --dmax 2000 took 36-58 s at
+# g = 10^4 to 10^6 (at g = 10^5, 0.4 s at 500 and 9.7 s at 1000).  The
+# ceiling keeps g = 0 up to d = 2000 in reach, and --dmax 10^8, which ran
+# on with no output, is refused before any work (whole process, same
+# host).
+ENUMERATE_DMAX_MAX = 2000
 
 
 def _json(value, indent: str) -> str:
@@ -299,6 +313,8 @@ def _enumerate_tsv(report) -> str:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.dmax > ENUMERATE_DMAX_MAX:
+        return _fail(f"--dmax must be <= {ENUMERATE_DMAX_MAX}, got {args.dmax}")
     report = enumerate_candidates(
         args.genus, args.dmax, allow_smooth=args.allow_smooth, jobs=args.jobs
     )

@@ -31,14 +31,16 @@ values are k, and 0 then k - 1), so the scan starts at row 1.
 The grid is centrally symmetric: cell (j, k) and cell (d-3-j, g-k) hold
 the same value, for one cusp and for several.  The scan therefore stops
 after row (d-3)//2, and the multi-cusp check evaluates the convolution
-only at the arguments the scan reads, never as a table.  None of this
-changes a verdict, a witness or `checks_performed`, which still counts
-cells by their position in the full d(g+1)-cell grid.
+of its two operands only at the arguments the scan reads.  With three or
+more cusps, one operand is a `convolve` fold of all cusps but the
+largest, computed whole.  None of this changes a verdict, a witness or
+`checks_performed`, which still counts cells by their position in the
+full d(g+1)-cell grid.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
@@ -79,29 +81,22 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     form, which makes it coincide with the single-cusp value whenever
     len(pairs) == 1.
 
-    The infimum convolution IC is never tabulated: `_scan` reads it at a
-    few dozen arguments per check (22 on average over the stored two-cusp
-    benchmark rows), and each is evaluated on its own from two operands'
-    sorted gap lists.  With three or more cusps, all but the one of
-    largest delta are first folded by `convolve`; the fold and the
-    remaining cusp are the two operands, F and H.  With one cusp, F is
-    the zero gap function.
+    The infimum convolution IC of two operands is never tabulated: `_scan`
+    reads it at a few dozen arguments per check (22 on average over the
+    stored two-cusp benchmark rows), and each is evaluated on its own from
+    the operands' run starts.  With three or more cusps, all but the one
+    of largest delta are first folded by `convolve`; the fold and the
+    remaining cusp are the two operands.  With one cusp, the other operand
+    is the zero gap function.
 
-    Let m_0 = 0 and m_i = (i-th gap of F) + 1, so F(m) = delta_F - i
-    from m_i to m_{i+1} - 1.  On that run H(s - m) only grows with m,
-    since H is non-increasing, so the run's smallest m, m_i, is a
-    minimiser of F(m) + H(s - m) over the run.  The window argument of
-    `convolution_values` restricts m to [0, min(s, 2*delta_F)], which the
-    runs with m_i <= s cover.  With H(x) = delta_H - #{gaps of H < x} for
-    x >= 0,
+    By the proof in `convolve`, with run starts a_0 = 0 < a_1 < ... of
+    one operand and b_0 = 0 < b_1 < ... of the other,
 
-        IC(s) = Delta - max over m_i <= s of (i + #{gaps of H < s - m_i}),
+        IC(s) = Delta - max over a_i <= s of (i + max{j : b_j <= s - a_i})
 
-    Delta the total delta.  IC is symmetric in its operands, so each call
-    enumerates whichever has fewer m_i <= s.  Below 0 the closed form
-    IC(s) = Delta - s holds.  A run's smallest m is a minimiser but not
-    always the only one, so no further condition on H at s - m_i (such as
-    s - m_i - 1 being a gap of H) may prune the runs.
+    for s >= 0, Delta the total delta, and IC(s) = Delta - s below 0.  IC
+    is symmetric in its operands, so each call enumerates whichever has
+    fewer run starts <= s.
     """
     if not pairs:
         raise ValueError("at least one cusp is required")
@@ -113,28 +108,29 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
         first = reduce(convolve, [s.gap_function() for s in rest]).gap_list
     else:
         first = rest[0].gaps if rest else ()
-    return _scan(genus, degree, _lazy_convolution(total_delta, first, last.gaps),
+    starts_f, starts_h = ([0, *(x + 1 for x in gaps)] for gaps in (first, last.gaps))
+    return _scan(genus, degree, _lazy_convolution(total_delta, starts_f, starts_h),
                  sum(s.first_pair for s in semis))
 
 
-def _lazy_convolution(total_delta: int, gaps_f, gaps_h):
-    """IC(s) of the two gap functions with these sorted gap lists, as a
-    function of s; `check_multi` gives the formula and its proof."""
-    starts_f = [0, *(x + 1 for x in gaps_f)]
-    starts_h = [0, *(x + 1 for x in gaps_h)]
-    below_f = partial(bisect_left, gaps_f)
-    below_h = partial(bisect_left, gaps_h)
+def _lazy_convolution(total_delta: int, starts_f: list[int], starts_h: list[int]):
+    """IC(s) of the two gap functions with these run starts, as a function
+    of s; `check_multi` gives the formula."""
+    # bisect_right(starts, x) is 1 + max{j : starts[j] <= x}, for x >= 0
+    reach_f = partial(bisect_right, starts_f)
+    reach_h = partial(bisect_right, starts_h)
 
     def gap_at(s: int) -> int:
         if s < 0:
             return total_delta - s
-        n = bisect_right(starts_f, s)
-        n_h = bisect_right(starts_h, s)
+        n = reach_f(s)
+        n_h = reach_h(s)
         if n <= n_h:
-            starts, below = starts_f, below_h
+            starts, reach = starts_f, reach_h
         else:
-            n, starts, below = n_h, starts_h, below_f
-        return total_delta - max(map(add, range(n), map(below, map(sub, repeat(s, n), starts))))
+            n, starts, reach = n_h, starts_h, reach_f
+        return total_delta + 1 - max(map(add, range(n),
+                                         map(reach, map(sub, repeat(s, n), starts))))
 
     return gap_at
 

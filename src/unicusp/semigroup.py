@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from math import gcd
 from operator import add
@@ -216,54 +217,44 @@ class GapFunction:
         return self.delta - bisect_left(self.gap_list, m)
 
 
-def convolution_values(parts: list[GapFunction], top: int) -> list[int]:
-    """Values at s = 0, 1, ..., top of the infimum convolution of all parts.
-
-    Below 0 no table is needed: there the convolution is
-    (sum of deltas) - s.  The parts are folded in increasing order of
-    delta, and each fold takes, with f the operand of smaller delta,
-
-        h(s) = min over 0 <= m <= min(s, 2*f.delta) of f(m) + g(s - m).
-
-    That window loses nothing.  Stepping m above s puts g on its slope
-    g(x) = g.delta - x, which rises by 1 per step while f falls by at most
-    1; stepping m below 0 does the same with the roles swapped; and
-    stepping m above 2*f.delta leaves f frozen at 0 while g cannot fall.
-    Every fold result again has the gap-function shape, so the argument
-    repeats for three or more parts.  Only values on [0, top] enter a
-    fold, so the cost is O(top * min(top, 2*delta)) per fold.  The
-    smallest part starts the fold as it is; no parts give the zero gap
-    function.
-    """
-    smallest, *rest = sorted(parts, key=lambda p: p.delta) or [GapFunction.zero()]
-    acc = [smallest(m) for m in range(top + 1)]
-    acc_delta = smallest.delta
-    for part in rest:
-        values = [part(m) for m in range(top + 1)]
-        if part.delta < acc_delta:
-            first, second, reach = values, acc, 2 * part.delta
-        else:
-            first, second, reach = acc, values, 2 * acc_delta
-        # second reversed: rev[top - s + m] = second(s - m)
-        rev = second[::-1]
-        head = first[:reach + 1]
-        acc = [min(map(add, head, rev[top - s:top - s + reach + 1]))
-               for s in range(top + 1)]
-        acc_delta += part.delta
-    return acc
-
-
 def convolve(f: GapFunction, g: GapFunction) -> GapFunction:
     """Infimum convolution h(s) = min over m of f(m) + g(s - m).
 
-    Tabulated by `convolution_values` on [0, 2*delta_total], past which h
-    is 0; h drops just past s exactly where the table falls from s to
-    s + 1.
+    Write the run starts of f as a_0 = 0 and a_i = (i-th gap) + 1, so
+    f(m) = f.delta - #{i >= 1 : a_i <= m} for m >= 0; likewise b_j for g,
+    and Delta = f.delta + g.delta.  Fewer than x gaps lie below x, so
+    f(x) >= f.delta - x, with equality for x <= 0; hence h(s) = Delta - s
+    for s <= 0.  For s >= 0 only m in [0, s] matter: stepping m above s
+    puts g on its slope g.delta - x, which rises by 1 per step while f
+    falls by at most 1, and m below 0 is the same with the roles swapped.
+    On [0, s], f(m) + g(s - m) = Delta - i - j with a_i the last run start
+    <= m and b_j the last <= s - m, so
+
+        h(s) = Delta - max{i + j : a_i + b_j <= s}
+             = Delta - #{n >= 1 : c_n <= s},   c_n = min over i + j = n of a_i + b_j,
+
+    because the min-plus convolution c strictly increases: an optimal
+    split of n + 1 has i >= 1 or j >= 1, and lowering that index gives a
+    smaller sum for n.  So h is the gap function with run starts c: c_0 =
+    0, and its gaps c_n - 1 lie in [1, 2*Delta - 1].  Each c_n reads at
+    most min(f.delta, g.delta) + 1 sums, (f.delta + 1)(g.delta + 1) in all.
     """
-    total = f.delta + g.delta
-    span = 2 * total
-    h = convolution_values([f, g], span)
-    return GapFunction(total, tuple(s for s in range(1, span) if h[s] > h[s + 1]))
+    if f.delta > g.delta:
+        f, g = g, f
+    small, large = f.delta, g.delta
+    a = [0, *(x + 1 for x in f.gap_list)]
+    # rev[large - j] = b_j - 1, so each map sums a_i + b_{n-i} - 1 over i
+    rev = [*reversed(g.gap_list), -1]
+    gaps = [min(map(add, a, rev[large - n:large - n + small + 1])) for n in range(1, large + 1)]
+    gaps += [min(map(add, a[n - large:], rev)) for n in range(large + 1, small + large + 1)]
+    return GapFunction(small + large, tuple(gaps))
+
+
+def convolution_values(parts: list[GapFunction], top: int) -> list[int]:
+    """Values at s = 0, 1, ..., top of the infimum convolution of all parts,
+    the `convolve` fold of the parts; no parts give the zero gap function."""
+    h = reduce(convolve, parts, GapFunction.zero())
+    return [h(s) for s in range(top + 1)]
 
 
 def combined_gap_value(parts: list[GapFunction], m: int) -> int:
@@ -274,5 +265,5 @@ def combined_gap_value(parts: list[GapFunction], m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"offset must be >= 0, got {m}")
-    s = m + sum(part.delta for part in parts)
-    return convolution_values(parts, s)[s]
+    h = reduce(convolve, parts, GapFunction.zero())
+    return h(m + h.delta)

@@ -1,4 +1,5 @@
-"""Ceilings on `check` and on the `pell --orbit` generator count.
+"""Ceilings on `check`, on `enumerate --dmax` and on the `pell --orbit`
+generator count.
 
 Each refusal is exit 2 with a message on stderr and nothing on stdout,
 before the work it bounds; each ceiling itself is admitted.
@@ -13,6 +14,7 @@ from unicusp.cli import (
     CHECK_DEGREE_MAX,
     CHECK_PAIRS_DELTA_MAX,
     CHECK_PAIRS_WORK_MAX,
+    ENUMERATE_DMAX_MAX,
     PELL_ORBIT_MAX,
     run,
 )
@@ -96,6 +98,23 @@ def test_check_ceilings_admit_the_benchmark_pool(capsys, monkeypatch):
         code, _, err, _ = invoke(capsys, *argv)
         assert code == 0, (argv, err)
     assert time.perf_counter() - start < 20.0
+
+
+def test_enumerate_dmax_ceiling(capsys):
+    # --dmax 10^8 ran on with no output; above the ceiling is refused at once
+    for dmax in (10 ** 8, ENUMERATE_DMAX_MAX + 1):
+        code, out, err, took = invoke(capsys, "enumerate", "--genus", "0",
+                                      "--dmax", str(dmax))
+        assert (code, out) == (2, "")
+        assert err == f"error: --dmax must be <= {ENUMERATE_DMAX_MAX}, got {dmax}\n"
+        assert took < 0.5, took
+    # the ceiling itself runs at g = 0 (about 3 s)
+    assert ENUMERATE_DMAX_MAX >= 2000
+    code, out, err, took = invoke(capsys, "enumerate", "--genus", "0",
+                                  "--dmax", str(ENUMERATE_DMAX_MAX))
+    assert code == 0, err
+    assert f'"d_max": {ENUMERATE_DMAX_MAX},' in out
+    assert took < 30.0, took
 
 
 def test_pell_orbit_generator_ceiling(capsys):

@@ -1,7 +1,7 @@
 """The multi-cusp check evaluates the infimum convolution lazily.
 
 `check_multi` reads IC(s) only at the arguments the scan asks for, from
-two sorted gap lists.  These tests hold it to the tabulated convolution
+the two operands' run starts.  These tests hold it to the tabulated convolution
 (`convolution_values` on every argument the half scan can read, the
 earlier implementation), to the brute-force oracle, and to the stored
 two-cusp reference table.
@@ -105,6 +105,19 @@ def test_large_two_cusp_rejection_is_fast():
     assert not v.admissible
     assert (w.j, w.k, w.side, w.lhs_value, v.checks_performed) == (15, 116, "upper", 117, 1989)
     assert elapsed < 1.0, elapsed
+
+
+def test_three_cusp_fold_is_fast():
+    # the fold of two <120, 121> cusps (delta 7140 each) took 20-24 s as a
+    # (2 * 14280) x (2 * 7140) table; by min-plus on run starts it takes
+    # about 4 s
+    pairs, g, d = [(120, 121)] * 3, 108, 209
+    start = time.perf_counter()
+    v = check_multi(pairs, g, d)
+    elapsed = time.perf_counter() - start
+    assert _verdict_tuple(v) == (False, (1, 0, "lower", -1), 219)
+    assert _verdict_tuple(v) == oracles.brute_multi_verdict(pairs, g, d, window=4)
+    assert elapsed < 15.0, elapsed
 
 
 def test_gap_lists_match_oracle():

@@ -277,8 +277,8 @@ def test_half_scan_matches_full_grid_oracle():
 
 
 def test_two_cusp_check_at_scale():
-    # total delta 4500: the half scan tabulates the convolution on
-    # [0, 47*97 + 1] instead of [0, 9000]
+    # total delta 4500: the half scan reads the convolution only at
+    # arguments in [0, 47*97 + 1], never on the rest of [0, 9000]
     pairs, g, d = [(2, 3001), (3, 3001)], 60, 97
     start = time.perf_counter()
     v = check_multi(pairs, g, d)

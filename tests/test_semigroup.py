@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_left
+from functools import reduce
 
 import pytest
 
@@ -147,6 +148,25 @@ def test_convolve_matches_wide_window():
         for s in range(0, 2 * h.delta + 6):
             expect = oracles.wide_convolve_value(f, g, s, window)
             assert h(s) == expect, (a1, b1, a2, b2, s)
+    # three- and four-part folds in three shapes (a left fold and two
+    # folds of folds), parts up to delta 100, against the oracle's left
+    # fold with its window 6 past [0, s] on both sides (about 1 s)
+    larger = pairs + [(5, 51), (7, 34), (11, 21), (13, 17), (9, 26), (2, 201)]
+    biggest = 0
+    for case in range(12):
+        parts = [rng.choice(larger) for _ in range(3 + case % 2)]
+        fs = [Semigroup(a, b).gap_function() for a, b in parts]
+        folds = (reduce(convolve, fs),
+                 convolve(fs[0], reduce(convolve, fs[1:])),
+                 convolve(convolve(fs[0], fs[1]), reduce(convolve, fs[2:])))
+        total = sum(f.delta for f in fs)
+        assert all(h.delta == total for h in folds)
+        ic = oracles.multi_gap_counter(parts, 6)
+        for s in range(-3, 2 * total + 3):
+            expect = ic(s)
+            assert [h(s) for h in folds] == [expect] * 3, (parts, s)
+        biggest = max(biggest, *(f.delta for f in fs))
+    assert biggest >= 99
 
 
 def test_convolve_drop_structure():

@@ -94,8 +94,9 @@ IDENTITIES_LMAX_MAX = 4000
 # first fold all but the largest by `convolve`, at most about X^2 / 2
 # additions more; the estimate keeps X^2.  At degree * X = 3 * 10^6,
 # admissible two-cusp inputs took 0.7-1.7 s; three <40, 43> cusps at
-# d = 72 and 74, with degree * X + X^2 = 2.8 * 10^6, took 0.06 s.  All
-# three bounds are checked before any work.
+# d = 72 and 74, with degree * X + X^2 = 2.8 * 10^6, took 0.06 s.  A single
+# cusp, from -a/-b or --pairs, holds no gap list and meets only the degree
+# bound.  All three bounds are checked before any work.
 CHECK_DEGREE_MAX = 10 ** 5
 CHECK_PAIRS_DELTA_MAX = 10 ** 6
 CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
@@ -266,7 +267,7 @@ def _cmd_check(args) -> int:
             )
     if degree > CHECK_DEGREE_MAX:
         return _fail(f"degree must be <= {CHECK_DEGREE_MAX}, got {degree}")
-    if not single:
+    if len(pairs) > 1:
         deltas = [(a - 1) * (b - 1) // 2 for a, b in pairs]
         total = sum(deltas)
         if total > CHECK_PAIRS_DELTA_MAX:
@@ -302,12 +303,13 @@ def _enumerate_tsv(report) -> str:
     tag_map = {(c.a, c.b): tags for c, tags in report.exceptions}
     for c in report.candidates:
         tags = tag_map.get((c.a, c.b), ()) if not c.on_3d_line else ()
+        element = c.element
         lines.append("\t".join([
             str(c.d), str(c.a), str(c.b), str(c.g),
             "true" if c.admissible else "false",
             "true" if c.on_3d_line else "false",
             ",".join(tags) if tags else "-",
-            str(c.element) if c.element is not None else "-",
+            "-" if element is None else str(element),
         ]))
     return "\n".join(lines) + "\n"
 

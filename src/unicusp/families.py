@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .quadring import QuadInt, phi_power
+from .semigroup import check_generators
 
 
 def fibonacci(n: int) -> int:
@@ -81,14 +82,10 @@ class Candidate:
     a: int
     b: int
     d: int
-    element: QuadInt | None = None
     admissible: bool | None = None
 
     def __post_init__(self):
-        if self.a < 1 or self.a >= self.b:
-            raise ValueError(f"need 1 <= a < b, got ({self.a}, {self.b})")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError(f"pair ({self.a}, {self.b}) is not coprime")
+        check_generators(self.a, self.b)
         if self.g < 0 or self.d < 1:
             raise ValueError(f"bad genus/degree ({self.g}, {self.d})")
         lhs = (self.d - 1) * (self.d - 2)
@@ -98,18 +95,21 @@ class Candidate:
                 f"degree-genus violated for {(self.a, self.b, self.d, self.g)}: "
                 f"{lhs} != {rhs}"
             )
-        if self.element is not None:
-            expected = pair_to_element(self.a, self.b)
-            if expected != self.element:
-                raise ValueError(f"element {self.element} does not match pair ({self.a}, {self.b})")
-            if self.element.norm() != 4 * (2 * self.g - 1):
-                raise ValueError(
-                    f"element norm {self.element.norm()} != 4*(2g-1) = {4 * (2 * self.g - 1)}"
-                )
 
     @property
     def on_3d_line(self) -> bool:
         return self.a + self.b == 3 * self.d
+
+    @property
+    def element(self) -> QuadInt | None:
+        """The ring element zeta of an on-line pair, None off the line.
+
+        On the line no norm check is needed: with a + b = 3d,
+            (d-1)(d-2) = (a-1)(b-1) + 2g  reads  d^2 - ab = 2g - 1, and
+            norm(zeta) = ((7b - 2a)^2 - 45 b^2)/9 = 4(a + b)^2/9 - 4ab
+                       = 4(d^2 - ab) = 4(2g - 1).
+        """
+        return pair_to_element(self.a, self.b) if self.on_3d_line else None
 
     def key(self) -> tuple[int, int, int]:
         return (self.d, self.a, self.b)
@@ -151,24 +151,21 @@ def element_to_pair(z: QuadInt, genus: int) -> Candidate | None:
 
 
 def _pair_from_coords(x: int, y: int, genus: int) -> Candidate | None:
-    if x <= 0 or y <= 0 or y % 3 == 0:
+    """The pair carried by w = x + y*sqrt5 of norm 4(2*genus - 1), if any.
+
+    Whether x and y are coprime (then both odd, since the norm is even)
+    or share the factor 2, a = (7y - 3x)/2 and b = y are integers, and
+    a + b = 3d with d = (3y - x)/2.  Then zeta(a, b) = x + y*sqrt5 = w, so
+    by the norm identity in `Candidate.element` the degree-genus identity
+    holds, and 1 <= a < b gives d >= 1.  Only the order and coprimality
+    of (a, b) are left to test.
+    """
+    if x <= 0 or y <= 0 or y % 3 == 0 or gcd(x, y) > 2:
         return None
-    common = gcd(x, y)
-    if common == 1:
-        # coprime coordinates are both odd here, so the halving is exact
-        a, b = (7 * y - 3 * x) // 2, y
-    elif common == 2:
-        a, b = 7 * (y // 2) - 3 * (x // 2), y
-    else:
-        return None
+    a, b = (7 * y - 3 * x) // 2, y
     if a < 1 or a >= b or gcd(a, b) != 1:
         return None
-    if (a + b) % 3 != 0:
-        return None
-    d = (a + b) // 3
-    if d < 1 or (d - 1) * (d - 2) != (a - 1) * (b - 1) + 2 * genus:
-        return None
-    return Candidate(genus, a, b, d, element=QuadInt.from_sqrt5(x, y))
+    return Candidate(genus, a, b, (a + b) // 3)
 
 
 def orbit_candidates(z: QuadInt, genus: int, h_min: int, h_max: int) -> list[Candidate]:
@@ -211,10 +208,7 @@ def _lucas_candidate(k: int, ia: int, ib: int, id_: int, negate: bool) -> Candid
     g = k * (k - 1) // 2
     if a + b != 3 * d:
         raise RuntimeError(f"Lucas rung ({a}, {b}) is off the 3d line, d={d}")
-    element = pair_to_element(a, b)
-    # Candidate validation enforces the degree-genus identity and the norm
-    # condition norm(element) = 4(2g-1), i.e. both defining equations.
-    return Candidate(g, a, b, d, element=element)
+    return Candidate(g, a, b, d)
 
 
 _CREMONA_VARIANTS = ("1", "2a", "2b")

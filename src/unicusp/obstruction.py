@@ -86,8 +86,8 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     stored two-cusp benchmark rows), and each is evaluated on its own from
     the operands' run starts.  With three or more cusps, all but the one
     of largest delta are first folded by `convolve`; the fold and the
-    remaining cusp are the two operands.  With one cusp, the other operand
-    is the zero gap function.
+    remaining cusp are the two operands.  One cusp is scanned on its own
+    `Semigroup.gaps_at_least`, as `check_single` does, with no gap list.
 
     By the proof in `convolve`, with run starts a_0 = 0 < a_1 < ... of
     one operand and b_0 = 0 < b_1 < ... of the other,
@@ -104,10 +104,12 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     total_delta = sum(s.delta for s in semis)
     _require_degree_genus(degree, genus, total_delta, str(pairs))
     *rest, last = semis
+    if not rest:
+        return _scan(genus, degree, last.gaps_at_least, last.first_pair)
     if len(rest) > 1:
         first = reduce(convolve, [s.gap_function() for s in rest]).gap_list
     else:
-        first = rest[0].gaps if rest else ()
+        first = rest[0].gaps
     starts_f, starts_h = ([0, *(x + 1 for x in gaps)] for gaps in (first, last.gaps))
     return _scan(genus, degree, _lazy_convolution(total_delta, starts_f, starts_h),
                  sum(s.first_pair for s in semis))

@@ -139,7 +139,7 @@ def has_solution(n: int) -> bool:
 
 def fundamental_prime(p: int) -> QuadInt:
     """Smallest-y solution of x^2 - 5y^2 = p for a split or ramified prime."""
-    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    if p < 2 or factorize(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if p != 5 and p % 5 in (2, 3):
         raise ValueError(f"{p} is congruent to +-2 mod 5; no solution exists")

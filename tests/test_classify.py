@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -17,7 +17,7 @@ from unicusp import (
     sector_of,
     walk_sectors,
 )
-from unicusp.classify import _tags_for
+from unicusp.classify import _square_free_split, _tags_for
 
 import oracles
 
@@ -240,6 +240,13 @@ def test_asymptote_slopes():
     assert asymptote_slopes(0, Fraction(5, 2)).rational_part == Fraction(25, 4)
     with pytest.raises(ValueError):
         asymptote_slopes(Fraction(1, 2), Fraction(1, 2))
+
+
+def test_square_free_split_matches_naive():
+    # the largest square divisor, found by trying every root
+    for n in range(1, 10 ** 4 + 1):
+        s = max(t for t in range(1, isqrt(n) + 1) if n % (t * t) == 0)
+        assert _square_free_split(n) == (s, n // (s * s)), n
 
 
 def test_asymptote_perfect_square_disc():

@@ -2,7 +2,8 @@
 generator count.
 
 Each refusal is exit 2 with a message on stderr and nothing on stdout,
-before the work it bounds; each ceiling itself is admitted.
+before the work it bounds; each ceiling itself is admitted.  The --pairs
+ceilings bind two or more cusps only.
 """
 
 import sys
@@ -69,6 +70,15 @@ def test_check_pairs_ceilings(capsys):
     assert err.startswith(f"error: --pairs needs a work estimate <= {CHECK_PAIRS_WORK_MAX}, "
                           f"got {209 * 14280 + 14280 ** 2} (degree * X + X^2, X = 14280,")
     assert took < 0.5, took
+
+
+def test_check_one_cusp_pairs_meets_only_the_degree_ceiling(capsys):
+    # delta 1,124,250 is above the --pairs ceiling, but one cusp holds no
+    # gap list and answers as -a/-b does
+    code, out, err, took = invoke(capsys, "check", "--genus", "0", "--pairs", "1500,1501")
+    assert (code, err) == (0, ""), err
+    assert took < 0.5, took
+    assert invoke(capsys, "check", "--genus", "0", "-a", "1500", "-b", "1501")[:3] == (0, out, "")
 
 
 def test_check_pairs_at_the_work_ceiling(capsys):

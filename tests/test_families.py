@@ -8,6 +8,7 @@ from unicusp import (
     QuadInt,
     cremona_step,
     element_to_pair,
+    enumerate_candidates,
     fibonacci,
     lucas,
     lucas_family,
@@ -57,8 +58,22 @@ def test_candidate_validation():
         Candidate(1, 2, 4, 3)            # not coprime
     with pytest.raises(ValueError):
         Candidate(1, 1, 8, 4)            # degree-genus broken
-    with pytest.raises(ValueError):
-        Candidate(1, 1, 8, 3, element=QuadInt.from_sqrt5(25, 11))  # wrong element
+
+
+def test_candidate_element_is_derived():
+    assert Candidate(1, 1, 8, 3).element == QuadInt.from_sqrt5(18, 8)
+    assert Candidate(1, 2, 5, 4).element is None     # off the 3d line
+    with pytest.raises(TypeError):
+        Candidate(1, 1, 8, 3, element=QuadInt.from_sqrt5(18, 8))
+    # the norm holds on the line with no check at construction
+    for g in range(41):
+        for c in enumerate_candidates(g, 300, allow_smooth=True).candidates:
+            if not c.on_3d_line:
+                assert c.element is None, c
+                continue
+            assert c.element.norm() == 4 * (2 * g - 1), c
+            back = element_to_pair(c.element, g)
+            assert (back.g, back.a, back.b, back.d) == (c.g, c.a, c.b, c.d), c
 
 
 def test_pair_to_element_basics():

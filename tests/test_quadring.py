@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -159,6 +160,19 @@ def test_fundamental_primes():
         fundamental_prime(4)
     with pytest.raises(ValueError):
         fundamental_prime(7)  # inert
+
+
+def test_fundamental_prime_rejects_exactly_the_non_primes():
+    # against trial division by every q <= sqrt(n); 0, 1, composites and
+    # squares up to 10^4, then two composites of primes near 10^6
+    for n in [*range(-3, 10 ** 4 + 1), 1000003 * 1000033, 1000003 ** 2]:
+        prime = n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+        try:
+            fundamental_prime(n)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        assert (message == f"{n} is not prime") == (not prime), n
 
 
 def test_generating_sets():

@@ -139,6 +139,8 @@ def _divisor_pairs(m: int) -> list[tuple[int, int]]:
 
 
 def _candidates_at_degree(genus: int, d: int, allow_smooth: bool) -> list[Candidate]:
+    """The candidates of degree d, each with its verdict, in ascending a:
+    `_divisor_pairs` ascends in u = a - 1, and b follows from a."""
     m = (d - 1) * (d - 2) - 2 * genus
     if m < 0:
         return []
@@ -171,9 +173,9 @@ def enumerate_candidates(
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    candidates = sorted((c for d in range(1, d_max + 1)
-                         for c in _candidates_at_degree(genus, d, allow_smooth)),
-                        key=Candidate.key)
+    # degrees ascend and each degree's list ascends in a: Candidate.key order
+    candidates = tuple(c for d in range(1, d_max + 1)
+                       for c in _candidates_at_degree(genus, d, allow_smooth))
     admissible = tuple(c for c in candidates if c.admissible)
     on_line = tuple(c for c in admissible if c.on_3d_line)
     exceptions = tuple((c, _tags_for(c)) for c in admissible if not c.on_3d_line)
@@ -181,7 +183,7 @@ def enumerate_candidates(
         g=genus,
         d_max=d_max,
         allow_smooth=allow_smooth,
-        candidates=tuple(candidates),
+        candidates=candidates,
         admissible=admissible,
         on_3d_line=on_line,
         exceptions=exceptions,

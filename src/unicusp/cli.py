@@ -19,6 +19,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -114,7 +115,7 @@ CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 ENUMERATE_DMAX_MAX = 2000
 
 
-def _json(value, indent: str) -> str:
+def _json(value, indent: str, memo: dict) -> str:
     """JSON text of value, laid out as json.dumps(..., sort_keys=True,
     indent=2) lays it out at the nesting depth len(indent) // 2.
 
@@ -122,9 +123,18 @@ def _json(value, indent: str) -> str:
     a `Candidate`, or a (Candidate, tags) tuple for a tagged one; both
     render as the object the candidate's fields make.  A `GermRecord`
     renders as a node step's object.  Anything else raises TypeError.
+
+    `memo` maps (id(candidate), indent) to the candidate's text, so a
+    candidate listed twice at one depth, as an untagged exception is in
+    `enumerate`, renders once.  The caller owns it for one record, whose
+    candidates stay alive, and so keep their ids, while it renders.
     """
     if type(value) is Candidate:
-        return _candidate_json(value, None, indent)
+        key = (id(value), indent)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _candidate_json(value, None, indent)
+        return text
     if type(value) is str:
         return encode_basestring_ascii(value)
     if value is None:
@@ -141,12 +151,12 @@ def _json(value, indent: str) -> str:
     if type(value) is list:
         if not value:
             return "[]"
-        items = f",\n{inner}".join([_json(v, inner) for v in value])
+        items = f",\n{inner}".join([_json(v, inner, memo) for v in value])
         return f"[\n{inner}{items}\n{indent}]"
     if type(value) is dict:
         if not value:
             return "{}"
-        items = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+        items = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json(v, inner, memo)}"
                                     for k, v in sorted(value.items())])
         return f"{{\n{inner}{items}\n{indent}}}"
     if type(value) is GermRecord:
@@ -161,11 +171,13 @@ def _candidate_json(c: Candidate, tags: tuple[str, ...] | None, indent: str) -> 
     i = indent + "  "
     admissible = ("" if c.admissible is None
                   else f'{i}"admissible": {"true" if c.admissible else "false"},\n')
-    element = "null" if c.element is None else encode_basestring_ascii(str(c.element))
-    tail = "" if tags is None else f',\n{i}"tags": {_json(list(tags), i)}'
+    on_line = c.on_3d_line
+    # the element is None exactly off the line
+    element = encode_basestring_ascii(str(c.element)) if on_line else "null"
+    tail = "" if tags is None else f',\n{i}"tags": {_json(list(tags), i, {})}'
     return (f'{{\n{i}"a": {c.a},\n{admissible}{i}"b": {c.b},\n{i}"d": {c.d},\n'
             f'{i}"element": {element},\n{i}"g": {c.g},\n'
-            f'{i}"on_3d_line": {"true" if c.on_3d_line else "false"}{tail}\n{indent}}}')
+            f'{i}"on_3d_line": {"true" if on_line else "false"}{tail}\n{indent}}}')
 
 
 def _step_json(r: GermRecord, indent: str) -> str:
@@ -185,7 +197,7 @@ def _step_json(r: GermRecord, indent: str) -> str:
 
 def _emit(command: str, payload: dict) -> None:
     record = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
-    sys.stdout.write(_json(record, "") + "\n")
+    sys.stdout.write(_json(record, "", {}) + "\n")
 
 
 def _fail(message: str) -> int:
@@ -478,8 +490,23 @@ def _orbit_window(text: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
+# argparse wraps usage and help text at the width COLUMNS (or the terminal)
+# gives it.  78 is the width it picks for an 80-column non-terminal, and a
+# fixed width keeps a given argv's bytes the same in every environment.
+HELP_WIDTH = 78
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that wraps its text at HELP_WIDTH.  Subparsers are
+    made from the parent's class, so they wrap at the same width."""
+
+    def __init__(self, **kwargs):
+        super().__init__(
+            formatter_class=partial(argparse.HelpFormatter, width=HELP_WIDTH), **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="unicusp",
         description="Exact arithmetic for cuspidal plane-curve candidates.",
     )

@@ -221,30 +221,27 @@ def cremona_step(a: int, b: int, variant: str) -> tuple[int, int]:
     variant "2a": (a, b) -> (7a - b, a), b < 7a  zeta -> zeta * phi^-4
     variant "2b": (a, b) -> (b - 7a, 7b - 48a), b > 7a
                                                 zeta -> conj(zeta * phi^-12)
+
+    Each ring action is an identity between two linear maps of (a, b), so
+    it holds for every step and is not re-checked per call.
     """
     if variant not in _CREMONA_VARIANTS:
         raise ValueError(f"variant must be one of {_CREMONA_VARIANTS}, got {variant!r}")
     if (a + b) % 3 != 0:
         raise ValueError(f"pair ({a}, {b}) is off the 3d line; a + b must be divisible by 3")
-    zeta = pair_to_element(a, b)
     if variant == "1":
         out = (b, 7 * b - a)
-        image = zeta * phi_power(4)
     elif variant == "2a":
         if b >= 7 * a:
             raise ValueError(f"variant 2a needs b < 7a, got ({a}, {b})")
         out = (7 * a - b, a)
-        image = zeta * phi_power(-4)
     else:
         if b <= 7 * a:
             raise ValueError(f"variant 2b needs b > 7a, got ({a}, {b})")
         out = (b - 7 * a, 7 * b - 48 * a)
-        image = (zeta * phi_power(-12)).conjugate()
     a2, b2 = out
     if a2 < 1 or a2 >= b2:
         raise ValueError(f"step {variant} leaves the ordered range: ({a}, {b}) -> ({a2}, {b2})")
-    if pair_to_element(a2, b2) != image:
-        raise RuntimeError(f"ring action mismatch on step {variant} from ({a}, {b})")
     return out
 
 

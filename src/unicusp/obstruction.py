@@ -41,17 +41,19 @@ full d(g+1)-cell grid.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, attrgetter, sub
+from typing import NamedTuple
 
 from .semigroup import Semigroup, convolve
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
-    """First violated grid cell: lexicographically smallest (j, k)."""
+class ObstructionWitness(NamedTuple):
+    """First violated grid cell: lexicographically smallest (j, k).
+
+    A named tuple, so it compares equal to the plain tuple of its fields.
+    """
 
     j: int
     k: int
@@ -60,8 +62,9 @@ class ObstructionWitness:
     side: str        # "lower" or "upper"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """Outcome of a check; a named tuple, like `ObstructionWitness`."""
+
     admissible: bool
     witness: ObstructionWitness | None
     checks_performed: int
@@ -70,7 +73,7 @@ class Verdict:
 def check_single(a: int, b: int, genus: int, degree: int) -> Verdict:
     """Run the full (j, k) grid for a single cusp of type <a, b>."""
     s = Semigroup(a, b)
-    _require_degree_genus(degree, genus, s.delta, f"<{a},{b}>")
+    _require_degree_genus(degree, genus, s.delta, "<{},{}>", a, b)
     return _scan(genus, degree, s.gaps_at_least, s.first_pair)
 
 
@@ -102,7 +105,7 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
         raise ValueError("at least one cusp is required")
     semis = sorted((Semigroup(a, b) for a, b in pairs), key=attrgetter("delta"))
     total_delta = sum(s.delta for s in semis)
-    _require_degree_genus(degree, genus, total_delta, str(pairs))
+    _require_degree_genus(degree, genus, total_delta, "{}", pairs)
     *rest, last = semis
     if not rest:
         return _scan(genus, degree, last.gaps_at_least, last.first_pair)
@@ -278,14 +281,17 @@ def triangle_upper(s: Semigroup, degree: int, genus: int, j: int) -> bool:
     return s.nth_element(tri + 1) > j * degree - 2 * genus
 
 
-def _require_degree_genus(degree: int, genus: int, delta: int, label: str) -> None:
+def _require_degree_genus(degree: int, genus: int, delta: int, label: str, *fields) -> None:
+    """Raise ValueError unless the degree and genus fit the total delta;
+    the mismatch text names the cusps by label.format(*fields), which is
+    built only then."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
     if (degree - 1) * (degree - 2) != 2 * (genus + delta):
         raise ValueError(
-            f"degree-genus mismatch for {label}: (d-1)(d-2) = "
+            f"degree-genus mismatch for {label.format(*fields)}: (d-1)(d-2) = "
             f"{(degree - 1) * (degree - 2)} but 2*(g + delta) = {2 * (genus + delta)}"
         )
 

@@ -39,6 +39,15 @@ def test_enumerate_matches_brute_force():
             assert got == oracles.brute_enumerate(g, 25, allow_smooth=smooth), (g, smooth)
 
 
+def test_enumerate_is_in_key_order_without_a_sort():
+    # enumerate_candidates keeps the order _candidates_at_degree gives; a
+    # report at dmax 150 holds every report below it as a prefix
+    for g in range(41):
+        for smooth in (False, True):
+            keys = [c.key() for c in enumerate_candidates(g, 150, allow_smooth=smooth).candidates]
+            assert all(k < k_next for k, k_next in zip(keys, keys[1:])), (g, smooth)
+
+
 def test_admissibility_matches_brute_force():
     report = enumerate_candidates(1, 20, allow_smooth=True)
     for c in report.candidates:

@@ -1,5 +1,7 @@
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -447,6 +449,25 @@ def test_readme_output_blocks_are_real(capsys):
 
 def test_unknown_subcommand(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
+
+
+def test_usage_and_help_ignore_the_terminal_width():
+    # argparse reads COLUMNS when it wraps; each run is a fresh process, so
+    # nothing computed at import time escapes the comparison
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+    base["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [base.get("PYTHONPATH")])])
+    for argv in (["pell", "0"], ["--help"], ["germ", "--help"]):
+        seen = set()
+        for columns in (None, "40", "200"):
+            env = base if columns is None else {**base, "COLUMNS": columns}
+            done = subprocess.run([sys.executable, "-m", "unicusp.cli", *argv], env=env,
+                                  capture_output=True, timeout=60)
+            seen.add((done.returncode, done.stdout, done.stderr))
+        assert len(seen) == 1, argv
+        code, out, err = seen.pop()
+        assert code == (2 if argv[0] == "pell" else 0), argv
+        assert out or err, argv
 
 
 def test_semigroup_query_at_huge_delta(capsys):

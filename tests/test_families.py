@@ -234,6 +234,26 @@ def test_cremona_steps():
         cremona_step(4, 11, "2a")                # output would be unordered
 
 
+def test_cremona_steps_act_on_the_ring_element():
+    # variant "1" multiplies zeta by phi^4, "2a" by phi^-4, and "2b" maps it
+    # to conj(zeta * phi^-12), on every pair the step accepts
+    actions = {"1": lambda z: z * phi_power(4), "2a": lambda z: z * phi_power(-4),
+               "2b": lambda z: (z * phi_power(-12)).conjugate()}
+    steps = dict.fromkeys(actions, 0)
+    for a in range(1, 200):
+        for b in range(a + 1, 200):
+            if (a + b) % 3 or gcd(a, b) != 1:
+                continue
+            for variant, action in actions.items():
+                try:
+                    out = cremona_step(a, b, variant)
+                except ValueError:
+                    continue
+                assert pair_to_element(*out) == action(pair_to_element(a, b)), (a, b, variant)
+                steps[variant] += 1
+    assert min(steps.values()) > 50, steps
+
+
 def test_identity_sweep():
     rep = verify_fibonacci_identities(40)
     assert rep.all_hold and rep.failures == ()

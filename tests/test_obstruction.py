@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import json
 import random
 import time
 
@@ -14,6 +16,8 @@ from unicusp import (
     triangle_upper,
 )
 from unicusp import obstruction
+from unicusp.cli import run
+from unicusp.obstruction import ObstructionWitness, Verdict
 
 import oracles
 
@@ -25,6 +29,44 @@ def test_degree_genus_precondition():
     with pytest.raises(ValueError):
         check_single(4, 7, 1, 7)
     check_single(4, 7, 1, 6)
+
+
+def test_verdict_records_keep_their_surface(capsys):
+    assert list(inspect.signature(Verdict).parameters) == [
+        "admissible", "witness", "checks_performed"]
+    assert list(inspect.signature(ObstructionWitness).parameters) == [
+        "j", "k", "triangular", "lhs_value", "side"]
+    v = check_single(4, 7, 1, 6)
+    assert repr(v) == ("Verdict(admissible=False, witness=ObstructionWitness(j=1, k=0, "
+                       "triangular=3, lhs_value=-1, side='lower'), checks_performed=5)")
+    assert repr(check_single(2, 3, 0, 3)) == (
+        "Verdict(admissible=True, witness=None, checks_performed=3)")
+    # named tuples: equal to the plain tuple of their fields
+    assert v == (False, (1, 0, 3, -1, "lower"), 5)
+    for record, field in ((v, "admissible"), (v, "checks_performed"), (v.witness, "j"),
+                          (v.witness, "side")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    witness = {"j": 1, "k": 0, "lhs_value": -1, "side": "lower", "triangular": 3}
+    for argv, pairs, genus, degree, performed in (
+            (["-a", "4", "-b", "7", "-d", "6"], [[4, 7]], 1, 6, 5),
+            (["--pairs", "2,3;4,9"], [[2, 3], [4, 9]], 2, 7, 7)):
+        assert run(["check", "--genus", str(genus), *argv]) == 1
+        record = {"command": "check", "schema_version": "1", "payload": {
+            "admissible": False, "checks_performed": performed, "degree": degree,
+            "genus": genus, "pairs": pairs, "witness": witness}}
+        assert capsys.readouterr().out == json.dumps(record, sort_keys=True, indent=2) + "\n"
+    mismatch = "degree-genus mismatch for {}: (d-1)(d-2) = 20 but 2*(g + delta) = 30"
+    for call, label in ((lambda g, d: check_single(4, 7, g, d), "<4,7>"),
+                        (lambda g, d: check_multi([(4, 7)], g, d), "[(4, 7)]"),
+                        (lambda g, d: check_multi([(2, 3), (2, 17)], g, d),
+                         "[(2, 3), (2, 17)]")):
+        for genus, degree, text in ((1, 0, "degree must be >= 1, got 0"),
+                                    (-1, 6, "genus must be >= 0, got -1"),
+                                    (6, 6, mismatch.format(label))):
+            with pytest.raises(ValueError) as raised:
+                call(genus, degree)
+            assert str(raised.value) == text, (label, genus, degree)
 
 
 def test_rejection_with_witness():

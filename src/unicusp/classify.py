@@ -225,6 +225,11 @@ def walk_sectors() -> Iterator[Sector]:
     starts from F_3, F_5, F_7 = 2, 5, 13 and steps the odd-index Fibonacci
     numbers by F_{k+2} = 3 F_k - F_{k-2}, so each wall is built once and
     serves as the high wall of one sector and the low wall of the next.
+
+    Each puncture slope lies strictly inside its own walls.  With
+    p, q, r = F_{2l-1}, F_{2l+1}, F_{2l+3}, the identity
+    F_k^2 - F_{k-2} F_{k+2} = (-1)^k at k = 2l + 1 gives q^2 = pr - 1, so
+    q^2/p^2 < r/p < r^2/q^2 (both inequalities read q^2 < pr).
     """
     f_lo, f_mid, f_hi = 2, 5, 13
     low = Fraction(f_mid * f_mid, f_lo * f_lo)

@@ -18,7 +18,6 @@ import argparse
 import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -422,11 +421,6 @@ def _cmd_sectors(args) -> int:
     sectors = []
     for sector in islice(walk_sectors(), args.lmax - 1):
         a_max, b_max = sector_bounds(args.genus, sector.l)
-        # the walls rise from 25/4 toward phi^4, so a puncture strictly
-        # inside its own walls is exactly one that sector_of places there
-        a, b = sector.puncture
-        if not sector.low < Fraction(b, a) < sector.high:
-            raise RuntimeError(f"puncture pair {sector.puncture} missed sector {sector.l}")
         sectors.append({
             "l": sector.l,
             "low": str(sector.low),

@@ -123,31 +123,19 @@ def pair_to_element(a: int, b: int) -> QuadInt | None:
 
 
 def element_to_pair(z: QuadInt, genus: int) -> Candidate | None:
-    """Invert the correspondence, trying z, -z and both conjugates.
+    """Invert the correspondence over z, -z and both conjugates.
 
-    Requires norm(z) = 4(2*genus - 1).  A variant x + y*sqrt5 yields a pair
-    only when x, y > 0, gcd(x, y) is 1 or 2, 3 does not divide y, and the
-    recovered (a, b) is a valid coprime pair; for positive norm at most one
-    variant can win, which is asserted.
+    Requires norm(z) = 4(2*genus - 1).  That norm is even, while u and v
+    both odd give u^2 - 5v^2 = 4 (mod 8) and so an odd norm; hence z is
+    x + y*sqrt5 with integers x, y.  The four variants are the four sign
+    patterns of (x, y), and a variant yields a pair only when x, y > 0
+    (see `_pair_from_coords`), so (|x|, |y|) is the only one to try.
     """
     target = 4 * (2 * genus - 1)
     if z.norm() != target:
         raise ValueError(f"norm {z.norm()} does not match 4*(2g-1) = {target}")
-    found: Candidate | None = None
-    for w in (z, -z, z.conjugate(), -z.conjugate()):
-        coords = w.as_sqrt5()
-        if coords is None:
-            # odd parity forces an odd norm; 4(2g-1) is even
-            continue
-        x, y = coords
-        cand = _pair_from_coords(x, y, genus)
-        if cand is None:
-            continue
-        if found is not None and target > 0:
-            raise RuntimeError(f"two variants of {z} produced pairs: {found}, {cand}")
-        if found is None:
-            found = cand
-    return found
+    x, y = z.as_sqrt5()
+    return _pair_from_coords(abs(x), abs(y), genus)
 
 
 def _pair_from_coords(x: int, y: int, genus: int) -> Candidate | None:
@@ -203,12 +191,15 @@ def lucas_family_neg(k: int, j: int) -> Candidate:
 
 
 def _lucas_candidate(k: int, ia: int, ib: int, id_: int, negate: bool) -> Candidate:
+    """The rung (L_ia, L_ib) of degree L_id_, all negated if asked.
+
+    Both callers pass ia, ib = id_ -+ 2.  Every sequence with the Fibonacci
+    recurrence has L_{n+2} = 2 L_n + L_{n-1} and L_{n-2} = L_n - L_{n-1},
+    so L_{n-2} + L_{n+2} = 3 L_n, and a + b = 3d; negation keeps it.
+    """
     sign = -1 if negate else 1
     a, b, d = sign * lucas(k, ia), sign * lucas(k, ib), sign * lucas(k, id_)
-    g = k * (k - 1) // 2
-    if a + b != 3 * d:
-        raise RuntimeError(f"Lucas rung ({a}, {b}) is off the 3d line, d={d}")
-    return Candidate(g, a, b, d)
+    return Candidate(k * (k - 1) // 2, a, b, d)
 
 
 _CREMONA_VARIANTS = ("1", "2a", "2b")

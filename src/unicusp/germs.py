@@ -273,9 +273,8 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
         if val != 3 * n - 1:
             shown = None if val == order else val
             raise RuntimeError(f"step {n}: valuation {shown}, expected {3 * n - 1}")
+        # val < order is the index of the first nonzero coefficient
         c = unit[val]
-        if c == 0:
-            raise RuntimeError(f"step {n}: zero leading coefficient")
         cs.append(c)
         records.append(
             GermRecord(

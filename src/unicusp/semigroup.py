@@ -128,12 +128,19 @@ class Semigroup:
         """The n-th smallest element, 1-indexed: nth_element(1) = 0."""
         if n < 1:
             raise ValueError(f"index must be >= 1, got {n}")
-        if n <= self._delta:
-            # the smallest m with n elements in [0, m]
-            return bisect_left(range(2 * self._delta), n,
-                               key=lambda m: self.elements_below(m + 1))
-        # beyond the conductor the elements are consecutive integers
-        return self._delta + n - 1
+        if n > self._delta:
+            # beyond the conductor the elements are consecutive integers
+            return self._delta + n - 1
+        # the smallest m with n elements in [0, m]; plain integers, since a
+        # range longer than sys.maxsize has no len() for bisect
+        lo, hi = 0, 2 * self._delta
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.elements_below(mid + 1) < n:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     def elements_below(self, m: int) -> int:
         """Count of semigroup elements strictly below m."""

@@ -486,6 +486,11 @@ def test_semigroup_query_at_huge_delta(capsys):
     assert code == 0
     assert payload_of(out)[1]["value"] == elems[-1]
     assert time.perf_counter() - start < 1.0
+    # 2 * delta above sys.maxsize: the gamma query still answers
+    code, out, _ = invoke(capsys, "semigroup", "-a", "100000000000", "-b", "100000000001",
+                          "--query", "gamma", "--arg", "5")
+    assert code == 0
+    assert payload_of(out)[1]["value"] == 200000000001
 
 
 def test_semigroup_gap_listing_ceiling(capsys, monkeypatch):

@@ -6,10 +6,12 @@ import pytest
 from unicusp import (
     Candidate,
     QuadInt,
+    coprime_decompose,
     cremona_step,
     element_to_pair,
     enumerate_candidates,
     fibonacci,
+    generating_set,
     lucas,
     lucas_family,
     lucas_family_neg,
@@ -18,7 +20,7 @@ from unicusp import (
     phi_power,
     verify_fibonacci_identities,
 )
-from unicusp.families import LucasSeq
+from unicusp.families import LucasSeq, _pair_from_coords
 
 import oracles
 
@@ -109,6 +111,33 @@ def test_element_pair_round_trip():
         done += 1
 
 
+def test_element_to_pair_matches_the_four_variant_rule():
+    # reference: the first of z, -z and both conjugates with x, y > 0 that
+    # _pair_from_coords accepts
+    def by_variants(z, genus):
+        for w in (z, -z, z.conjugate(), -z.conjugate()):
+            x, y = w.as_sqrt5()
+            if x > 0 and y > 0:
+                cand = _pair_from_coords(x, y, genus)
+                if cand is not None:
+                    return cand
+        return None
+
+    orbits = [(pair_to_element(1, 2), 0)]
+    for g in range(1, 400):
+        if coprime_decompose(4 * (2 * g - 1)) is not None:
+            orbits += [(z, g) for z in generating_set(4 * (2 * g - 1))]
+    pairs = 0
+    for gen, g in orbits:
+        for h in range(-40, 41):
+            z = gen * phi_power(2 * h)
+            for w in (z, -z, z.conjugate(), -z.conjugate()):
+                cand = element_to_pair(w, g)
+                assert cand == by_variants(w, g), (w, g)
+                pairs += cand is not None
+    assert pairs > 1000, pairs
+
+
 def test_element_to_pair_norm_guard():
     z = pair_to_element(1, 8)
     with pytest.raises(ValueError):
@@ -155,7 +184,6 @@ def test_genus_mod_three_trichotomy():
             continue
         # otherwise, when an orbit carries pairs, their phi^2-exponent
         # parities follow the residue: g=1 mod 3 pins a single parity
-        from unicusp import coprime_decompose, generating_set
         if coprime_decompose(n) is None:
             continue
         for gen in generating_set(n):
@@ -169,7 +197,6 @@ def test_genus_mod_three_trichotomy():
 
 
 def test_trichotomy_both_parities_at_genus_three():
-    from unicusp import generating_set
     gen = generating_set(20)[0]
     parities = set()
     for h in range(-6, 7):
@@ -200,6 +227,11 @@ def test_lucas_family_members():
             assert c.g == k * (k - 1) // 2
             assert c.a + c.b == 3 * c.d
             assert c.element.norm() == 4 * (2 * c.g - 1)
+    # both ladders stay on the line a + b = 3d
+    for k in range(2, 31):
+        rungs = [lucas_family(k, i) for i in range(2, 61)]
+        rungs += [lucas_family_neg(k, j) for j in range(1, 61)]
+        assert all(c.a + c.b == 3 * c.d for c in rungs), k
     with pytest.raises(ValueError):
         lucas_family(2, 1)
     with pytest.raises(ValueError):

@@ -198,6 +198,7 @@ def test_generating_set_covers_scan():
             continue
         gens = {canonical(z) for z in generating_set(n)}
         assert len(gens) == dec.class_count
+        assert all(z.norm() == n for z in generating_set(n)), n
         for x, y in oracles.pell_solutions(n, 400):
             if oracles.gcd(x, y) != 1 and not (x == 2 and y == 0):
                 continue
@@ -230,3 +231,31 @@ def test_canonical_known_values():
     assert (canonical(z).u, canonical(z).v) == (4, 0)
     w = QuadInt.from_sqrt5(123, 55)  # same orbit, two steps up
     assert canonical(w) == canonical(z)
+
+
+def _canonical_by_search(z, window):
+    # reference: the least of +-phi^(2h) z and their conjugates over h in
+    # the window, by the key (|v|, v < 0, u <= 0, u, v)
+    orbit = []
+    for h in range(-window, window + 1):
+        w = z * phi_power(2 * h)
+        orbit += [w, -w, w.conjugate(), -w.conjugate()]
+    return min(orbit, key=lambda t: (abs(t.v), t.v < 0, t.u <= 0, t.u, t.v))
+
+
+def test_canonical_matches_the_searched_rule():
+    rng = random.Random(17)
+    cases = []
+    for _ in range(400):
+        u, v = rng.randrange(-10 ** 4, 10 ** 4), rng.randrange(-10 ** 4, 10 ** 4)
+        cases.append(QuadInt(u, v + (u - v) % 2))
+    # plateaus, where phi^2 keeps |v| (u = -v, as in QuadInt(-2, 2) = -1 + sqrt5
+    # of norm -4, and u = -5v), and the axes u = 0 and v = 0
+    for t in range(1, 40):
+        cases += [QuadInt(-t, t), QuadInt(t, t), QuadInt(-5 * t, t), QuadInt(5 * t, t),
+                  QuadInt(0, 2 * t), QuadInt(2 * t, 0)]
+    for z in cases:
+        if z.norm() == 0:
+            continue
+        for start in (z, -z.conjugate() * phi_power(6), z * phi_power(-10)):
+            assert canonical(start) == _canonical_by_search(start, 16), start

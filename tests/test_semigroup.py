@@ -95,6 +95,14 @@ def test_nth_element_indexing():
         s.nth_element(0)
     # beyond the gaps everything is consecutive
     assert s.nth_element(s.delta + 5) == 2 * s.delta + 4
+    # 2 * delta above sys.maxsize, where a range cannot be bisected
+    a = 10 ** 11
+    s = Semigroup(a, a + 1)
+    assert [s.nth_element(n) for n in range(1, 7)] == [0, a, a + 1, 2 * a, 2 * a + 1, 2 * a + 2]
+    s = Semigroup(10000000000000008, 10000000000000000000000000000009)
+    n = 1000000000000000000000000000008
+    v = s.nth_element(n)
+    assert s.elements_below(v) < n <= s.elements_below(v + 1)
 
 
 def test_gap_function_shape():

@@ -87,7 +87,7 @@ IDENTITIES_LMAX_MAX = 4000
 # the genus, so its cost grows about linearly in the degree.  At d = 10^5
 # a single cusp took 0.06-0.2 s at g = 0 and 2.2 s for <d-2, d-1>, the
 # slowest shape found (in-process, 2-vCPU x86-64, Python 3.11.7).  With
-# several cusps the check also holds the gap lists, O(total delta) memory:
+# several cusps the check also holds the run starts, O(total delta) memory:
 # total delta 10^6 took 0.2 s at 92 MB.  Its lazy convolution reads about
 # degree * X terms, where X is the total delta less the largest local
 # delta (for two cusps, the smaller local delta), and three or more cusps
@@ -95,7 +95,7 @@ IDENTITIES_LMAX_MAX = 4000
 # additions more; the estimate keeps X^2.  At degree * X = 3 * 10^6,
 # admissible two-cusp inputs took 0.7-1.7 s; three <40, 43> cusps at
 # d = 72 and 74, with degree * X + X^2 = 2.8 * 10^6, took 0.06 s.  A single
-# cusp, from -a/-b or --pairs, holds no gap list and meets only the degree
+# cusp, from -a/-b or --pairs, holds no run starts and meets only the degree
 # bound.  All three bounds are checked before any work.
 CHECK_DEGREE_MAX = 10 ** 5
 CHECK_PAIRS_DELTA_MAX = 10 ** 6
@@ -367,6 +367,8 @@ def _cmd_pell(args) -> int:
         if max(abs(h_min), abs(h_max)) > PELL_ORBIT_MAX:
             return _fail(f"--orbit must be <= {PELL_ORBIT_MAX} in absolute value, "
                          f"got {h_min}:{h_max}")
+        if h_min > h_max:
+            return _fail(f"empty exponent window [{h_min}, {h_max}]")
     payload: dict = {"n": n, "genus": args.genus, "solvable": has_solution(n)}
     dec = coprime_decompose(n) if n >= 1 else None
     gens = []

@@ -31,22 +31,20 @@ values are k, and 0 then k - 1), so the scan starts at row 1.
 The grid is centrally symmetric: cell (j, k) and cell (d-3-j, g-k) hold
 the same value, for one cusp and for several.  The scan therefore stops
 after row (d-3)//2, and the multi-cusp check evaluates the convolution
-of its two operands only at the arguments the scan reads.  With three or
-more cusps, one operand is a `convolve` fold of all cusps but the
-largest, computed whole.  None of this changes a verdict, a witness or
-`checks_performed`, which still counts cells by their position in the
-full d(g+1)-cell grid.
+of its two operands only at the arguments the scan reads, through
+`semigroup.convolve_at`.  With three or more cusps, one operand is a
+`convolve` fold of all cusps but the largest, computed whole.  None of
+this changes a verdict, a witness or `checks_performed`, which still
+counts cells by their position in the full d(g+1)-cell grid.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import partial, reduce
-from itertools import repeat
-from operator import add, attrgetter, sub
+from functools import reduce
+from operator import attrgetter
 from typing import NamedTuple
 
-from .semigroup import Semigroup, convolve
+from .semigroup import Semigroup, convolve, convolve_at
 
 
 class ObstructionWitness(NamedTuple):
@@ -86,58 +84,22 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
 
     The infimum convolution IC of two operands is never tabulated: `_scan`
     reads it at a few dozen arguments per check (22 on average over the
-    stored two-cusp benchmark rows), and each is evaluated on its own from
-    the operands' run starts.  With three or more cusps, all but the one
-    of largest delta are first folded by `convolve`; the fold and the
-    remaining cusp are the two operands.  One cusp is scanned on its own
-    `Semigroup.gaps_at_least`, as `check_single` does, with no gap list.
-
-    By the proof in `convolve`, with run starts a_0 = 0 < a_1 < ... of
-    one operand and b_0 = 0 < b_1 < ... of the other,
-
-        IC(s) = Delta - max over a_i <= s of (i + max{j : b_j <= s - a_i})
-
-    for s >= 0, Delta the total delta, and IC(s) = Delta - s below 0.  IC
-    is symmetric in its operands, so each call enumerates whichever has
-    fewer run starts <= s.
+    stored two-cusp benchmark rows), and `convolve_at` evaluates each on
+    its own.  With three or more cusps, all but the one of largest delta
+    are first folded by `convolve`; the fold and the remaining cusp are
+    the two operands.  One cusp is scanned on its own
+    `Semigroup.gaps_at_least`, as `check_single` does, with no run starts.
     """
     if not pairs:
         raise ValueError("at least one cusp is required")
     semis = sorted((Semigroup(a, b) for a, b in pairs), key=attrgetter("delta"))
-    total_delta = sum(s.delta for s in semis)
-    _require_degree_genus(degree, genus, total_delta, "{}", pairs)
+    _require_degree_genus(degree, genus, sum(s.delta for s in semis), "{}", pairs)
     *rest, last = semis
     if not rest:
         return _scan(genus, degree, last.gaps_at_least, last.first_pair)
-    if len(rest) > 1:
-        first = reduce(convolve, [s.gap_function() for s in rest]).gap_list
-    else:
-        first = rest[0].gaps
-    starts_f, starts_h = ([0, *(x + 1 for x in gaps)] for gaps in (first, last.gaps))
-    return _scan(genus, degree, _lazy_convolution(total_delta, starts_f, starts_h),
+    first = reduce(convolve, [s.gap_function() for s in rest])
+    return _scan(genus, degree, convolve_at(first, last.gap_function()),
                  sum(s.first_pair for s in semis))
-
-
-def _lazy_convolution(total_delta: int, starts_f: list[int], starts_h: list[int]):
-    """IC(s) of the two gap functions with these run starts, as a function
-    of s; `check_multi` gives the formula."""
-    # bisect_right(starts, x) is 1 + max{j : starts[j] <= x}, for x >= 0
-    reach_f = partial(bisect_right, starts_f)
-    reach_h = partial(bisect_right, starts_h)
-
-    def gap_at(s: int) -> int:
-        if s < 0:
-            return total_delta - s
-        n = reach_f(s)
-        n_h = reach_h(s)
-        if n <= n_h:
-            starts, reach = starts_f, reach_h
-        else:
-            n, starts, reach = n_h, starts_h, reach_f
-        return total_delta + 1 - max(map(add, range(n),
-                                         map(reach, map(sub, repeat(s, n), starts))))
-
-    return gap_at
 
 
 def _last_row(degree: int) -> int:

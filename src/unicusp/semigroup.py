@@ -13,20 +13,22 @@ delta - m for m <= 0.  The two are linked by
     elements_below(m) = m - delta + gaps_at_least(m)   for every integer m.
 
 The gap-counting function of a semigroup is a non-increasing step function
-that drops by exactly 1 at each gap; `GapFunction` captures that shape and
-`convolve` combines several of them by infimum convolution
-h(s) = min_m f(m) + g(s - m), the operation used when a curve carries
-several cusps.
+that drops by exactly 1 just past each gap.  `GapFunction` holds that shape
+as its run starts (0, then each gap + 1), the one representation of a gap
+function in the package.  `convolve` combines two of them by infimum
+convolution h(s) = min_m f(m) + g(s - m), the operation used when a curve
+carries several cusps, and `convolve_at` evaluates h one argument at a
+time without tabulating it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain
+from functools import partial, reduce
+from itertools import chain, repeat
 from math import gcd
-from operator import add
+from operator import add, lt, sub
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -168,7 +170,7 @@ class Semigroup:
                 + _floor_sum(terms, a, b, m - 1 - (terms - 1) * b))
 
     def gap_function(self) -> GapFunction:
-        return GapFunction(self._delta, self.gaps)
+        return GapFunction((0, *(x + 1 for x in self.gaps)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Semigroup):
@@ -184,58 +186,55 @@ class Semigroup:
 
 @dataclass(frozen=True)
 class GapFunction:
-    """Non-increasing step function determined by (delta, drop positions).
+    """Non-increasing step function given by its run starts.
 
-    Evaluates to delta - m for m <= 0, to 0 for m >= 2*delta, and drops by
-    exactly 1 just past each entry of gap_list in between.  Semigroup gap
-    counting functions have this shape and the shape is closed under
-    infimum convolution, so a (delta, gap_list) pair is all the state any
-    convolution result needs.
+    starts = (c_0, ..., c_delta) with 0 = c_0 < c_1 < ... < c_delta <=
+    2*delta.  The function is delta - m for m <= 0 and drops by exactly 1
+    at each c_n with n >= 1, so f(m) = delta - #{n >= 1 : c_n <= m} for
+    m >= 0 and f vanishes from c_delta on.  For a semigroup the run starts
+    are 0 and each gap + 1.  Semigroup gap counting functions have this
+    shape and the shape is closed under infimum convolution, so the run
+    starts are all the state any convolution result needs.
     """
 
-    delta: int
-    gap_list: tuple[int, ...]
+    starts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if len(self.gap_list) != self.delta:
-            raise ValueError(
-                f"gap_list has {len(self.gap_list)} entries, delta says {self.delta}"
-            )
-        prev = 0
-        for g in self.gap_list:
-            if g <= prev:
-                raise ValueError("gap_list must be strictly increasing and >= 1")
-            prev = g
-        if self.gap_list and self.gap_list[-1] >= 2 * self.delta:
-            raise ValueError("largest gap must be < 2*delta")
+        s = self.starts
+        if not s or s[0] != 0:
+            raise ValueError("starts must begin with 0")
+        if not all(map(lt, s, s[1:])):
+            raise ValueError("starts must be strictly increasing")
+        if s[-1] > 2 * (len(s) - 1):
+            raise ValueError("last start must be <= 2*delta")
+
+    @property
+    def delta(self) -> int:
+        return len(self.starts) - 1
 
     @classmethod
     def zero(cls) -> GapFunction:
         """The gap function of the full semigroup N: identically max(0, -m)."""
-        return cls(0, ())
+        return cls((0,))
 
     def __call__(self, m: int) -> int:
         if m <= 0:
             return self.delta - m
-        if m >= 2 * self.delta:
-            return 0
-        return self.delta - bisect_left(self.gap_list, m)
+        return len(self.starts) - bisect_right(self.starts, m)
 
 
 def convolve(f: GapFunction, g: GapFunction) -> GapFunction:
     """Infimum convolution h(s) = min over m of f(m) + g(s - m).
 
-    Write the run starts of f as a_0 = 0 and a_i = (i-th gap) + 1, so
-    f(m) = f.delta - #{i >= 1 : a_i <= m} for m >= 0; likewise b_j for g,
-    and Delta = f.delta + g.delta.  Fewer than x gaps lie below x, so
-    f(x) >= f.delta - x, with equality for x <= 0; hence h(s) = Delta - s
-    for s <= 0.  For s >= 0 only m in [0, s] matter: stepping m above s
-    puts g on its slope g.delta - x, which rises by 1 per step while f
-    falls by at most 1, and m below 0 is the same with the roles swapped.
-    On [0, s], f(m) + g(s - m) = Delta - i - j with a_i the last run start
-    <= m and b_j the last <= s - m, so
+    With run starts a_i of f and b_j of g, f(m) = f.delta - #{i >= 1 :
+    a_i <= m} for m >= 0, likewise for g, and Delta = f.delta + g.delta.
+    Fewer than x gaps lie below x, so f(x) >= f.delta - x, with equality
+    for x <= 0; hence h(s) = Delta - s for s <= 0.  For s >= 0 only m in
+    [0, s] matter: stepping m above s puts g on its slope g.delta - x,
+    which rises by 1 per step while f falls by at most 1, and m below 0
+    is the same with the roles swapped.  On [0, s], f(m) + g(s - m) =
+    Delta - i - j with a_i the last run start <= m and b_j the last
+    <= s - m, so
 
         h(s) = Delta - max{i + j : a_i + b_j <= s}
              = Delta - #{n >= 1 : c_n <= s},   c_n = min over i + j = n of a_i + b_j,
@@ -243,25 +242,50 @@ def convolve(f: GapFunction, g: GapFunction) -> GapFunction:
     because the min-plus convolution c strictly increases: an optimal
     split of n + 1 has i >= 1 or j >= 1, and lowering that index gives a
     smaller sum for n.  So h is the gap function with run starts c: c_0 =
-    0, and its gaps c_n - 1 lie in [1, 2*Delta - 1].  Each c_n reads at
-    most min(f.delta, g.delta) + 1 sums, (f.delta + 1)(g.delta + 1) in all.
+    0, and c_Delta = a_last + b_last <= 2*Delta.  Each c_n reads at most
+    min(f.delta, g.delta) + 1 sums, (f.delta + 1)(g.delta + 1) in all.
     """
     if f.delta > g.delta:
         f, g = g, f
     small, large = f.delta, g.delta
-    a = [0, *(x + 1 for x in f.gap_list)]
-    # rev[large - j] = b_j - 1, so each map sums a_i + b_{n-i} - 1 over i
-    rev = [*reversed(g.gap_list), -1]
-    gaps = [min(map(add, a, rev[large - n:large - n + small + 1])) for n in range(1, large + 1)]
-    gaps += [min(map(add, a[n - large:], rev)) for n in range(large + 1, small + large + 1)]
-    return GapFunction(small + large, tuple(gaps))
+    # rev[large - j] = b_j, so each map sums a_i + b_{n-i} over i
+    a, rev = f.starts, g.starts[::-1]
+    starts = [min(map(add, a, rev[large - n:large - n + small + 1])) for n in range(large + 1)]
+    starts += [min(map(add, a[n - large:], rev)) for n in range(large + 1, small + large + 1)]
+    return GapFunction(tuple(starts))
 
 
-def convolution_values(parts: list[GapFunction], top: int) -> list[int]:
-    """Values at s = 0, 1, ..., top of the infimum convolution of all parts,
-    the `convolve` fold of the parts; no parts give the zero gap function."""
-    h = reduce(convolve, parts, GapFunction.zero())
-    return [h(s) for s in range(top + 1)]
+def convolve_at(f: GapFunction, g: GapFunction):
+    """The infimum convolution of f and g as a function of s, each value
+    computed on its own, with no run starts of the result tabulated.
+
+    By the proof in `convolve`, with run starts a_i of f, b_j of g and
+    Delta = f.delta + g.delta,
+
+        IC(s) = Delta - max over a_i <= s of (i + max{j : b_j <= s - a_i})
+
+    for s >= 0, and IC(s) = Delta - s below 0.  IC is symmetric in its
+    operands, so each call enumerates whichever has fewer run starts <= s.
+    """
+    total_delta = f.delta + g.delta
+    starts_f, starts_g = f.starts, g.starts
+    # bisect_right(starts, x) is 1 + max{j : starts[j] <= x}, for x >= 0
+    reach_f = partial(bisect_right, starts_f)
+    reach_g = partial(bisect_right, starts_g)
+
+    def gap_at(s: int) -> int:
+        if s < 0:
+            return total_delta - s
+        n = reach_f(s)
+        n_g = reach_g(s)
+        if n <= n_g:
+            starts, reach = starts_f, reach_g
+        else:
+            n, starts, reach = n_g, starts_g, reach_f
+        return total_delta + 1 - max(map(add, range(n),
+                                         map(reach, map(sub, repeat(s, n), starts))))
+
+    return gap_at
 
 
 def combined_gap_value(parts: list[GapFunction], m: int) -> int:

@@ -270,6 +270,14 @@ def test_pell_usage_errors(capsys):
     assert invoke(capsys, "pell", "--genus", "1", "--orbit", "nonsense")[0] == 2
 
 
+def test_pell_reversed_orbit_window(capsys):
+    # the window is checked before the generators are known, so genus 0
+    # (n = -4) and genus 2 (n = 12), which have none, reject it too
+    results = [invoke(capsys, "pell", "--genus", genus, "--orbit", "3:1")
+               for genus in ("0", "1", "2")]
+    assert results == [(2, "", "error: empty exponent window [3, 1]\n")] * 3
+
+
 def test_families_commands(capsys):
     code, out, _ = invoke(capsys, "families", "--k", "2", "--i", "2")
     assert code == 0

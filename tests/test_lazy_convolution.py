@@ -1,20 +1,20 @@
 """The multi-cusp check evaluates the infimum convolution lazily.
 
-`check_multi` reads IC(s) only at the arguments the scan asks for, from
-the two operands' run starts.  These tests hold it to the tabulated convolution
-(`convolution_values` on every argument the half scan can read, the
-earlier implementation), to the brute-force oracle, and to the stored
-two-cusp reference table.
+`check_multi` reads IC(s) only at the arguments the scan asks for, through
+`semigroup.convolve_at` on the two operands' run starts.  These tests hold
+it to the whole convolution (the `convolve` fold of all cusps, computed
+before the scan, the earlier implementation), to the brute-force oracle,
+and to the stored two-cusp reference table.
 """
 
 import json
 import random
 import time
+from functools import reduce
 from math import gcd
 from pathlib import Path
 
-from unicusp import Semigroup, check_multi, obstruction
-from unicusp.semigroup import convolution_values
+from unicusp import Semigroup, check_multi, convolve, obstruction
 
 import oracles
 
@@ -22,13 +22,11 @@ PAIRS_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "pairs_refe
 
 
 def _table_check(pairs, genus, degree):
-    """The check with the convolution tabulated on [0, top] first."""
+    """The check with the whole convolution, the `convolve` fold of all
+    cusps, computed first."""
     semis = [Semigroup(a, b) for a, b in pairs]
-    total = sum(s.delta for s in semis)
-    top = max(0, (degree - 3) // 2 * degree + 1)
-    table = convolution_values([s.gap_function() for s in semis], top)
-    return obstruction._scan(genus, degree, lambda m: table[m] if m >= 0 else total - m,
-                             sum(s.first_pair for s in semis))
+    h = reduce(convolve, [s.gap_function() for s in semis])
+    return obstruction._scan(genus, degree, h, sum(s.first_pair for s in semis))
 
 
 def _verdict_tuple(v):

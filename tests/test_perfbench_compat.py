@@ -3,10 +3,10 @@
 perfbench/spans.py records spans by rebinding public names where their
 callers look them up (for example `unicusp.obstruction.convolve`).  A
 refactor that drops one of those bindings breaks `perfbench/run.py
---trace 1`; this test installs the tracer, runs four commands through it
-(two of them germ models, whose int-list recursions make none of the
-series products it counts), and checks that uninstalling restores every
-binding.
+--trace 1`; this test installs the tracer, runs five commands through it
+(one of them a three-cusp check, the only kind that folds by `convolve`,
+and two germ models, whose int-list recursions make none of the series
+products it counts), and checks that uninstalling restores every binding.
 """
 
 import importlib
@@ -44,6 +44,7 @@ def test_tracer_installs_runs_and_restores():
         assert all(before[key] is not now for key, now in _bindings().items())
         codes = []
         for op, argv in enumerate((["check", "--genus", "3", "--pairs", "2,3;2,5"],
+                                   ["check", "--genus", "2", "--pairs", "2,3;2,3;2,5"],
                                    ["enumerate", "--genus", "1", "--dmax", "12"],
                                    ["germ", "--node", "3", "--order", "12"],
                                    ["germ", "--flex", "5"])):
@@ -51,11 +52,11 @@ def test_tracer_installs_runs_and_restores():
                 codes.append(tracer.run_op(op, cli.run, argv))
     finally:
         tracer.uninstall()
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     names = {span[3] for span in tracer.spans}
     assert {"cli.run", "obstruction.check_multi", "obstruction.check_single",
-            "semigroup.construct", "classify.enumerate", "germs.sequence",
-            "germs.flex"} <= names
+            "semigroup.construct", "semigroup.convolve", "classify.enumerate",
+            "germs.sequence", "germs.flex"} <= names
     # series products are counted per op, and no op makes any
     assert dict(tracer.series_mul) == {}
     after = _bindings()

@@ -106,29 +106,31 @@ def test_nth_element_indexing():
 
 
 def test_gap_function_shape():
-    s = Semigroup(4, 7)
-    f = s.gap_function()
-    assert f.delta == 9
-    assert f(0) == 9
-    assert f(-4) == 13
-    assert f(18) == 0          # beyond the largest gap 2*delta-1
-    assert f(17) == 1
-    for m in range(0, 20):
-        assert f(m) == s.gaps_at_least(m)
+    # f(m) is gaps_at_least(m) everywhere, and the run starts are 0, then
+    # each gap + 1
+    for a, b in ((1, 2), (2, 3), (4, 7), (5, 51)):
+        s = Semigroup(a, b)
+        f = s.gap_function()
+        assert f.delta == s.delta
+        assert f.starts == (0, *(x + 1 for x in oracles.gap_list(a, b))), (a, b)
+        for m in range(-3, 2 * s.delta + 4):
+            assert f(m) == s.gaps_at_least(m), (a, b, m)
+    f = Semigroup(4, 7).gap_function()
+    assert (f(-4), f(0), f(17), f(18)) == (13, 9, 1, 0)  # largest gap 17
 
     z = GapFunction.zero()
+    assert z.starts == (0,)
     assert z.delta == 0 and z(0) == 0 and z(-3) == 3
 
 
 def test_gap_function_validation():
     with pytest.raises(ValueError):
-        GapFunction(2, (1,))           # count mismatch
+        GapFunction((1, 2))            # does not start at 0
     with pytest.raises(ValueError):
-        GapFunction(2, (3, 1))         # not increasing
+        GapFunction((0, 3, 2))         # not increasing
     with pytest.raises(ValueError):
-        GapFunction(1, (2,))           # gap beyond 2*delta-1
-    with pytest.raises(ValueError):
-        GapFunction(1, (0,))           # gaps start at 1
+        GapFunction((0, 3))            # last start beyond 2*delta
+    GapFunction((0, 2))                # the gap function of <2, 3>
 
 
 def test_convolve_identity_and_symmetry():
@@ -183,9 +185,9 @@ def test_convolve_drop_structure():
     h = convolve(f, g)
     assert h.delta == f.delta + g.delta
     assert h(0) == h.delta
-    # drops happen exactly at the combined gap list, largest at 2*delta-1
-    assert h.gap_list[-1] == 2 * h.delta - 1
-    assert len(h.gap_list) == h.delta
+    # one run start per unit of delta, the last at 2*delta
+    assert h.starts[-1] == 2 * h.delta
+    assert len(h.starts) == h.delta + 1
 
 
 def test_combined_gap_value():

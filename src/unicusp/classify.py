@@ -126,21 +126,22 @@ def _divisor_pairs(m: int) -> list[tuple[int, int]]:
 
     Plain trial division up to sqrt(m), on purpose: a divisor list built
     from `quadring.factorize` (the products of its prime powers, sorted)
-    was 2.0-2.5x slower over the 34,350 searches of the seed-0 `sweep`
-    pool (370-470 ms against 165-190 ms, 2-vCPU x86-64, Python 3.11.7).
+    was about 3x slower over the 34,350 searches of the seed-0 `sweep`
+    pool (270-350 ms against 80-120 ms a pass, 14 passes each, 2-vCPU
+    x86-64, Python 3.11.7).
     """
-    out = []
-    u = 1
-    while u * u <= m:
-        if m % u == 0:
-            out.append((u, m // u))
-        u += 1
-    return out
+    return [(u, m // u) for u in range(1, isqrt(m) + 1) if m % u == 0]
 
 
 def _candidates_at_degree(genus: int, d: int, allow_smooth: bool) -> list[Candidate]:
     """The candidates of degree d, each with its verdict, in ascending a:
-    `_divisor_pairs` ascends in u = a - 1, and b follows from a."""
+    `_divisor_pairs` ascends in u = a - 1, and b follows from a.
+
+    Every pair kept has a < b and gcd(a, b) = 1, (a - 1)(b - 1) =
+    (d - 1)(d - 2) - 2g holds by the choice of u and v, and d >= 1 and
+    g >= 0: all that `Candidate` validates, so `Candidate._make` builds
+    the candidates without a second check.
+    """
     m = (d - 1) * (d - 2) - 2 * genus
     if m < 0:
         return []
@@ -153,7 +154,7 @@ def _candidates_at_degree(genus: int, d: int, allow_smooth: bool) -> list[Candid
             a, b = u + 1, v + 1
             if a < b and gcd(a, b) == 1:
                 found.append((a, b))
-    return [Candidate(genus, a, b, d, admissible=check_single(a, b, genus, d).admissible)
+    return [Candidate._make((genus, a, b, d, check_single(a, b, genus, d).admissible))
             for a, b in found]
 
 

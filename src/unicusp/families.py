@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .quadring import QuadInt, phi_power
 from .semigroup import check_generators
@@ -74,9 +75,8 @@ def lucas(k: int, n: int) -> int:
     return LucasSeq(k)(n)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A (genus, a, b, degree) tuple satisfying the degree-genus identity."""
+class _CandidateFields(NamedTuple):
+    """The fields of a `Candidate`, in order."""
 
     g: int
     a: int
@@ -84,17 +84,30 @@ class Candidate:
     d: int
     admissible: bool | None = None
 
-    def __post_init__(self):
-        check_generators(self.a, self.b)
-        if self.g < 0 or self.d < 1:
-            raise ValueError(f"bad genus/degree ({self.g}, {self.d})")
-        lhs = (self.d - 1) * (self.d - 2)
-        rhs = (self.a - 1) * (self.b - 1) + 2 * self.g
+
+class Candidate(_CandidateFields):
+    """A (genus, a, b, degree) tuple satisfying the degree-genus identity.
+
+    A named tuple, so it compares equal to the plain tuple of its fields.
+    `Candidate(...)` and `_replace` validate; `Candidate._make` does not,
+    and serves callers that have already proved what validation checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, g: int, a: int, b: int, d: int, admissible: bool | None = None):
+        check_generators(a, b)
+        if g < 0 or d < 1:
+            raise ValueError(f"bad genus/degree ({g}, {d})")
+        lhs = (d - 1) * (d - 2)
+        rhs = (a - 1) * (b - 1) + 2 * g
         if lhs != rhs:
-            raise ValueError(
-                f"degree-genus violated for {(self.a, self.b, self.d, self.g)}: "
-                f"{lhs} != {rhs}"
-            )
+            raise ValueError(f"degree-genus violated for {(a, b, d, g)}: {lhs} != {rhs}")
+        return super().__new__(cls, g, a, b, d, admissible)
+
+    def _replace(self, **changes) -> Candidate:
+        """A copy with the given fields changed, validated as when built."""
+        return Candidate(*super()._replace(**changes))
 
     @property
     def on_3d_line(self) -> bool:

@@ -151,17 +151,19 @@ class Semigroup:
     def gaps_at_least(self, m: int) -> int:
         """Count of integers >= m outside the semigroup (negatives included).
 
-        This is delta - m plus the number of elements below m.  Only
-        multiples of a lie below b, so for 0 < m <= b that number is
-        (m - 1) // a + 1.  In general, summing over u, the elements
-        u*b + v*a < m number (m - 1 - u*b) // a + 1 for each
-        u < min(a, (m - 1) // b + 1), a floor sum.
+        This is delta - m plus the number of elements below m.  Summing
+        over u, the elements u*b + v*a < m number (m - 1 - u*b) // a + 1
+        for each u < min(a, (m - 1) // b + 1), a floor sum.  For 0 < m <= b
+        only u = 0 counts, and for b < m <= 2b with a >= 2 only u = 0 and
+        u = 1, so both ranges take their terms in closed form.
         """
         if m <= 0:
             return self._delta - m
         a, b = self._a, self._b
         if m <= b:
             return self._delta - m + (m - 1) // a + 1
+        if m <= 2 * b and a > 1:
+            return self._delta - m + (m - 1) // a + (m - 1 - b) // a + 2
         terms = (m - 1) // b + 1
         if terms > a:  # min(a, ...), without the call
             terms = a
@@ -200,7 +202,10 @@ class GapFunction:
     starts: tuple[int, ...]
 
     def __post_init__(self):
-        s = self.starts
+        # any sequence is stored as a tuple: hashable, equal to the tuple
+        # form, and unchanged when the caller's list changes
+        s = tuple(self.starts)
+        object.__setattr__(self, "starts", s)
         if not s or s[0] != 0:
             raise ValueError("starts must begin with 0")
         if not all(map(lt, s, s[1:])):

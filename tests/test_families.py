@@ -60,6 +60,9 @@ def test_candidate_validation():
         Candidate(1, 2, 4, 3)            # not coprime
     with pytest.raises(ValueError):
         Candidate(1, 1, 8, 4)            # degree-genus broken
+    with pytest.raises(ValueError):
+        Candidate(1, 1, 8, 3)._replace(d=4)   # _replace validates too
+    assert Candidate(1, 1, 8, 3)._replace(admissible=True) == (1, 1, 8, 3, True)
 
 
 def test_candidate_element_is_derived():
@@ -70,6 +73,8 @@ def test_candidate_element_is_derived():
     # the norm holds on the line with no check at construction
     for g in range(41):
         for c in enumerate_candidates(g, 300, allow_smooth=True).candidates:
+            # the sweep builds candidates unchecked; each must pass the check
+            assert Candidate(*c) == c, c
             if not c.on_3d_line:
                 assert c.element is None, c
                 continue

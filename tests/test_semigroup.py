@@ -131,6 +131,11 @@ def test_gap_function_validation():
     with pytest.raises(ValueError):
         GapFunction((0, 3))            # last start beyond 2*delta
     GapFunction((0, 2))                # the gap function of <2, 3>
+    starts = [0, 2]                    # a list is stored as a tuple
+    f = GapFunction(starts)
+    assert f == GapFunction((0, 2)) and hash(f) == hash(GapFunction((0, 2)))
+    starts.append(5)
+    assert f.starts == (0, 2) and f.delta == 1
 
 
 def test_convolve_identity_and_symmetry():
@@ -257,15 +262,15 @@ def test_counting_matches_oracle_up_to_large_generators():
 
 
 def test_counting_around_b_matches_oracle():
-    # gaps_at_least counts 0 < m <= b from the multiples of a alone and
-    # switches to the floor sum past b; both sides of the switch, and the
-    # last argument below 2b, against the oracles
+    # gaps_at_least counts 0 < m <= b from the multiples of a alone, then
+    # b < m <= 2b from two residue classes, and switches to the floor sum
+    # past 2b; both sides of both switches against the oracles
     pairs = _large_generator_pairs()
     assert len(pairs) == 29
     for a, b in pairs:
         delta = (a - 1) * (b - 1) // 2
         s = Semigroup(a, b)
-        for m in (b - 1, b, b + 1, 2 * b - 1):
+        for m in (b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1):
             r = oracles.count_below(a, b, m)
             assert s.elements_below(m) == r, (a, b, m)
             if (a - 1) * (b - 1) <= 20000:

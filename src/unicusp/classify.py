@@ -8,6 +8,14 @@ each pair, and splits the outcome into pairs on the line a + b = 3d
 versus exceptions, tagging exceptions that belong to one of the known
 syntactic families.
 
+The families live in one table, `_FAMILIES`: each row is a tag and the
+member (g, a, b, d) at parameter t, for `(l,9l+1)`, `(p,p+3)`, `(p,2p-1)`
+and `(3n,21n+1)`, in the order tags print.  `_tags_for` and
+`exceptional_family` both read it, with one difference of range: a tag
+is a formula match at whatever parameter a determines, so (3, 22, 8) and
+(6, 43, 16) carry `(3n,21n+1)` at n = 1, 2, while `exceptional_family`
+keeps the paper's ranges and refuses kind 3 at n <= 2.
+
 The slope plane b/a > 1 is cut by the sector walls (F_{2l+1}/F_{2l-1})^2,
 l = 2, 3, ..., which climb from 25/4 toward phi^4.  `walk_sectors` is the
 one place the walls and the puncture pairs (F_{2l-1}, F_{2l+3}) are
@@ -64,19 +72,25 @@ class SlopePair:
         return (lo, hi)
 
 
+# The named exception families, one row each: the tag, its step, and the
+# member (g, a, b, d) at parameter t.  Every row has a = step * t, the step
+# being the member's a at t = 1, so a determines t = a // step; when the
+# step does not divide a, the member at that t has another a.  Row k is
+# `exceptional_family` kind k, and tags print in row order.
+_FAMILIES = tuple((tag, member(1)[1], member) for tag, member in (
+    ("(l,9l+1)", lambda t: (1, t, 9 * t + 1, 3 * t)),
+    ("(p,p+3)", lambda t: (t + 2, t, t + 3, t + 3)),
+    ("(p,2p-1)", lambda t: ((t - 1) * (t - 2), t, 2 * t - 1, 2 * t - 1)),
+    ("(3n,21n+1)", lambda t: ((t - 1) * (t - 2) // 2, 3 * t, 21 * t + 1, 8 * t)),
+))
+
+
 def _tags_for(c: Candidate) -> tuple[str, ...]:
-    tags = []
-    if c.g == 1 and c.b == 9 * c.a + 1 and c.d == 3 * c.a:
-        tags.append("(l,9l+1)")
-    if c.b == c.a + 3 and c.d == c.a + 3 and c.g == c.a + 2:
-        tags.append("(p,p+3)")
-    if c.b == 2 * c.a - 1 and c.d == 2 * c.a - 1 and c.g == (c.a - 1) * (c.a - 2):
-        tags.append("(p,2p-1)")
-    if c.a % 3 == 0:
-        n = c.a // 3
-        if c.b == 7 * c.a + 1 and 3 * c.d == 8 * c.a and c.g == (n - 1) * (n - 2) // 2:
-            tags.append("(3n,21n+1)")
-    return tuple(tags)
+    """The tag of every family whose member at the parameter that a
+    determines is c: a formula match, whatever the kind's range."""
+    g, a, b, d, _ = c
+    fields = (g, a, b, d)
+    return tuple([tag for tag, step, member in _FAMILIES if member(a // step) == fields])
 
 
 @dataclass(frozen=True)
@@ -192,29 +206,25 @@ def enumerate_candidates(
 
 
 def exceptional_family(kind: int, param: int) -> Candidate:
-    """Closed-form member of one of the three infinite exception families.
+    """Member at `param` of one of the three infinite exception families,
+    built from row `kind` of `_FAMILIES`, with its verdict.
 
-    kind 1: (p, p+3), degree p+3, genus p+2, for p >= 2 with 3 not | p
-    kind 2: (p, 2p-1), degree 2p-1, genus (p-1)(p-2), for p >= 2
-    kind 3: (3n, 21n+1), degree 8n, genus (n-1)(n-2)/2, for n > 2
+    kind 1: `(p,p+3)`, for p >= 2 with 3 not | p
+    kind 2: `(p,2p-1)`, for p >= 2
+    kind 3: `(3n,21n+1)`, for n > 2
     """
     if kind == 1:
-        p = param
-        if p < 2 or p % 3 == 0:
-            raise ValueError(f"kind 1 needs p >= 2 with p not divisible by 3, got {p}")
-        a, b, d, g = p, p + 3, p + 3, p + 2
+        if param < 2 or param % 3 == 0:
+            raise ValueError(f"kind 1 needs p >= 2 with p not divisible by 3, got {param}")
     elif kind == 2:
-        p = param
-        if p < 2:
-            raise ValueError(f"kind 2 needs p >= 2, got {p}")
-        a, b, d, g = p, 2 * p - 1, 2 * p - 1, (p - 1) * (p - 2)
+        if param < 2:
+            raise ValueError(f"kind 2 needs p >= 2, got {param}")
     elif kind == 3:
-        n = param
-        if n <= 2:
-            raise ValueError(f"kind 3 needs n > 2, got {n}")
-        a, b, d, g = 3 * n, 21 * n + 1, 8 * n, (n - 1) * (n - 2) // 2
+        if param <= 2:
+            raise ValueError(f"kind 3 needs n > 2, got {param}")
     else:
         raise ValueError(f"kind must be 1, 2 or 3, got {kind}")
+    g, a, b, d = _FAMILIES[kind][2](param)
     return Candidate(g, a, b, d, admissible=check_single(a, b, g, d).admissible)
 
 

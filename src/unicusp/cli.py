@@ -591,24 +591,25 @@ def _attach_negative_windows(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str]) -> int:
-    try:
-        args = _PARSER.parse_args(_attach_negative_windows(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        with _unlimited_int_digits():
+    with _unlimited_int_digits():
+        try:
+            args = _PARSER.parse_args(_attach_negative_windows(argv))
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
             return args.func(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    except RuntimeError as exc:
-        sys.stderr.write(f"computation rejected: {exc}\n")
-        return 1
+        except ValueError as exc:
+            return _fail(str(exc))
+        except RuntimeError as exc:
+            sys.stderr.write(f"computation rejected: {exc}\n")
+            return 1
 
 
 @contextmanager
 def _unlimited_int_digits():
-    """Lift Python's int-to-str digit limit for output, then restore the
-    caller's setting.  Pythons without the limit have nothing to lift."""
+    """Lift Python's int-str digit limit, for arguments as well as output,
+    then restore the caller's setting.  Pythons without the limit have
+    nothing to lift."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return

@@ -143,7 +143,10 @@ def element_to_pair(z: QuadInt, genus: int) -> Candidate | None:
     x + y*sqrt5 with integers x, y.  The four variants are the four sign
     patterns of (x, y), and a variant yields a pair only when x, y > 0
     (see `_pair_from_coords`), so (|x|, |y|) is the only one to try.
+    A negative genus is refused, since no candidate has one.
     """
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
     target = 4 * (2 * genus - 1)
     if z.norm() != target:
         raise ValueError(f"norm {z.norm()} does not match 4*(2g-1) = {target}")
@@ -159,14 +162,15 @@ def _pair_from_coords(x: int, y: int, genus: int) -> Candidate | None:
     a + b = 3d with d = (3y - x)/2.  Then zeta(a, b) = x + y*sqrt5 = w, so
     by the norm identity in `Candidate.element` the degree-genus identity
     holds, and 1 <= a < b gives d >= 1.  Only the order and coprimality
-    of (a, b) are left to test.
+    of (a, b) are left to test; `element_to_pair` refuses a negative
+    genus, so `Candidate._make` builds the pair without a second check.
     """
     if x <= 0 or y <= 0 or y % 3 == 0 or gcd(x, y) > 2:
         return None
     a, b = (7 * y - 3 * x) // 2, y
     if a < 1 or a >= b or gcd(a, b) != 1:
         return None
-    return Candidate(genus, a, b, (a + b) // 3)
+    return Candidate._make((genus, a, b, (a + b) // 3, None))
 
 
 def orbit_candidates(z: QuadInt, genus: int, h_min: int, h_max: int) -> list[Candidate]:

@@ -17,7 +17,7 @@ from unicusp import (
     sector_of,
     walk_sectors,
 )
-from unicusp.classify import _square_free_split, _tags_for
+from unicusp.classify import _FAMILIES, _square_free_split, _tags_for
 
 import oracles
 
@@ -99,8 +99,44 @@ def test_exception_tags():
     assert _tags_for(Candidate(6, 4, 7, 7)) == ("(p,p+3)", "(p,2p-1)")
     assert _tags_for(Candidate(12, 5, 9, 9)) == ("(p,2p-1)",)
     assert _tags_for(Candidate(1, 9, 64, 24)) == ("(3n,21n+1)",)
+    # a tag is a formula match at any parameter: n = 1, 2 are tagged, though
+    # exceptional_family keeps kind 3 to n > 2
     assert _tags_for(Candidate(0, 3, 22, 8)) == ("(3n,21n+1)",)
+    assert _tags_for(Candidate(0, 6, 43, 16)) == ("(3n,21n+1)",)
     assert _tags_for(Candidate(1, 6, 37, 15)) == ()
+
+
+# small parameters of every row of the family table, kept in range: a >= 2
+# and gcd(a, b) = 1 (3 divides both p and p + 3 when it divides p)
+FAMILY_PARAMS = {
+    "(l,9l+1)": range(2, 14),
+    "(p,p+3)": [p for p in range(2, 20) if p % 3],
+    "(p,2p-1)": range(2, 14),
+    "(3n,21n+1)": range(1, 7),
+}
+
+
+def test_family_members_are_tagged_admissible_exceptions():
+    assert [tag for tag, _, _ in _FAMILIES] == list(FAMILY_PARAMS)
+    for tag, _, member in _FAMILIES:
+        for t in FAMILY_PARAMS[tag]:
+            c = Candidate(*member(t))
+            assert not c.on_3d_line, (tag, t)
+            assert tag in _tags_for(c), (tag, t)
+            assert oracles.brute_admissible(c.a, c.b, c.g, c.d) == (True, None), (tag, t)
+
+
+def test_exceptional_family_is_tagged_by_its_kind():
+    tags = {1: "(p,p+3)", 2: "(p,2p-1)", 3: "(3n,21n+1)"}
+    for kind, tag in tags.items():
+        made = 0
+        for param in range(3, 60):
+            if kind == 1 and param % 3 == 0:
+                continue
+            c = exceptional_family(kind, param)
+            assert tag in _tags_for(c) and c.admissible, (kind, param)
+            made += 1
+        assert made > 35, kind
 
 
 def test_enumerate_validation():

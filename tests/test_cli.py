@@ -166,6 +166,26 @@ def test_enumerate_tsv_rows(capsys):
     assert "6\t2\t19\t1\ttrue\tfalse\t(l,9l+1)\t-" in lines
 
 
+def test_enumerate_tags_agree_between_json_and_tsv(capsys):
+    tagged = 0
+    for g in range(6):
+        code, out, _ = invoke(capsys, "enumerate", "--genus", str(g), "--dmax", "120")
+        assert code == 0
+        payload = payload_of(out)[1]
+        by_json = {(c["d"], c["a"], c["b"]): ",".join(c["tags"]) or "-"
+                   for c in payload["exceptions"]}
+        code, out, _ = invoke(capsys, "enumerate", "--genus", str(g), "--dmax", "120",
+                              "--format", "tsv")
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert len(rows) == len(payload["candidates"]), g
+        for d, a, b, _, _, _, tags, _ in rows:
+            assert tags == by_json.pop((int(d), int(a), int(b)), "-"), (g, a, b, d)
+            tagged += tags != "-"
+        assert by_json == {}, g
+    assert tagged > 30, tagged
+
+
 def test_enumerate_json_counts(capsys):
     code, out, _ = invoke(capsys, "enumerate", "--genus", "1", "--dmax", "25",
                           "--allow-smooth")
@@ -552,6 +572,25 @@ def test_families_huge_index(capsys):
         assert cand["b"] == expect
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_semigroup_query_huge_generator(capsys):
+    # -b has 5001 digits, past Python's default str-to-int limit; counting
+    # queries answer at any size, and the caller's own limit survives the run
+    before = sys.get_int_max_str_digits()
+    b = 10 ** 5000 + 1
+    text = "1" + "0" * 4999 + "1"
+    code, out, err = invoke(capsys, "semigroup", "-a", "2", "-b", text,
+                            "--query", "R", "--arg", "5")
+    assert code == 0, err[:200]
+    assert sys.get_int_max_str_digits() == before
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = payload_of(out)[1]
+    finally:
+        sys.set_int_max_str_digits(before)
+    # R(5) of <2, b> with b > 5 counts the elements 0, 2 and 4
+    assert (payload["b"], payload["value"]) == (b, 3)
 
 
 def test_sectors_and_families_ceilings(capsys):

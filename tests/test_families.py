@@ -147,6 +147,26 @@ def test_element_to_pair_norm_guard():
     z = pair_to_element(1, 8)
     with pytest.raises(ValueError):
         element_to_pair(z, 2)
+    # norm(15 + 7 sqrt5) = -20 = 4(2g - 1) at g = -2, and the pair it
+    # carries, (2, 7) of degree 3, holds the degree-genus identity there
+    z = QuadInt.from_sqrt5(15, 7)
+    assert z.norm() == -20
+    with pytest.raises(ValueError, match=r"genus must be >= 0, got -2"):
+        element_to_pair(z, -2)
+
+
+def test_orbit_candidates_pass_validation():
+    # _pair_from_coords builds its candidates unchecked; each must pass
+    orbits = [(pair_to_element(1, 2), 0)]
+    for g in range(1, 41):
+        if coprime_decompose(4 * (2 * g - 1)) is not None:
+            orbits += [(z, g) for z in generating_set(4 * (2 * g - 1))]
+    found = 0
+    for z, g in orbits:
+        for c in orbit_candidates(z, g, -100, 100):
+            assert type(c) is Candidate and Candidate(*c) == c, (z, g, c)
+            found += 1
+    assert found > 1000, found
 
 
 def test_orbit_candidates_frozen():

@@ -85,12 +85,23 @@ _FAMILIES = tuple((tag, member(1)[1], member) for tag, member in (
 ))
 
 
+# The rows again, each with its b at t = 0 and the slope of b in t, read
+# off the member (b is linear in t in every row): `_tags_for` rules a row
+# out from a and b before it builds the member.
+_TAG_ROWS = tuple((tag, step, member(0)[2], member(1)[2] - member(0)[2], member)
+                  for tag, step, member in _FAMILIES)
+
+
 def _tags_for(c: Candidate) -> tuple[str, ...]:
     """The tag of every family whose member at the parameter that a
     determines is c: a formula match, whatever the kind's range."""
     g, a, b, d, _ = c
-    fields = (g, a, b, d)
-    return tuple([tag for tag, step, member in _FAMILIES if member(a // step) == fields])
+    tags = ()
+    for tag, step, b0, slope, member in _TAG_ROWS:
+        t = a // step
+        if b == b0 + slope * t and member(t) == (g, a, b, d):
+            tags += (tag,)
+    return tags
 
 
 @dataclass(frozen=True)

@@ -167,15 +167,16 @@ def _candidate_json(c: Candidate, tags: tuple[str, ...] | None, indent: str) -> 
     """A candidate's object from one template: its keys in sorted order are
     a, admissible (when decided), b, d, element, g, on_3d_line, tags (when
     given)."""
+    g, a, b, d, admissible = c  # one unpack: named-field reads cost more
     i = indent + "  "
-    admissible = ("" if c.admissible is None
-                  else f'{i}"admissible": {"true" if c.admissible else "false"},\n')
+    verdict = ("" if admissible is None
+               else f'{i}"admissible": {"true" if admissible else "false"},\n')
     on_line = c.on_3d_line
     # the element is None exactly off the line
     element = encode_basestring_ascii(str(c.element)) if on_line else "null"
     tail = "" if tags is None else f',\n{i}"tags": {_json(list(tags), i, {})}'
-    return (f'{{\n{i}"a": {c.a},\n{admissible}{i}"b": {c.b},\n{i}"d": {c.d},\n'
-            f'{i}"element": {element},\n{i}"g": {c.g},\n'
+    return (f'{{\n{i}"a": {a},\n{verdict}{i}"b": {b},\n{i}"d": {d},\n'
+            f'{i}"element": {element},\n{i}"g": {g},\n'
             f'{i}"on_3d_line": {"true" if on_line else "false"}{tail}\n{indent}}}')
 
 
@@ -313,12 +314,14 @@ def _enumerate_tsv(report) -> str:
     lines = ["d\ta\tb\tg\tadmissible\ton_3d_line\ttags\telement"]
     tag_map = {(c.a, c.b): tags for c, tags in report.exceptions}
     for c in report.candidates:
-        tags = tag_map.get((c.a, c.b), ()) if not c.on_3d_line else ()
+        g, a, b, d, admissible = c
+        on_line = c.on_3d_line
+        tags = () if on_line else tag_map.get((a, b), ())
         element = c.element
         lines.append("\t".join([
-            str(c.d), str(c.a), str(c.b), str(c.g),
-            "true" if c.admissible else "false",
-            "true" if c.on_3d_line else "false",
+            str(d), str(a), str(b), str(g),
+            "true" if admissible else "false",
+            "true" if on_line else "false",
             ",".join(tags) if tags else "-",
             "-" if element is None else str(element),
         ]))

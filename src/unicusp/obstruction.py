@@ -33,14 +33,25 @@ the same value, for one cusp and for several.  The scan therefore stops
 after row (d-3)//2, and the multi-cusp check evaluates the convolution
 of its two operands only at the arguments the scan reads, through
 `semigroup.convolve_at`.  With three or more cusps, one operand is a
-`convolve` fold of all cusps but the largest, computed whole.  None of
-this changes a verdict, a witness or `checks_performed`, which still
-counts cells by their position in the full d(g+1)-cell grid.
+`convolve` fold of all cusps but the largest, computed whole.
+
+Along a row a cell moves by at most 1 from the one before, so after a
+cell holding v the next min(v, g - v) cells hold and are skipped, and
+each row ends in a non-decreasing tail.  For one cusp, the pair-class
+rule lengthens the lower side: the value falls only at a pair start
+(an x with x and x + 1 both elements), the row's pair starts lie in
+P = `Semigroup.pair_classes` residue classes mod a, and the row meets
+one class only once every per = a / gcd(a, 2) cells.  So the next
+(v // P) * per cells fall at most P * (v // P) <= v times and stay
+>= 0.  `_scan` proves all three rules.  None of this
+changes a verdict, a witness or `checks_performed`, which still counts
+cells by their position in the full d(g+1)-cell grid.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from math import gcd
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -72,7 +83,7 @@ def check_single(a: int, b: int, genus: int, degree: int) -> Verdict:
     """Run the full (j, k) grid for a single cusp of type <a, b>."""
     s = Semigroup(a, b)
     _require_degree_genus(degree, genus, s.delta, "<{},{}>", a, b)
-    return _scan(genus, degree, s.gaps_at_least, s.first_pair)
+    return _scan(genus, degree, s.gaps_at_least, s.first_pair, s)
 
 
 def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdict:
@@ -107,7 +118,8 @@ def _last_row(degree: int) -> int:
     return (degree - 3) // 2
 
 
-def _scan(genus: int, degree: int, gap_at, pair_sum: int) -> Verdict:
+def _scan(genus: int, degree: int, gap_at, pair_sum: int,
+          cusp: Semigroup | None = None) -> Verdict:
     """First cell (j, k) whose value leaves [0, genus], in scan order.
 
     The value of cell (j, k) is G(j*d + 1 - 2k) - k + c(j) with
@@ -150,6 +162,31 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int) -> Verdict:
     in [0, genus] the next min(v, genus - v) cells of the row therefore
     hold and are skipped.
 
+    For one cusp, passed as `cusp` (with pair_sum = its first_pair), the
+    lower side goes further, by counting the residue classes in which
+    the value can fall.  Call x a pair start when x and x + 1 are both
+    elements of <a, b>.  With u = x * b^-1 mod a, x is an element iff
+    u*b <= x, and x + 1 has class u' = u + b^-1 mod a, so x is a pair
+    start iff x >= h(u) = max(u*b, u'*b - 1); both terms are congruent
+    to u*b mod a.  The classes holding a pair start <= M therefore
+    number P(M) = #{u < a : u*b <= M and u'*b <= M + 1}, which is
+    `Semigroup.pair_classes(M)`: the overlap of [0, t1) with the cyclic
+    interval [-b^-1, -b^-1 + t2) mod a, t1 = min(a, M//b + 1) and
+    t2 = min(a, (M+1)//b + 1), and 0 for M < 0.  The next s steps from
+    argument m fall only at the pair starts among m - 2, m - 4, ...,
+    m - 2s.  Two of these share a class mod a only when their steps
+    differ by a multiple of per = a / gcd(a, 2), so each of the at most
+    P(m - 2) classes is met at most ceil(s / per) times, and the value
+    falls at most P(m - 2) * ceil(s / per) times.  P is monotone in M
+    and m only decreases along a row, so P(j*d - 1), read at the row's
+    first cell, bounds every later one.  After a value v the lower
+    side thus holds for the next max(v, (v // P) * per) cells when
+    P >= 1; the upper side keeps genus - v.  P = 0 means the whole row
+    lies in the monotone tail set out next.  The rule gains only
+    when P <= v and P < per, so the row's P is computed at most once,
+    when the lower side binds, min(v, genus - v) would not end the row,
+    and the P of an earlier row, a lower bound, leaves both possible.
+
     Each row also ends in a monotone tail.  Let x* be the smallest x
     with x and x + 1 both elements of <a, b> (`Semigroup.first_pair`).
     Write m >= 0 as u*b + v*a with u = m * b^-1 mod a, so m is an
@@ -186,10 +223,16 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int) -> Verdict:
     `checks_performed` counts every cell up to the witness by its
     position in the full grid, and all d(g+1) cells when none fails.
     """
+    # per = a / gcd(a, 2), and 0 (no rule) for several cusps.  `classes`
+    # is the row's P once `exact`, and until then the P of an earlier row,
+    # a lower bound; P >= 1 in every cell before the tail.
+    per = cusp.a // gcd(cusp.a, 2) if cusp is not None else 0
+    classes = 1
     for j in range(1, _last_row(degree) + 1):
         base = j * degree + 1
         c = genus - (degree - j - 2) * (degree - j - 1) // 2
         tail = (base - pair_sum) // 2
+        exact = False
         k = 0
         while k <= genus:
             value = gap_at(base - 2 * k) - k + c
@@ -211,8 +254,18 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int) -> Verdict:
                     else:
                         lo = mid
                 return _rejected(j, hi, last, genus)
-            # min(value, genus - value) + 1, without the call
-            k += (value if 2 * value < genus else genus - value) + 1
+            skip = genus - value
+            if value < skip:
+                # (v // P) * per > v needs P <= v and P < per
+                if classes <= value and classes < per and k + value < genus:
+                    if not exact:
+                        classes, exact = cusp.pair_classes(base - 2), True
+                    fall = value // classes * per
+                    if fall < skip:
+                        skip = fall if fall > value else value
+                else:
+                    skip = value
+            k += skip + 1
     return Verdict(True, None, degree * (genus + 1))
 
 

@@ -123,6 +123,35 @@ class Semigroup:
             return 0
         return min(binv * b - 1, (a - binv) * b)
 
+    def pair_classes(self, m: int) -> int:
+        """How many residue classes mod a hold a pair start x <= m, a pair
+        start being an x with x and x + 1 both elements.
+
+        With u = x * b^-1 mod a, x + 1 has u' = u + b^-1 mod a, so x is a
+        pair start exactly when x >= max(u*b, u'*b - 1), and both terms lie
+        in the class of x.  The count is #{u < a : u*b <= m and
+        u'*b <= m + 1}: the overlap of [0, t1) with the cyclic interval
+        [-b^-1, -b^-1 + t2) mod a, where t1 and t2 count the u with
+        u*b <= m and with u*b <= m + 1.  `obstruction._scan` uses it.
+        """
+        if m < 0:
+            return 0
+        a, b = self._a, self._b
+        t1 = m // b + 1
+        t2 = (m + 1) // b + 1
+        if t1 > a:
+            t1 = a
+        start = -self._binv % a
+        end = start + (t2 if t2 < a else a)
+        # [start, end) below a, then its wrap [0, end - a); min and max
+        # without the calls
+        count = (t1 if t1 < end else end) - start
+        if count < 0:
+            count = 0
+        if end > a:
+            count += t1 if t1 < end - a else end - a
+        return count
+
     def contains(self, m: int) -> bool:
         return (m * self._binv % self._a) * self._b <= m
 

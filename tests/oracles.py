@@ -31,6 +31,13 @@ def gap_list(a, b):
     return [m for m in range(top) if m not in elems]
 
 
+def pair_starts(a, b, top):
+    """Every x in [0, top] with x and x + 1 both elements of <a,b>, read
+    off the double-loop sieve."""
+    elems = set(sieve_elements(a, b, top + 2))
+    return [x for x in range(top + 1) if x in elems and x + 1 in elems]
+
+
 def count_below(a, b, m):
     """R(m): semigroup elements in (-inf, m-1]."""
     if m <= 0:

@@ -17,7 +17,7 @@ from unicusp import (
     sector_of,
     walk_sectors,
 )
-from unicusp.classify import _FAMILIES, _square_free_split, _tags_for
+from unicusp.classify import _FAMILIES, _TAG_ROWS, _square_free_split, _tags_for
 
 import oracles
 
@@ -124,6 +124,15 @@ def test_family_members_are_tagged_admissible_exceptions():
             assert not c.on_3d_line, (tag, t)
             assert tag in _tags_for(c), (tag, t)
             assert oracles.brute_admissible(c.a, c.b, c.g, c.d) == (True, None), (tag, t)
+
+
+def test_tag_prefilter_lines_match_every_member_b():
+    # `_tags_for` rules a row out when b is off the line through the
+    # member's b at t = 0 and t = 1; that needs b linear in t in each row
+    for (tag, step, member), (_, step_, b0, slope, member_) in zip(_FAMILIES, _TAG_ROWS):
+        assert (step_, member_) == (step, member), tag
+        for t in range(-5, 60):
+            assert member(t)[2] == b0 + slope * t, (tag, t)
 
 
 def test_exceptional_family_is_tagged_by_its_kind():

@@ -410,3 +410,135 @@ def test_scan_evaluates_only_row_ends_in_the_tail():
     assert v == check_single(349, 352, 351, 352)
     assert v.admissible and v.checks_performed == 352 * 352
     assert calls <= 1000, calls
+
+
+def _coprime_cusps(a_max, b_max):
+    """Every coprime a < b with a <= a_max and b < b_max, a = 1 included."""
+    return [(a, b) for a in range(1, a_max + 1) for b in range(a + 1, b_max)
+            if oracles.gcd(a, b) == 1]
+
+
+def test_pair_classes_count_the_sieved_pair_start_classes():
+    # P(M) against the distinct classes mod a of the sieve's pair starts
+    # x <= M, for M from -3 up to 2ab (about 1 s)
+    for a, b in _coprime_cusps(12, 40):
+        s = Semigroup(a, b)
+        starts = iter(oracles.pair_starts(a, b, 2 * a * b))
+        x = next(starts, None)
+        classes = set()
+        for m in range(-3, 2 * a * b + 1):
+            while x is not None and x <= m:
+                classes.add(x % a)
+                x = next(starts, None)
+            assert s.pair_classes(m) == len(classes), (a, b, m)
+
+
+def test_pair_start_falls_stay_within_the_class_bound():
+    # steps from argument M + 2 test the pair starts M, M - 2, ..., and
+    # within one class they are per = a / gcd(a, 2) steps apart, so s
+    # steps fall at most P(M) * ceil(s / per) times; per = a for even a
+    # breaks this bound thousands of times here
+    for a, b in _coprime_cusps(12, 40):
+        s = Semigroup(a, b)
+        per = a // oracles.gcd(a, 2)
+        is_start = set(oracles.pair_starts(a, b, 2 * a * b))
+        for m in range(-3, 2 * a * b + 1):
+            bound = s.pair_classes(m)
+            falls = 0
+            for steps in range(1, 3 * a + 3):
+                falls += m - 2 * (steps - 1) in is_start
+                assert falls <= bound * -(-steps // per), (a, b, m, steps)
+
+
+def _steepest_count(a, b):
+    """A count H whose row steps fall at every pair start of <a, b> and
+    stay level elsewhere: H(m - 2) - H(m) is 0 where m - 2 is a pair
+    start and 1 otherwise.  Of all counts that fall only at pair starts
+    and rise by at most 1 per step, as the skip rules assume, it falls
+    the most, so an over-long skip passes a negative cell sooner."""
+    top = (a - 1) * (b - 1) + 2  # every x from the conductor on is a pair start
+    starts = set(oracles.pair_starts(a, b, top))
+    table, count = {}, [0, 0]
+    for x in range(top, -1, -1):
+        count[x % 2] += x not in starts
+        table[x] = count[x % 2]
+    return lambda m: table.get(m, 0) if m >= 0 else table[m % 2] + (m % 2 - m) // 2
+
+
+def _rows_oracle(count, genus, degree):
+    """First cell of rows 1..(d-3)//2 outside [0, genus], cell by cell on
+    count, as (j, k, value), or None."""
+    for j in range(1, (degree - 3) // 2 + 1):
+        c = genus - (degree - j - 2) * (degree - j - 1) // 2
+        for k in range(genus + 1):
+            value = count(j * degree + 1 - 2 * k) - k + c
+            if not 0 <= value <= genus:
+                return j, k, value
+    return None
+
+
+def _scan_witnesses(count, genus, degree, s):
+    """(j, k, value) of `_scan`'s witness on count, or None, with the
+    pair-class rule of s and without it."""
+    out = []
+    for cusp in (s, None):
+        w = obstruction._scan(genus, degree, count, s.first_pair, cusp).witness
+        out.append(None if w is None else (w.j, w.k, w.lhs_value))
+    return out
+
+
+# `_scan` with and without the pair-class rule against a cell-by-cell scan
+# of the same rows.  The genus is taken apart from the degree-genus
+# identity, which neither skip rule needs, so values wander through
+# [0, genus] and violations land all over the rows; a skip that jumps over
+# a violated cell shows up as a later witness or none.
+
+def test_pair_class_skips_keep_the_first_violated_cell_on_steepest_rows():
+    # every cusp with a <= 8 and b < 24 at every degree 5..29 and genus
+    # 0..39 (100,000 grids, about 2 s).  An over-long lower-side skip is
+    # wrong on only a few of them: per = a for even a misses a violated
+    # cell in 9, and so does a ceiling in place of v // P
+    lower = 0
+    for a, b in _coprime_cusps(8, 24):
+        s = Semigroup(a, b)
+        count = _steepest_count(a, b)
+        for degree in range(5, 30):
+            for genus in range(40):
+                expect = _rows_oracle(count, genus, degree)
+                assert _scan_witnesses(count, genus, degree, s) == [expect] * 2, (
+                    a, b, genus, degree)
+                lower += expect is not None and expect[2] < 0
+    assert lower > 50000, lower
+
+
+def test_pair_class_skips_keep_the_first_violated_cell_on_gap_counts():
+    rng = random.Random(71)
+    cusps = _coprime_cusps(12, 40)
+    lower = 0
+    for _ in range(1500):
+        a, b = rng.choice(cusps)
+        s = Semigroup(a, b)
+        genus, degree = rng.randrange(0, 80), rng.randrange(5, 60)
+        expect = _rows_oracle(oracles.gap_counter(a, b), genus, degree)
+        assert _scan_witnesses(s.gaps_at_least, genus, degree, s) == [expect] * 2, (
+            a, b, genus, degree)
+        lower += expect is not None and expect[2] < 0
+    assert lower > 300, lower
+
+
+def test_check_single_counts_few_gaps_with_the_pair_class_rule(monkeypatch):
+    # <349, 352> at g = 351, d = 352: the min(v, g - v) skip and the row
+    # tails make 727 gap counts; the pair-class rule lifts the lower-side
+    # skips and leaves 240
+    calls = 0
+    count = Semigroup.gaps_at_least
+
+    def counted(self, m):
+        nonlocal calls
+        calls += 1
+        return count(self, m)
+
+    monkeypatch.setattr(Semigroup, "gaps_at_least", counted)
+    v = check_single(349, 352, 351, 352)
+    assert v.admissible and v.checks_performed == 352 * 352
+    assert calls <= 300, calls

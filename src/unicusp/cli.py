@@ -103,14 +103,16 @@ CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 
 # `enumerate` walks every degree up to --dmax: it factors (d-1)(d-2) - 2g
 # by trial division and scans the grid of every candidate it finds.  At
-# g = 0 most candidates fail in the first grid row, and --dmax 500, 1000
-# and 2000 took 0.5, 1.0 and 3.6 s (8.5 MB of output at 50 MB peak RSS at
-# 2000).  At a large genus nearly every candidate is admissible and its
-# scan runs through half the grid: --dmax 2000 took 36-58 s at
-# g = 10^4 to 10^6 (at g = 10^5, 0.4 s at 500 and 9.7 s at 1000).  The
-# ceiling keeps g = 0 up to d = 2000 in reach, and --dmax 10^8, which ran
-# on with no output, is refused before any work (whole process, same
-# host).
+# g = 0 most candidates fail in the first grid row, and the level
+# certificate passes each (d-1, d) member with no row read: --dmax 500,
+# 1000 and 2000 took 0.21, 0.57 and 1.3-1.9 s (8.5 MB of output at 64 MB
+# peak RSS at 2000), against 0.43, 1.03 and 2.7-3.2 s with every
+# (d-1, d) row scanned.  At a large genus nearly every candidate is
+# admissible and its scan runs through half the grid: --dmax 2000 took
+# 36-58 s at g = 10^4 to 10^6 (at g = 10^5, 0.4 s at 500 and 9.7 s at
+# 1000).  The ceiling keeps g = 0 up to d = 2000 in reach, and --dmax
+# 10^8, which ran on with no output, is refused before any work (whole
+# process, same host).
 ENUMERATE_DMAX_MAX = 2000
 
 
@@ -504,7 +506,8 @@ class _Parser(argparse.ArgumentParser):
             formatter_class=partial(argparse.HelpFormatter, width=HELP_WIDTH), **kwargs)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and its subparsers by command name."""
     parser = _Parser(
         prog="unicusp",
         description="Exact arithmetic for cuspidal plane-curve candidates.",
@@ -561,11 +564,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=int, required=True)
     p.set_defaults(func=_cmd_identities)
 
-    return parser
+    return parser, sub.choices
 
 
 # parse_args leaves the parser as it was, so every call shares one
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 _NEGATIVE_START = re.compile(r"-\d")
 
@@ -593,10 +596,31 @@ def _attach_negative_windows(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)`, parsing a command's arguments once.
+
+    When argv[0] names a command, the top-level parser only hands
+    argv[1:] to that command's subparser, sets `command` and fails if
+    arguments are left over.  So the subparser is called directly, and
+    the top-level parser runs only for what it would itself report:
+    leftover arguments, and an argv[0] that is no command name (--help,
+    an unknown command, none at all).  Every help text, usage error and
+    exit code thus comes from the same parser as under
+    `_PARSER.parse_args(argv)`.
+    """
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def run(argv: list[str]) -> int:
     with _unlimited_int_digits():
         try:
-            args = _PARSER.parse_args(_attach_negative_windows(argv))
+            args = _parse(_attach_negative_windows(argv))
         except SystemExit as exc:
             return int(exc.code or 0)
         try:

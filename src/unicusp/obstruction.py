@@ -43,9 +43,18 @@ rule lengthens the lower side: the value falls only at a pair start
 P = `Semigroup.pair_classes` residue classes mod a, and the row meets
 one class only once every per = a / gcd(a, 2) cells.  So the next
 (v // P) * per cells fall at most P * (v // P) <= v times and stay
->= 0.  `_scan` proves all three rules.  None of this
-changes a verdict, a witness or `checks_performed`, which still counts
-cells by their position in the full d(g+1)-cell grid.
+>= 0.  `_scan` proves all three rules.
+
+For one cusp with b <= d, the level certificate proves rows without
+reading them.  Counting the elements u*b + v*a by their level u + v
+bounds R from both sides, and for b <= d those bounds put the first and
+the last cell of every row in [0, g].  A row j with j*d <= x*
+(`Semigroup.first_pair`) meets no pair start, so it is monotone and
+holds; the scan starts after the last such row, x* // d, and at g = 0,
+where b <= d forces <d-1, d>, every row holds.  `_scan` proves the
+lemmas.
+None of this changes a verdict, a witness or `checks_performed`, which
+still counts cells by their position in the full d(g+1)-cell grid.
 """
 
 from __future__ import annotations
@@ -116,6 +125,18 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
 def _last_row(degree: int) -> int:
     """The last grid row the scan visits: (d-3)//2, half of -1..d-2."""
     return (degree - 3) // 2
+
+
+def _first_row(genus: int, degree: int, cusp: Semigroup) -> int:
+    """The first row the single-cusp scan of <a, b> = cusp must read,
+    once the level certificate in `_scan` has proved the rows before it:
+    x* // d + 1 when b <= d, past the last row at g = 0, and row 1 (no
+    certificate) when b > d."""
+    if cusp.b > degree:
+        return 1
+    if genus == 0:
+        return _last_row(degree) + 1
+    return cusp.first_pair // degree + 1
 
 
 def _scan(genus: int, degree: int, gap_at, pair_sum: int,
@@ -220,15 +241,64 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
     checked or skipped by the steps above, so that cell is the first
     violated one in scan order, the one a cell-by-cell scan reports.
 
+    The level certificate skips whole rows of one cusp with b <= d.  It
+    needs G to be that cusp's own count and the degree-genus identity to
+    hold, so it applies only when gap_at is `cusp.gaps_at_least` and
+    (d-1)(d-2) = 2(g + delta), as in every call from `check_single`.
+    Then R(x) counts the elements of <a, b> below x, and:
+
+    - Levels.  Every element is u*b + v*a for exactly one pair with
+      0 <= u < a and v >= 0 (the `Semigroup` docstring); call s = u + v
+      its level.  As a < b, an element of level s lies in [s*a, s*b], and
+      for s <= a - 1 every pair with u + v = s has u < a, so level s
+      holds exactly s + 1 elements.
+    - Lemma A.  If L <= a - 1 and L*b < x, then R(x) >= T_L =
+      (L+1)(L+2)/2: every element of level <= L is at most L*b < x.
+    - Lemma B.  If x <= (L+1)*a, then R(x) <= T_L: an element of level
+      >= L + 1 is at least (L+1)*a >= x, so an element below x has
+      level <= L, and at most T_L pairs have u + v <= L.
+    - The bounds on a row.  Cell (j, k) holds R(j*d + 1 - 2k) + k - T_j.
+      Take b <= d and L = j.  Lemma A gives value(j, 0) >= 0 whenever
+      j <= a - 1, since j*b <= j*d < j*d + 1.  Lemma B gives
+      value(j, g) <= g whenever j*d + 1 - 2g <= (j+1)*a, that is
+      j(d - a) <= a + 2g - 1, and this holds on every row up to
+      (d-3)//2.  Put e = d - a.  As b <= d, 2g = (d-1)(d-2) -
+      (a-1)(b-1) >= (d-1)(d-2) - (a-1)(d-1) = (d-1)(e-1).  If e = 1,
+      then j*e <= (d-3)/2 <= a + 2g - 1 with a = d - 1.  If e >= 2,
+      then j*e <= (d-3)e/2 <= (d-1)(e-1) <= 2g <= a + 2g - 1, because
+      (d-1)(e-1) - (d-3)e/2 = e(d+1)/2 - (d-1) >= 2.
+    - Tail rows.  If j*d <= x*, the row's tail starts at
+      k0 = (j*d + 1 - x*)//2 <= 0, so by the tail argument above the
+      whole row is non-decreasing: its minimum is value(j, 0) and its
+      maximum value(j, g).  Since x* <= (a - 1)*b < a*d, such a j is at
+      most x* // d <= a - 1, so Lemma A applies, and the row holds.  The
+      scan therefore starts at row x* // d + 1.
+    - g = 0.  Each row is the single cell k = 0 = g.  Here b <= d forces
+      (a, b) = (d-1, d), because (d-1)(d-2) = (a-1)(b-1) <= (a-1)(d-1)
+      gives a >= d - 1.  Every row up to (d-3)//2 has j <= d - 2 = a - 1,
+      so both lemmas apply to its one cell, and the scan reads no row.
+
+    No skipped row holds a violated cell, so the witness and
+    `checks_performed` stay those of a scan of every row.
+
     `checks_performed` counts every cell up to the witness by its
     position in the full grid, and all d(g+1) cells when none fails.
     """
     # per = a / gcd(a, 2), and 0 (no rule) for several cusps.  `classes`
     # is the row's P once `exact`, and until then the P of an earlier row,
     # a lower bound; P >= 1 in every cell before the tail.
-    per = cusp.a // gcd(cusp.a, 2) if cusp is not None else 0
+    first = 1
+    per = 0
+    if cusp is not None:
+        a = cusp.a
+        per = a // gcd(a, 2)
+        first = _first_row(genus, degree, cusp)
+        # the certificate speaks only of the cusp's own count on its grid
+        if first > 1 and (gap_at != cusp.gaps_at_least
+                          or (degree - 1) * (degree - 2) != 2 * (genus + cusp.delta)):
+            first = 1
     classes = 1
-    for j in range(1, _last_row(degree) + 1):
+    for j in range(first, _last_row(degree) + 1):
         base = j * degree + 1
         c = genus - (degree - j - 2) * (degree - j - 1) // 2
         tail = (base - pair_sum) // 2

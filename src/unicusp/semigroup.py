@@ -298,11 +298,24 @@ def convolve_at(f: GapFunction, g: GapFunction):
 
         IC(s) = Delta - max over a_i <= s of (i + max{j : b_j <= s - a_i})
 
-    for s >= 0, and IC(s) = Delta - s below 0.  IC is symmetric in its
-    operands, so each call enumerates whichever has fewer run starts <= s.
+    for s >= 0, and IC(s) = Delta - s below 0.
+
+    Only the ends of runs of consecutive starts need enumerating.  Write
+    J(x) = max{j : b_j <= x} for x >= 0.  The b_j are distinct integers,
+    so b_{J(x)-1} <= x - 1 and J(x - 1) >= J(x) - 1 whenever x >= 1.
+    Within a run a_{i+1} = a_i + 1, stepping i up by 1 lowers s - a_i by
+    1, so i + J(s - a_i) never decreases along the run's starts <= s.
+    The maximum is therefore at the last start <= s of some run: the
+    run's end when that is <= s, and otherwise the last start <= s of
+    all, since only the run holding it can be cut off by s.  Each call
+    reads those, over whichever operand has fewer run ends <= s; IC is
+    symmetric in its operands.  The run ends are found once per call of
+    `convolve_at`.
     """
     total_delta = f.delta + g.delta
     starts_f, starts_g = f.starts, g.starts
+    ends_f, index_f = _run_ends(starts_f)
+    ends_g, index_g = _run_ends(starts_g)
     # bisect_right(starts, x) is 1 + max{j : starts[j] <= x}, for x >= 0
     reach_f = partial(bisect_right, starts_f)
     reach_g = partial(bisect_right, starts_g)
@@ -310,16 +323,27 @@ def convolve_at(f: GapFunction, g: GapFunction):
     def gap_at(s: int) -> int:
         if s < 0:
             return total_delta - s
-        n = reach_f(s)
-        n_g = reach_g(s)
+        n = bisect_right(ends_f, s)
+        n_g = bisect_right(ends_g, s)
         if n <= n_g:
-            starts, reach = starts_f, reach_g
+            starts, ends, index, reach = starts_f, ends_f, index_f, reach_g
         else:
-            n, starts, reach = n_g, starts_g, reach_f
-        return total_delta + 1 - max(map(add, range(n),
-                                         map(reach, map(sub, repeat(s, n), starts))))
+            n, starts, ends, index, reach = n_g, starts_g, ends_g, index_g, reach_f
+        # the last start <= s, and the n run ends <= s (map stops with its
+        # shortest argument, repeat(s, n)); each term is at least 1
+        i = bisect_right(starts, s) - 1
+        at_ends = max(map(add, index, map(reach, map(sub, repeat(s, n), ends))), default=0)
+        return total_delta + 1 - max(at_ends, i + reach(s - starts[i]))
 
     return gap_at
+
+
+def _run_ends(starts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The last start of each run of consecutive starts, as (values,
+    indices), both ascending."""
+    last = len(starts) - 1
+    index = (*(i for i in range(last) if starts[i + 1] != starts[i] + 1), last)
+    return tuple(starts[i] for i in index), index
 
 
 def combined_gap_value(parts: list[GapFunction], m: int) -> int:

@@ -8,6 +8,7 @@ loops, direct scans) so agreement is meaningful.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, isqrt
 
 
@@ -36,6 +37,15 @@ def pair_starts(a, b, top):
     off the double-loop sieve."""
     elems = set(sieve_elements(a, b, top + 2))
     return [x for x in range(top + 1) if x in elems and x + 1 in elems]
+
+
+def count_below_table(a, b, top):
+    """R(x) for every 0 <= x <= top, as a list: the running count of the
+    double-loop sieve's elements below x."""
+    member = bytearray(top + 1)
+    for x in sieve_elements(a, b, top):
+        member[x] = 1
+    return [0, *accumulate(member[:top])]
 
 
 def count_below(a, b, m):

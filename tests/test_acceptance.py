@@ -276,3 +276,29 @@ def test_criterion_12_genus_zero_families():
         assert degree_for(fibonacci(2 * l - 1) ** 2, fibonacci(2 * l + 1) ** 2, 0) == \
             fibonacci(2 * l - 1) * fibonacci(2 * l + 1)
     assert time.monotonic() - start < 30.0
+
+
+def test_measured_pattern_cusps_with_b_at_most_d_are_admissible():
+    # A measured pattern, not a theorem: every valid single cusp <a, b> at
+    # a degree d >= b passes the whole grid.  It held on all 261,180 valid
+    # inputs with 1 <= a < b < 120 and b <= d < b + 60 (254,100 of them
+    # with a >= 2), each through `check_single`; here it is held on
+    # b < 50 and b <= d < b + 30 through `check_single` (about 2 s), and on
+    # b < 16 and b <= d < b + 6 through the oracle's full grid.  The level
+    # certificate proves only the rows up to x* // d (and every row at
+    # g = 0); `check_single` still scans the rest, so it does not rely on
+    # the pattern.
+    start = time.monotonic()
+    checked = 0
+    for b in range(2, 50):
+        for a in range(1, b):
+            if gcd(a, b) != 1:
+                continue
+            for d in range(b, b + 30):
+                genus = ((d - 1) * (d - 2) - (a - 1) * (b - 1)) // 2
+                assert check_single(a, b, genus, d).admissible, (a, b, genus, d)
+                checked += 1
+                if b < 16 and d < b + 6:
+                    assert oracles.brute_admissible(a, b, genus, d) == (True, None)
+    assert checked == 22590, checked
+    assert time.monotonic() - start < 20.0

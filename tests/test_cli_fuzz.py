@@ -6,14 +6,18 @@ a flag or its value dropped, a value replaced by zero, a negative number
 or a malformed token, a flag repeated, an unknown or foreign flag or
 --help appended, the flags shuffled.  Whatever the argv, `run` must
 return 0, 1 or 2, never raise, never print a traceback, and return
-within a per-argv budget.
+within a per-argv budget.  On every argv, `cli._parse` must also give
+what `_PARSER.parse_args` gives.
 """
 
+import argparse
 import random
 import time
 from math import gcd
 
-from unicusp.cli import _PARSER, run
+import pytest
+
+from unicusp.cli import _PARSER, _attach_negative_windows, _parse, run
 
 MALFORMED = ("", "x", "1.5", "-", "--", "1e3", "0x10", "3,", ",", ";", "1:2:3", " 7")
 
@@ -155,15 +159,21 @@ def _mutate(r, argv):
     return [command] + rest
 
 
-def test_fuzzed_argvs_exit_cleanly(capsys):
-    assert VALID.keys() == FLAGS.keys()
+def _fuzzed_argvs():
+    """The 2,000 seeded argvs, 70% of them mutated."""
     rng = random.Random(2014)
-    codes = {}
-    start = time.perf_counter()
     for _ in range(2000):
         argv = VALID[rng.choice(sorted(VALID))](rng)
         if rng.random() < 0.7:
             argv = _mutate(rng, argv)
+        yield argv
+
+
+def test_fuzzed_argvs_exit_cleanly(capsys):
+    assert VALID.keys() == FLAGS.keys()
+    codes = {}
+    start = time.perf_counter()
+    for argv in _fuzzed_argvs():
         began = time.perf_counter()
         code = run(argv)
         took = time.perf_counter() - began
@@ -177,3 +187,38 @@ def test_fuzzed_argvs_exit_cleanly(capsys):
     assert codes.keys() == VALID.keys()
     assert all({0, 2} <= seen for seen in codes.values()), codes
     assert 1 in codes["check"]
+
+
+def _parsed(parse, argv, capsys):
+    """The namespace parse gives argv, or its exit code, with what it
+    printed on stdout and stderr."""
+    try:
+        outcome = parse(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+def test_one_parse_matches_the_parser(capsys):
+    # `_parse` calls a command's subparser directly; on every fuzzed argv
+    # it must give what `_PARSER.parse_args` gives: the same namespace, or
+    # the same exit code, stdout (--help) and stderr
+    exits = 0
+    for argv in _fuzzed_argvs():
+        argv = _attach_negative_windows(argv)
+        expect = _parsed(_PARSER.parse_args, argv, capsys)
+        assert _parsed(_parse, argv, capsys) == expect, argv
+        exits += not isinstance(expect[0], argparse.Namespace)
+    assert exits > 300, exits
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["--"], ["--", "check"], ["chec", "--genus", "0"],
+    ["check", "--genus", "0", "-a", "2", "-b", "3", "extra"],
+    ["check", "--", "--genus", "0"], ["check", "--help", "--bogus"],
+    ["pell", "--orbit", "-2:4", "--genus", "1"], ["pell", "--orb", "-2:4"],
+    ["germ", "--node", "3", "--node", "4"], ["enumerate", "--genus=1", "--dmax=9"],
+])
+def test_one_parse_matches_the_parser_on_edge_argvs(argv, capsys):
+    argv = _attach_negative_windows(argv)
+    assert _parsed(_parse, argv, capsys) == _parsed(_PARSER.parse_args, argv, capsys)

@@ -15,6 +15,7 @@ from math import gcd
 from pathlib import Path
 
 from unicusp import Semigroup, check_multi, convolve, obstruction
+from unicusp.semigroup import convolve_at
 
 import oracles
 
@@ -76,6 +77,26 @@ def test_lazy_matches_table_on_larger_cusps():
         rejected += not v.admissible
     assert 40 < rejected < 260, rejected
     assert time.perf_counter() - start < 20.0
+
+
+def test_convolve_at_matches_the_table_everywhere():
+    # the run-end evaluator against the `convolve` run starts at every s in
+    # [-5, 2 Delta + 5], on 300 seeded pairs of operands; an operand is a
+    # cusp's gap function or, one time in three, the fold of two, whose
+    # runs of consecutive starts differ from a semigroup's (about 1 s)
+    rng = random.Random(79)
+    cusps = [(a, b) for a in range(1, 10) for b in range(a + 1, 30) if gcd(a, b) == 1]
+
+    def operand():
+        parts = [Semigroup(*rng.choice(cusps)).gap_function()
+                 for _ in range(rng.choice((1, 1, 2)))]
+        return reduce(convolve, parts)
+
+    for _ in range(300):
+        f, g = operand(), operand()
+        table, lazy = convolve(f, g), convolve_at(f, g)
+        for s in range(-5, 2 * table.delta + 6):
+            assert lazy(s) == table(s), (f.starts, g.starts, s)
 
 
 def test_every_pairs_reference_row():

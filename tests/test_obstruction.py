@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import time
+from operator import sub
 
 import pytest
 
@@ -542,3 +543,100 @@ def test_check_single_counts_few_gaps_with_the_pair_class_rule(monkeypatch):
     v = check_single(349, 352, 351, 352)
     assert v.admissible and v.checks_performed == 352 * 352
     assert calls <= 300, calls
+
+
+# The level certificate: for b <= d, `_scan` starts at row
+# `_first_row(g, d, cusp)`, having proved every row before it.  A verdict
+# cannot show a skip that goes one row too far (the rows past x* // d
+# still pass), so these tests hold the lemmas and the skipped rows to the
+# sieve directly.
+
+def test_level_lemmas_hold_on_the_sieve():
+    # for every coprime a < b <= 40 and x in [-3, 2ab], R(x) from the
+    # sieve against the strongest L of each lemma (T_L grows with L):
+    # A, R(x) >= T_L for the largest L <= a - 1 with L*b < x; and
+    # B, R(x) <= T_L for the smallest L >= -1 with x <= (L+1)*a (under 1 s)
+    def tri(level):
+        return (level + 1) * (level + 2) // 2
+
+    for a, b in _coprime_cusps(39, 41):
+        below = oracles.count_below_table(a, b, 2 * a * b)
+        for x in range(-3, 2 * a * b + 1):
+            r = below[x] if x > 0 else 0
+            if x > 0:
+                assert r >= tri(min(a - 1, (x - 1) // b)), (a, b, x)
+            assert r <= tri(max(-1, -(-x // a) - 1)), (a, b, x)
+
+
+def _valid_inputs(b_max, d_above):
+    """Every valid (a, b, g, d) with b < b_max and d < b + d_above."""
+    for a, b in _coprime_cusps(b_max - 2, b_max):
+        for d in range(1, b + d_above):
+            twice_genus = (d - 1) * (d - 2) - (a - 1) * (b - 1)
+            if twice_genus >= 0:
+                yield a, b, twice_genus // 2, d
+
+
+def test_rows_the_level_certificate_skips_hold_on_the_sieve():
+    # every row before the first scanned one is non-decreasing from k = 0,
+    # with its first and last cells in [0, g], on every valid input with
+    # b < 50 and d < b + 30 (d < b included, where nothing may be skipped),
+    # 47 million cells read off the sieve (about 3 s).  Starting one row
+    # later, or at ceil(x*/d) + 1, or certifying b = d + 1 or any b, fails
+    skipped = {}
+    for a, b, g, d in _valid_inputs(50, 30):
+        first = min(obstruction._first_row(g, d, Semigroup(a, b)), (d - 3) // 2 + 1)
+        if first > 1:
+            skipped.setdefault((a, b), []).append((g, d, first))
+    rows = 0
+    for (a, b), runs in skipped.items():
+        below = oracles.count_below_table(a, b, max((first - 1) * d + 1
+                                                    for g, d, first in runs))
+        for g, d, first in runs:
+            for j in range(1, first):
+                # R at the row's arguments j*d + 1 - 2k, ascending in m,
+                # so k = g comes first; R is 0 at every m <= 0
+                hi, lo = j * d + 1, j * d + 1 - 2 * g
+                zeros = max(0, -lo // 2 + 1)
+                counts = [0] * zeros + below[lo + 2 * zeros:hi + 1:2]
+                tri = (j + 1) * (j + 2) // 2
+                # value(k + 1) >= value(k) is R(m - 2) + 1 >= R(m)
+                assert g == 0 or max(map(sub, counts[1:], counts)) <= 1, (a, b, g, d, j)
+                assert 0 <= counts[-1] - tri <= g, (a, b, g, d, j)
+                assert 0 <= counts[0] + g - tri <= g, (a, b, g, d, j)
+                rows += 1
+    assert rows > 50000, rows
+
+
+def test_level_certificate_reads_no_row_of_the_rational_cusp(monkeypatch):
+    # at g = 0 a cusp with b <= d is <d-1, d>, and `check_single` answers
+    # with no gap count; <d-2, d-1> at degree d has b < d and g = d - 2
+    calls = 0
+    count = Semigroup.gaps_at_least
+
+    def counted(self, m):
+        nonlocal calls
+        calls += 1
+        return count(self, m)
+
+    monkeypatch.setattr(Semigroup, "gaps_at_least", counted)
+    for d in range(3, 400):
+        assert check_single(d - 1, d, 0, d) == Verdict(True, None, d), d
+    assert calls == 0
+    assert check_single(1999, 2000, 0, 2000) == (True, None, 2000) and calls == 0
+    assert check_single(98, 99, 98, 100).admissible and calls > 0
+
+
+def test_level_certificate_needs_the_cusps_own_count():
+    # a count other than the cusp's, or a genus off the degree-genus
+    # identity, gets the plain scan: the pair-class tests above probe the
+    # skip rules that way, on grids the certificate says nothing about.
+    # <7, 9> at d = 9 has g = 4 and x* = 27, so on its own count the
+    # certificate proves all three rows of the half grid
+    s = Semigroup(7, 9)
+    assert s.first_pair == 27 and obstruction._first_row(4, 9, s) == 4
+    steep = _steepest_count(7, 9)
+    for genus, degree, count in ((4, 9, steep), (0, 9, s.gaps_at_least),
+                                 (3, 9, s.gaps_at_least), (4, 9, s.gaps_at_least)):
+        expect = _rows_oracle(count, genus, degree)
+        assert _scan_witnesses(count, genus, degree, s) == [expect] * 2, (genus, degree)

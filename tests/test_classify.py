@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt
+from random import Random
 
 import pytest
 
@@ -17,7 +18,14 @@ from unicusp import (
     sector_of,
     walk_sectors,
 )
-from unicusp.classify import _FAMILIES, _TAG_ROWS, _square_free_split, _tags_for
+from unicusp.classify import (
+    CANDIDATE_MEMO_SIZE,
+    _FAMILIES,
+    _TAG_ROWS,
+    _candidates_at_degree,
+    _square_free_split,
+    _tags_for,
+)
 
 import oracles
 
@@ -46,6 +54,48 @@ def test_enumerate_is_in_key_order_without_a_sort():
         for smooth in (False, True):
             keys = [c.key() for c in enumerate_candidates(g, 150, allow_smooth=smooth).candidates]
             assert all(k < k_next for k, k_next in zip(keys, keys[1:])), (g, smooth)
+
+
+def test_degree_memo_changes_no_report():
+    # overlapping windows in shuffled order, both allow_smooth values at
+    # every (g, d), each against the report of a cold memo
+    windows = [(g, d_max, smooth) for g in range(7) for d_max in range(20, 81, 12)
+               for smooth in (False, True)]
+    Random(0).shuffle(windows)
+    warm = [enumerate_candidates(g, d_max, allow_smooth=smooth) for g, d_max, smooth in windows]
+    assert _candidates_at_degree.cache_info().hits > 0
+    for (g, d_max, smooth), report in zip(windows, warm):
+        _candidates_at_degree.cache_clear()
+        assert report == enumerate_candidates(g, d_max, allow_smooth=smooth), (g, d_max, smooth)
+    # an entry is the tuple it was, handed out again on a hit
+    for d in range(1, 81):
+        entry = _candidates_at_degree(3, d, True)
+        assert type(entry) is tuple and all(type(c) is Candidate for c in entry)
+        assert _candidates_at_degree(3, d, True) is entry
+
+
+def test_window_read_from_a_warm_memo_matches_brute_force():
+    for g in range(7):
+        for smooth in (False, True):
+            enumerate_candidates(g, 80, allow_smooth=smooth)
+            hits = _candidates_at_degree.cache_info().hits
+            small = enumerate_candidates(g, 20, allow_smooth=smooth)
+            assert _candidates_at_degree.cache_info().hits == hits + 20
+            got = [(c.a, c.b, c.d) for c in small.candidates]
+            assert got == oracles.brute_enumerate(g, 20, allow_smooth=smooth), (g, smooth)
+            for c in small.candidates:
+                assert c.admissible == oracles.brute_admissible(c.a, c.b, c.g, c.d)[0], c
+
+
+def test_degree_memo_is_bounded():
+    info = _candidates_at_degree.cache_info()
+    assert info.maxsize == CANDIDATE_MEMO_SIZE and info.maxsize is not None
+    # genus g > 0 at d_max 2 touches two keys, and both degrees hold nothing
+    for g in range(1, CANDIDATE_MEMO_SIZE // 2 + 2):
+        enumerate_candidates(g, 2)
+    info = _candidates_at_degree.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize == info.maxsize
 
 
 def test_admissibility_matches_brute_force():

@@ -159,16 +159,15 @@ def _divisor_pairs(m: int) -> list[tuple[int, int]]:
     return [(u, m // u) for u in range(1, isqrt(m) + 1) if m % u == 0]
 
 
-# Entries `_candidates_at_degree` keeps.  Each (genus, d, allow_smooth) key
-# holds one degree's candidates with their verdicts.  Callers that sweep
-# overlapping windows ask the same keys again and again: the 750 ops of
-# the seed-0 `sweep` benchmark pool made 151,138 `check_single` calls on
-# 8,026 distinct candidates (94.7% repeats).  4096 entries hold two whole
-# sweeps at the `enumerate` ceiling of 2000 degrees, so a caller that
-# alternates two such windows misses nothing.  Filled by the windows
-# (0, 2000), (1, 2000) and (2, 96), the memo keeps 11.5 MB alive
-# (tracemalloc).
-CANDIDATE_MEMO_SIZE = 4096
+# Entries `_candidates_at_degree` keeps, sized from measured traffic.
+# Each (genus, d, allow_smooth) key holds one degree's candidates with
+# their verdicts.  The 750 `enumerate` ops of the seed-0 `sweep` benchmark
+# pool, run in one process, ask 1,920 distinct keys (g 0..29, d <= 64) and
+# made 151,138 `check_single` calls on 8,026 distinct candidates (94.7%
+# repeats); one `enumerate` at the `--dmax` ceiling asks 2000 keys.  2048
+# entries hold either whole.  Filled by the windows (0, 2000) and (1, 48)
+# they keep 6.4 MB alive, and 5.0 MB by (1, 2000) and (2, 48) (tracemalloc).
+CANDIDATE_MEMO_SIZE = 2048
 
 
 @lru_cache(maxsize=CANDIDATE_MEMO_SIZE)
@@ -217,10 +216,10 @@ def enumerate_candidates(
     `lru_cache` memo keyed by (genus, d, allow_smooth) and bounded at
     `CANDIDATE_MEMO_SIZE` entries, so a later call that overlaps an
     earlier window repeats no divisor search and no `check_single`.  The
-    memo holds the candidate tuples it returned: 6.4 MB stay alive after
-    `enumerate_candidates(0, 2000)`, and `_candidates_at_degree.cache_clear()`
-    frees them.  Within one call every degree is a new key, so a single
-    call does the same work with or without the memo.
+    memo holds the candidate tuples it returned, 6.4 MB when full of
+    genus-0 degrees, and `_candidates_at_degree.cache_clear()` frees
+    them.  Within one call every degree is a new key, so a single call
+    does the same work with or without the memo.
     """
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
@@ -231,23 +230,17 @@ def enumerate_candidates(
     # degrees ascend and each degree's list ascends in a: Candidate.key order
     candidates = tuple(c for d in range(1, d_max + 1)
                        for c in _candidates_at_degree(genus, d, allow_smooth))
-    # c[4] is c.admissible, read by index, and each admissible candidate's
-    # on_3d_line is read once: named-field reads cost more
-    admissible = tuple([c for c in candidates if c[4]])
-    on_line, exceptions = [], []
-    for c in admissible:
-        if c.on_3d_line:
-            on_line.append(c)
-        else:
-            exceptions.append((c, _tags_for(c)))
+    admissible = tuple(c for c in candidates if c.admissible)
+    on_line = tuple(c for c in admissible if c.on_3d_line)
+    exceptions = tuple((c, _tags_for(c)) for c in admissible if not c.on_3d_line)
     return EnumerationReport(
         g=genus,
         d_max=d_max,
         allow_smooth=allow_smooth,
         candidates=candidates,
         admissible=admissible,
-        on_3d_line=tuple(on_line),
-        exceptions=tuple(exceptions),
+        on_3d_line=on_line,
+        exceptions=exceptions,
     )
 
 

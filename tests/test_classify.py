@@ -56,6 +56,13 @@ def test_enumerate_is_in_key_order_without_a_sort():
             assert all(k < k_next for k, k_next in zip(keys, keys[1:])), (g, smooth)
 
 
+def test_degree_memo_starts_empty():
+    # tests/conftest.py empties the memo before every test, so no test
+    # runs on degrees that an earlier test answered
+    info = _candidates_at_degree.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 0)
+
+
 def test_degree_memo_changes_no_report():
     # overlapping windows in shuffled order, both allow_smooth values at
     # every (g, d), each against the report of a cold memo

@@ -19,7 +19,7 @@ import re
 import sys
 from contextlib import contextmanager
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .classify import degree_for_products, enumerate_candidates, sector_bounds, walk_sectors
@@ -107,7 +107,8 @@ CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 # certificate passes each (d-1, d) member with no row read: --dmax 500,
 # 1000 and 2000 took 0.2-0.4, 0.5-0.8 and 1.3-2.2 s (8.5 MB of output at
 # 64-65 MB peak RSS at 2000), against 0.43, 1.03 and 2.7-3.2 s with every
-# (d-1, d) row scanned.  The degree memo of `enumerate_candidates` saves
+# (d-1, d) row scanned.  Of that, rendering the JSON at 2000 (43,708
+# candidates) takes 0.07-0.09 s in-process.  The degree memo of `enumerate_candidates` saves
 # nothing here, since within one command every degree is new.  At a large
 # genus nearly every candidate is admissible and its scan runs through
 # half the grid: --dmax 2000 took 36-58 s at g = 10^4 to 10^6 (at
@@ -117,26 +118,19 @@ CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 ENUMERATE_DMAX_MAX = 2000
 
 
-def _json(value, indent: str, memo: dict) -> str:
+def _json(value, indent: str) -> str:
     """JSON text of value, laid out as json.dumps(..., sort_keys=True,
     indent=2) lays it out at the nesting depth len(indent) // 2.
 
     Payloads hold dicts with str keys, lists, str, int, bool and None, plus
-    a `Candidate`, or a (Candidate, tags) tuple for a tagged one; both
-    render as the object the candidate's fields make.  A `GermRecord`
-    renders as a node step's object.  Anything else raises TypeError.
-
-    `memo` maps (id(candidate), indent) to the candidate's text, so a
-    candidate listed twice at one depth, as an untagged exception is in
-    `enumerate`, renders once.  The caller owns it for one record, whose
-    candidates stay alive, and so keep their ids, while it renders.
+    candidates: a list of `Candidate`s, or of (Candidate, tags) pairs for
+    tagged ones, renders in one pass of `_candidate_items`, and a lone
+    `Candidate` as the one item of such a list.  A `GermRecord` renders as
+    a node step's object.  Anything else, a candidate list holding any
+    other item included, raises TypeError.
     """
     if type(value) is Candidate:
-        key = (id(value), indent)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _candidate_json(value, None, indent)
-        return text
+        return _candidate_items([value], indent)[0]
     if type(value) is str:
         return encode_basestring_ascii(value)
     if value is None:
@@ -147,18 +141,18 @@ def _json(value, indent: str, memo: dict) -> str:
         return "false"
     if type(value) is int:
         return int.__repr__(value)
-    if type(value) is tuple:
-        return _candidate_json(*value, indent)
     inner = indent + "  "
     if type(value) is list:
         if not value:
             return "[]"
-        items = f",\n{inner}".join([_json(v, inner, memo) for v in value])
-        return f"[\n{inner}{items}\n{indent}]"
+        first = type(value[0])
+        texts = (_candidate_items(value, inner) if first is Candidate or first is tuple
+                 else [_json(v, inner) for v in value])
+        return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
     if type(value) is dict:
         if not value:
             return "{}"
-        items = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json(v, inner, memo)}"
+        items = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
                                     for k, v in sorted(value.items())])
         return f"{{\n{inner}{items}\n{indent}}}"
     if type(value) is GermRecord:
@@ -166,21 +160,47 @@ def _json(value, indent: str, memo: dict) -> str:
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
-def _candidate_json(c: Candidate, tags: tuple[str, ...] | None, indent: str) -> str:
-    """A candidate's object from one template: its keys in sorted order are
-    a, admissible (when decided), b, d, element, g, on_3d_line, tags (when
-    given)."""
-    g, a, b, d, admissible = c  # one unpack: named-field reads cost more
+def _candidate_items(items: list, indent: str) -> list[str]:
+    """The object text of each item of a candidate list, at the nesting
+    depth len(indent) // 2.  The items are all `Candidate`s, or all
+    (Candidate, tags) pairs, whose objects gain a tags key; anything else
+    raises TypeError.
+
+    An object's keys in sorted order are a, admissible (when decided), b,
+    d, element, g, on_3d_line and tags (tagged only).  The text between
+    its fields is built once per call: one piece per verdict (None, True,
+    False), one per side of the 3d line, and the fixed rest.  Each item
+    then fills one f-string from a single unpack of its fields, the
+    pieces its verdict and side pick, and its tags text.  The element is
+    None exactly off the line, and is read through `Candidate.element`
+    only on it.
+    """
     i = indent + "  "
-    verdict = ("" if admissible is None
-               else f'{i}"admissible": {"true" if admissible else "false"},\n')
-    on_line = c.on_3d_line
-    # the element is None exactly off the line
-    element = encode_basestring_ascii(str(c.element)) if on_line else "null"
-    tail = "" if tags is None else f',\n{i}"tags": {_json(list(tags), i, {})}'
-    return (f'{{\n{i}"a": {a},\n{verdict}{i}"b": {b},\n{i}"d": {d},\n'
-            f'{i}"element": {element},\n{i}"g": {g},\n'
-            f'{i}"on_3d_line": {"true" if on_line else "false"}{tail}\n{indent}}}')
+    if type(items[0]) is tuple:
+        if {*map(type, items)} != {tuple} or {*map(len, items)} != {2}:
+            raise TypeError("a tagged candidate list holds (Candidate, tags) pairs only")
+        cands = [c for c, _ in items]
+        j = i + "  "
+        sep = f",\n{j}"
+        tails = [f',\n{i}"tags": ' + (f"[\n{j}{sep.join(map(encode_basestring_ascii, tags))}\n{i}]"
+                                      if tags else "[]")
+                 for _, tags in items]
+    else:
+        cands = items
+        tails = repeat("")
+    if {*map(type, cands)} != {Candidate}:
+        raise TypeError("a candidate list holds Candidates only")
+    head = f'{{\n{i}"a": '
+    to_b = {v: ("" if v is None else f',\n{i}"admissible": {"true" if v else "false"}')
+            + f',\n{i}"b": ' for v in (None, True, False)}
+    to_d, to_element, to_g = f',\n{i}"d": ', f',\n{i}"element": ', f',\n{i}"g": '
+    line = (f',\n{i}"on_3d_line": false', f',\n{i}"on_3d_line": true')
+    close = f"\n{indent}}}"
+    return [f"{head}{a}{to_b[admissible]}{b}{to_d}{d}{to_element}"
+            f"{encode_basestring_ascii(str(c.element)) if on_line else 'null'}"
+            f"{to_g}{g}{line[on_line]}{tail}{close}"
+            for c, (g, a, b, d, admissible), tail in zip(cands, cands, tails)
+            for on_line in [a + b == 3 * d]]
 
 
 def _step_json(r: GermRecord, indent: str) -> str:
@@ -200,7 +220,7 @@ def _step_json(r: GermRecord, indent: str) -> str:
 
 def _emit(command: str, payload: dict) -> None:
     record = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
-    sys.stdout.write(_json(record, "", {}) + "\n")
+    sys.stdout.write(_json(record, "") + "\n")
 
 
 def _fail(message: str) -> int:

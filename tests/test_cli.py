@@ -498,6 +498,42 @@ def test_usage_and_help_ignore_the_terminal_width():
         assert out or err, argv
 
 
+HASH_SEED_CHILD = """
+import io, json, sys
+from unicusp.cli import run
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, sys.stdout = sys.stdout, io.StringIO()
+    code = run(argv)
+    out, sys.stdout = sys.stdout, out
+    results.append([code, out.getvalue()])
+sys.stdout.write(json.dumps(results))
+"""
+
+
+def test_same_bytes_across_hash_seeds():
+    # str hashes, and so the order of str-keyed sets and dicts, change with
+    # PYTHONHASHSEED; two interpreters must still print the same bytes
+    argvs = [
+        ["enumerate", "--genus", "6", "--dmax", "40"],
+        ["enumerate", "--genus", "6", "--dmax", "40", "--format", "tsv"],
+        ["pell", "--genus", "105", "--orbit=-40:40"],
+        ["families", "--k", "3", "--i", "5"],
+        ["germ", "--node", "9"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = dict(os.environ)
+    base["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [base.get("PYTHONPATH")])])
+    runs = [subprocess.run([sys.executable, "-c", HASH_SEED_CHILD, json.dumps(argvs)],
+                           env={**base, "PYTHONHASHSEED": seed}, capture_output=True,
+                           timeout=120, check=True).stdout
+            for seed in ("0", "4242")]
+    assert runs[0] == runs[1]
+    results = json.loads(runs[0])
+    assert [code for code, _ in results] == [0] * len(argvs)
+    assert all(out for _, out in results)
+
+
 def test_semigroup_query_at_huge_delta(capsys):
     # delta is about 5e9: queries answer from closed forms, no gap listing
     a, b = 100003, 100019

@@ -1,19 +1,28 @@
 """The CLI's JSON writer gives the bytes of json.dumps(indent=2).
 
-`unicusp.cli` renders its records with a small writer and one template per
-candidate and per node step instead of `json.dumps(record, sort_keys=True,
-indent=2)`.  These tests hold the two to the same bytes on a sample of the
-benchmark's commands and on the payload shapes the sample may miss, and
-check that the parser every `run` call shares keeps no state between calls.
+`unicusp.cli` renders its records with a small writer instead of
+`json.dumps(record, sort_keys=True, indent=2)`: a whole candidate list in
+one pass, whose items fill text pieces built once per list, and each node
+step from one template.  These tests hold the two to the same bytes on a
+sample of the benchmark's commands, on the payload shapes the sample may
+miss, and on seeded payloads whose expected objects are built from the
+candidates' fields, and check that the parser every `run` call shares
+keeps no state between calls.
 """
 
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from unicusp import GermRecord
-from unicusp.cli import _emit, run
+from unicusp.classify import _FAMILIES, enumerate_candidates
+from unicusp.cli import _emit, _json, run
+from unicusp.families import orbit_candidates
+from unicusp.quadring import QuadInt, generating_set
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -25,6 +34,8 @@ EXTRA_ARGVS = [
     ["enumerate", "--genus", "0", "--dmax", "1"],
     ["enumerate", "--genus", "1", "--dmax", "30", "--allow-smooth"],
     ["pell", "--genus", "3", "--orbit=-2:4"],
+    # two 77-candidate lists at one depth
+    ["pell", "--genus", "105", "--orbit=-40:40"],
     ["families", "--k", "3", "--j", "2"],
     ["sectors", "--genus", "2", "--lmax", "5"],
     # node steps render from their own template
@@ -59,6 +70,75 @@ def test_writer_matches_json_dumps_on_edge_payloads(capsys):
     assert all("admissible" not in c
                for orbit in payloads[3]["orbits"] for c in orbit["candidates"])
     assert payloads[3]["orbits"][0]["candidates"]
+    first, second = (orbit["candidates"] for orbit in payloads[4]["orbits"])
+    assert len(first) == len(second) == 77 and first != second
+
+
+def _expected(c, tags=None):
+    """The object a candidate renders as, from its fields alone."""
+    g, a, b, d, admissible = c
+    on_line = a + b == 3 * d
+    obj = {"g": g, "a": a, "b": b, "d": d, "on_3d_line": on_line,
+           "element": str(QuadInt.from_sqrt5((7 * b - 2 * a) // 3, b)) if on_line else None}
+    if admissible is not None:
+        obj["admissible"] = admissible
+    if tags is not None:
+        obj["tags"] = list(tags)
+    return obj
+
+
+def _nest(rng, value, depth):
+    """value wrapped in depth random dict or list levels, beside siblings."""
+    for _ in range(depth):
+        if rng.random() < 0.5:
+            value = {"x": value, "n": rng.randint(0, 9)}
+        else:
+            value = [rng.randint(0, 9), value]
+    return value
+
+
+def test_writer_matches_json_dumps_on_seeded_candidate_payloads():
+    rng = random.Random(2014)
+    tag_names = [tag for tag, _, _ in _FAMILIES]
+    lists = [list(enumerate_candidates(g, 60, allow_smooth=True).candidates) for g in range(8)]
+    # orbit candidates carry no verdict
+    lists += [orbit_candidates(z, 105, -6, 6) for z in generating_set(4 * (2 * 105 - 1))]
+    assert any(c.admissible is None for c in lists[-1])
+    on_line, depths = 0, set()
+    for cands, others in zip(lists, lists[1:] + lists[:1]):
+        assert cands
+        on_line += sum(c.a + c.b == 3 * c.d for c in cands)
+        tags = [tuple(rng.sample(tag_names, rng.randint(0, 2))) for _ in cands]
+        some = [c for c in cands if rng.random() < 0.3]
+        shapes = [
+            (cands, [_expected(c) for c in cands]),
+            (list(zip(cands, tags)), [_expected(c, t) for c, t in zip(cands, tags)]),
+            (cands[0], _expected(cands[0])),
+            # as in `enumerate` and `pell`: the same candidates listed again,
+            # and another list, at one depth
+            ({"all": cands, "some": some, "others": others},
+             {"all": [_expected(c) for c in cands], "some": [_expected(c) for c in some],
+              "others": [_expected(c) for c in others]}),
+        ]
+        for value, expected in shapes:
+            depth = rng.randint(0, 3)
+            depths.add(depth)
+            seed = rng.random()
+            got = _json(_nest(random.Random(seed), value, depth), "")
+            assert got == json.dumps(_nest(random.Random(seed), expected, depth),
+                                     sort_keys=True, indent=2), (cands[0], depth)
+    assert on_line > 20 and depths == {0, 1, 2, 3}
+
+
+def test_candidate_list_with_another_item_raises_type_error():
+    c = enumerate_candidates(0, 10).candidates[0]
+    for value in (
+        [c, 5], [c, (c, ())], [c, "abcde"], [c, tuple(c)],
+        [(c, ()), c], [(c, ()), (c,)], [(c, ()), (c, (), ())],
+        [(c, ()), (tuple(c), ())], [(c, ("(p,p+3)",)), (c, (1,))],
+    ):
+        with pytest.raises(TypeError):
+            _json({"list": value}, "")
 
 
 def test_writer_matches_json_dumps_on_a_rational_node_step(capsys):

@@ -101,20 +101,20 @@ CHECK_DEGREE_MAX = 10 ** 5
 CHECK_PAIRS_DELTA_MAX = 10 ** 6
 CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 
-# `enumerate` walks every degree up to --dmax: it factors (d-1)(d-2) - 2g
-# by trial division and scans the grid of every candidate it finds.  At
-# g = 0 most candidates fail in the first grid row, and the level
-# certificate passes each (d-1, d) member with no row read: --dmax 500,
-# 1000 and 2000 took 0.2-0.4, 0.5-0.8 and 1.3-2.2 s (8.5 MB of output at
-# 64-65 MB peak RSS at 2000), against 0.43, 1.03 and 2.7-3.2 s with every
-# (d-1, d) row scanned.  Of that, rendering the JSON at 2000 (43,708
-# candidates) takes 0.07-0.09 s in-process.  The degree memo of `enumerate_candidates` saves
+# `enumerate` walks every degree up to --dmax: it factors (d-1)(d-2) - 2g by
+# trial division and scans the grid of every candidate it finds.  At g = 0
+# most candidates fail in the first grid row, and the level certificate
+# passes each (d-1, d) member with no row read: --dmax 500, 1000 and 2000
+# took 0.2-0.4, 0.5-0.8 and 1.3-2.2 s (8.5 MB of output at 64-65 MB peak RSS
+# at 2000), against 0.43, 1.03 and 2.7-3.2 s with every (d-1, d) row
+# scanned.  Of that, rendering the JSON at 2000 (43,708 candidates) takes
+# 0.07-0.09 s in-process.  The degree memo of `enumerate_candidates` saves
 # nothing here, since within one command every degree is new.  At a large
-# genus nearly every candidate is admissible and its scan runs through
-# half the grid: --dmax 2000 took 36-58 s at g = 10^4 to 10^6 (at
-# g = 10^5, 0.4 s at 500 and 9.7 s at 1000).  The ceiling keeps g = 0 up
-# to d = 2000 in reach, and --dmax 10^8, which ran on with no output, is
-# refused before any work (whole process, same host).
+# genus nearly every candidate is admissible and its scan runs through half
+# the grid: --dmax 2000 took 36-58 s at g = 10^4 to 10^6 (at g = 10^5, 0.4 s
+# at 500 and 9.7 s at 1000).  The ceiling keeps g = 0 up to d = 2000 in
+# reach, and --dmax 10^8, which ran on with no output, is refused before any
+# work (whole process, same host).
 ENUMERATE_DMAX_MAX = 2000
 
 

@@ -38,8 +38,8 @@ k, that is, one running sum over the even slots and one over the odd
 slots.  So y is t^3 after one such division and y^d = t^{3d} / (1 - t^2)^d
 is t^{3d} after d of them, each a single running sum over the slots
 t^{3d + 2i}, the only ones that fill.  The tail x^3 + x^2 y - y is t^3
-plus y shifted by 2, minus y.  The collapse and the valuation are read off these computed
-lists, not assumed.
+plus y shifted by 2, minus y.  The collapse and the valuation are read
+off these computed lists, not assumed.
 """
 
 from __future__ import annotations

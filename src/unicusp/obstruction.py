@@ -33,7 +33,8 @@ the same value, for one cusp and for several.  The scan therefore stops
 after row (d-3)//2, and the multi-cusp check evaluates the convolution
 of its two operands only at the arguments the scan reads, through
 `semigroup.convolve_at`.  With three or more cusps, one operand is a
-`convolve` fold of all cusps but the largest, computed whole.
+`convolve` fold of all cusps but the largest, computed whole.  A lone
+cusp takes `check_single`'s scan.
 
 Along a row a cell moves by at most 1 from the one before, so after a
 cell holding v the next min(v, g - v) cells hold and are skipped, and
@@ -107,8 +108,7 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     stored two-cusp benchmark rows), and `convolve_at` evaluates each on
     its own.  With three or more cusps, all but the one of largest delta
     are first folded by `convolve`; the fold and the remaining cusp are
-    the two operands.  One cusp is scanned on its own
-    `Semigroup.gaps_at_least`, as `check_single` does, with no run starts.
+    the two operands.  A lone cusp takes `check_single`'s scan.
     """
     if not pairs:
         raise ValueError("at least one cusp is required")
@@ -116,7 +116,7 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     _require_degree_genus(degree, genus, sum(s.delta for s in semis), "{}", pairs)
     *rest, last = semis
     if not rest:
-        return _scan(genus, degree, last.gaps_at_least, last.first_pair)
+        return _scan(genus, degree, last.gaps_at_least, last.first_pair, last)
     first = reduce(convolve, [s.gap_function() for s in rest])
     return _scan(genus, degree, convolve_at(first, last.gap_function()),
                  sum(s.first_pair for s in semis))
@@ -244,7 +244,7 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
     The level certificate skips whole rows of one cusp with b <= d.  It
     needs G to be that cusp's own count and the degree-genus identity to
     hold, so it applies only when gap_at is `cusp.gaps_at_least` and
-    (d-1)(d-2) = 2(g + delta), as in every call from `check_single`.
+    (d-1)(d-2) = 2(g + delta), as in every call from either checker.
     Then R(x) counts the elements of <a, b> below x, and:
 
     - Levels.  Every element is u*b + v*a for exactly one pair with

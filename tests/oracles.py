@@ -8,8 +8,9 @@ loops, direct scans) so agreement is meaningful.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, gcd, isqrt
+from operator import add, sub
 
 
 def sieve_elements(a, b, limit):
@@ -94,6 +95,44 @@ def brute_admissible(a, b, genus, degree):
     return True, None
 
 
+def table_check(a, b, genus, degree):
+    """Single-cusp verdict read off a table of elements, at production
+    scale: (admissible, (j, k) of the first violated cell or None,
+    checks), checks being that cell's position in the full grid, or all
+    degree * (genus + 1) cells when none fails.
+
+    A bytearray marks the elements u*b + v*a below the largest argument
+    (d-2)*d + 1, one slice assignment per u < a, behind a zero pad that
+    stands for the negative arguments, where R is 0.  R at each row's
+    first argument j*d + 1 is a running prefix count of the table, and
+    R(m - 2) = R(m) - [m - 2 is an element] - [m - 1 is an element]
+    gives the rest of the row.  Every row -1..d-2 and every k 0..g is
+    read, with no symmetry, skip rule or certificate.
+    """
+    delta = (a - 1) * (b - 1) // 2
+    if (degree - 1) * (degree - 2) != 2 * (genus + delta):
+        raise ValueError("degree-genus mismatch in oracle call")
+    pad = 2 * genus + degree  # row -1 reads down to 1 - d - 2g
+    size = pad + (degree - 2) * degree + 1
+    member = bytearray(size)
+    for u in range(a):
+        start = pad + u * b
+        member[start::a] = b"\x01" * len(range(start, size, a))
+    below, counted = 0, 0
+    for j in range(-1, degree - 1):
+        top = pad + j * degree + 1
+        below += member.count(1, counted, top)
+        counted = top
+        row = member[top - 2 * genus:top]
+        falls = map(add, row[-2::-2], row[-1::-2])
+        tri = (j + 1) * (j + 2) // 2
+        values = list(accumulate(map(sub, repeat(1), falls), initial=below - tri))
+        if min(values) < 0 or max(values) > genus:
+            k = next(k for k, v in enumerate(values) if not 0 <= v <= genus)
+            return False, (j, k), (j + 1) * (genus + 1) + k + 1
+    return True, None, degree * (genus + 1)
+
+
 def gap_counter(a, b):
     """I(m) of <a,b> for every integer m, as a callable over gap_list."""
     gaps = gap_list(a, b)
@@ -163,22 +202,26 @@ def brute_enumerate(genus, d_max, allow_smooth=False):
     """
     found = []
     for d in range(1, d_max + 1):
-        m = (d - 1) * (d - 2) - 2 * genus
-        if m < 0:
-            continue
-        if m == 0:
-            if allow_smooth:
-                found.append((1, 3 * d - 1, d))
-            continue
-        for a in range(2, m + 2):
-            if (a - 1) * (a - 1) > m:
-                break
-            if m % (a - 1):
-                continue
-            b = m // (a - 1) + 1
-            if a < b and gcd(a, b) == 1:
-                found.append((a, b, d))
+        if allow_smooth and (d - 1) * (d - 2) == 2 * genus:
+            found.append((1, 3 * d - 1, d))
+        found += [(a, b, d) for a, b in pairs_at_degree(genus, d)]
     return sorted(found, key=lambda t: (t[2], t[0]))
+
+
+def pairs_at_degree(genus, degree):
+    """Every coprime (a, b) with 2 <= a < b and
+    (a-1)(b-1) = (d-1)(d-2) - 2g, a ascending, by trial division."""
+    m = (degree - 1) * (degree - 2) - 2 * genus
+    found = []
+    for a in range(2, m + 2):
+        if (a - 1) * (a - 1) > m:
+            break
+        if m % (a - 1):
+            continue
+        b = m // (a - 1) + 1
+        if a < b and gcd(a, b) == 1:
+            found.append((a, b))
+    return found
 
 
 def pell_solutions(n, y_limit):

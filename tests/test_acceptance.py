@@ -302,3 +302,38 @@ def test_measured_pattern_cusps_with_b_at_most_d_are_admissible():
                     assert oracles.brute_admissible(a, b, genus, d) == (True, None)
     assert checked == 22590, checked
     assert time.monotonic() - start < 20.0
+
+
+def test_measured_pattern_degree_at_most_three_multiplicities_plus_genus():
+    # A measured pattern, not a theorem: every admissible cusp <a, b> of
+    # multiplicity a on a curve of degree d and genus g obeys
+    # d <= 3a + g - 1.  Here it is held for every g in 0..40 at dmax 200,
+    # where the largest d - 3a equals g - 1 exactly at g = 0..9 and falls
+    # short of it from g = 10 on.  At g = 0 it reads d < 3a, the
+    # Matsuoka-Sakai bound for rational cuspidal curves.  Budget 5 s
+    # (about 1 s here).
+    start = time.monotonic()
+    sharp = []
+    for genus in range(41):
+        excess = max(c.d - 3 * c.a for c in enumerate_candidates(genus, 200).admissible)
+        assert excess <= genus - 1, (genus, excess)
+        if excess == genus - 1:
+            sharp.append(genus)
+    assert sharp == list(range(10)), sharp
+    assert time.monotonic() - start < 5.0
+
+
+def test_orevkov_bound_holds_at_genus_zero():
+    # Orevkov's theorem (Math. Ann. 324, 2002): a rational cuspidal curve
+    # of degree d with a cusp of multiplicity a has
+    # d < phi^2 (a + 1) + 1/sqrt5.  Times 10, with phi^2 = (3 + sqrt5)/2,
+    # it reads L = 10d - 15(a + 1) < sqrt5 (5a + 7), which holds exactly
+    # when L < 0 or L^2 < 5 (5a + 7)^2, with no float.  Every admissible
+    # candidate at g = 0 up to dmax 400 obeys it.  Budget 5 s.
+    start = time.monotonic()
+    admissible = enumerate_candidates(0, 400).admissible
+    for c in admissible:
+        margin = 10 * c.d - 15 * (c.a + 1)
+        assert margin < 0 or margin * margin < 5 * (5 * c.a + 7) ** 2, c
+    assert len(admissible) == 606
+    assert time.monotonic() - start < 5.0

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -473,6 +475,33 @@ def test_readme_output_blocks_are_real(capsys):
             assert out.splitlines()[:len(block) - 1] == block[:-1], command
         else:
             assert out == "\n".join(block) + "\n", command
+
+
+def test_readme_library_quick_start_values_are_real():
+    # the "## Library quick start" block runs statement by statement; each
+    # bare expression equals the value its "# ..." comment leads with, on
+    # its own line or, when that has none, on the next line.  Budget 5 s
+    start = time.perf_counter()
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().partition("## Library quick start")[2]
+    block = section.partition("```python\n")[2].partition("```")[0]
+    lines = block.splitlines()
+    namespace, shown = {}, []
+    for statement in ast.parse(block).body:
+        if not isinstance(statement, ast.Expr):
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        comment = (lines[statement.end_lineno - 1].partition("#")[2]
+                   or lines[statement.end_lineno].partition("#")[2]).strip()
+        try:
+            expected = ast.literal_eval(comment)
+        except (SyntaxError, ValueError):
+            expected = int(re.match(r"-?\d+", comment).group())
+        assert value == expected, ast.unparse(statement)
+        shown.append(value)
+    assert shown == [9, 17, 8, 4, (True, 18, None), 14, [(1, 8, 3), (8, 55, 21)], 24]
+    assert time.perf_counter() - start < 5.0
 
 
 def test_unknown_subcommand(capsys):

@@ -640,3 +640,139 @@ def test_level_certificate_needs_the_cusps_own_count():
                                  (3, 9, s.gaps_at_least), (4, 9, s.gaps_at_least)):
         expect = _rows_oracle(count, genus, degree)
         assert _scan_witnesses(count, genus, degree, s) == [expect] * 2, (genus, degree)
+
+
+# One scan for a lone cusp: `check_multi([(a, b)])` hands its cusp to
+# `check_single`'s scan, with the pair-class rule and the level
+# certificate.
+
+def _lone_cusp_sample():
+    """<1999, 2000> at g = 0 (no gap count), <349, 352> at g = 351, two
+    Lucas rungs, and seeded candidates, most of them rejected."""
+    sample = [(1999, 2000, 0, 2000), (349, 352, 351, 352)]
+    sample += [(c.a, c.b, c.g, c.d) for c in (lucas_family(2, 4), lucas_family(3, 3))]
+    rng = random.Random(2027)
+    while len(sample) < 40:
+        genus, degree = rng.choice((0, 1, 2, 7, 40, 351)), rng.randrange(5, 400)
+        pairs = oracles.pairs_at_degree(genus, degree)
+        if pairs:
+            sample.append((*rng.choice(pairs), genus, degree))
+    return sample
+
+
+def test_lone_cusp_check_multi_is_check_single(monkeypatch):
+    # same verdict, witness and checks_performed, and the same number of
+    # gap counts: <1999, 2000> at g = 0 made 998 through a second,
+    # uncertified one-cusp scan, against 0 here.  Budget 5 s (about 0.01 s)
+    start = time.perf_counter()
+    calls = 0
+    count = Semigroup.gaps_at_least
+
+    def counted(self, m):
+        nonlocal calls
+        calls += 1
+        return count(self, m)
+
+    monkeypatch.setattr(Semigroup, "gaps_at_least", counted)
+    rejected = 0
+    for a, b, g, d in _lone_cusp_sample():
+        calls = 0
+        single = check_single(a, b, g, d)
+        single_calls, calls = calls, 0
+        assert check_multi([(a, b)], g, d) == single, (a, b, g, d)
+        assert calls == single_calls, (a, b, g, d, calls, single_calls)
+        rejected += not single.admissible
+    assert 10 < rejected < 38, rejected
+    assert time.perf_counter() - start < 5.0
+
+
+def test_lone_cusp_check_prints_the_same_from_pairs(capsys):
+    # `check -a A -b B` and `check --pairs A,B` print the same bytes,
+    # "pairs": [[A, B]] included, and exit alike.  Budget 5 s (about 0.02 s)
+    start = time.perf_counter()
+    for a, b, g, d in _lone_cusp_sample():
+        common = ["check", "--genus", str(g), "-d", str(d)]
+        single = run([*common, "-a", str(a), "-b", str(b)]), capsys.readouterr()
+        paired = run([*common, "--pairs", f"{a},{b}"]), capsys.readouterr()
+        assert paired == single, (a, b, g, d)
+        assert f'"pairs": [\n      [\n        {a},' in single[1].out
+    assert time.perf_counter() - start < 5.0
+
+
+def test_table_oracle_matches_brute_force():
+    # every candidate with g <= 6 and d <= 40: verdict and witness cell
+    # against the sieve oracle, and checks at the witness's grid position.
+    # Budget 5 s (about 0.7 s)
+    start = time.perf_counter()
+    for g in range(0, 7):
+        for a, b, d in oracles.brute_enumerate(g, 40):
+            admissible, cell, checks = oracles.table_check(a, b, g, d)
+            assert (admissible, cell) == oracles.brute_admissible(a, b, g, d), (a, b, g, d)
+            if cell is None:
+                assert checks == d * (g + 1), (a, b, g, d)
+            else:
+                assert checks == (cell[0] + 1) * (g + 1) + cell[1] + 1, (a, b, g, d)
+    assert time.perf_counter() - start < 5.0
+
+
+def _production_sample():
+    """37 candidates: seeded ones at g = 0, 1 (d 1000-2000) and g = 1000
+    (d 400-800), and members of each admissible family: <d-1, d>,
+    (d/2, 2d-1), the Fibonacci pairs, every `_FAMILIES` row (at its own
+    genus where it has no member at g = 0, 1 or 1000) and a Lucas rung.
+    Most seeded candidates fail at cell (1, 0); at most half of each
+    genus's draws may, so the rest fail deeper in the grid, where the
+    scan's skips and bisections decide the witness."""
+    rng = random.Random(3)
+    sample = [(1999, 2000, 0, 2000), (2, 3, 0, 3), (3, 22, 0, 8), (6, 43, 0, 16),
+              (233, 1597, 0, 610), (169, 1156, 0, 442), (9, 64, 1, 24), (2, 5, 1, 4)]
+    c = lucas_family(2, 4)
+    sample.append((c.a, c.b, c.g, c.d))
+    for _ in range(2):
+        d = rng.randrange(1000, 2001)
+        sample.append((d - 1, d, 0, d))
+        d = 2 * rng.randrange(500, 1001)
+        sample.append((d // 2, 2 * d - 1, 0, d))
+        l = rng.randrange(300, 667)
+        sample.append((l, 9 * l + 1, 1, 3 * l))
+    t = rng.randrange(200, 798)
+    sample.append((t, t + 3, t + 2, t + 3))
+    t = rng.randrange(20, 29)
+    sample.append((t, 2 * t - 1, (t - 1) * (t - 2), 2 * t - 1))
+    for genus, low, high, count in ((0, 1000, 2001, 6), (1, 1000, 2001, 6),
+                                    (1000, 400, 801, 8)):
+        shallow = count // 2
+        while count:
+            degree = rng.randrange(low, high)
+            pairs = oracles.pairs_at_degree(genus, degree)
+            if not pairs:
+                continue
+            drawn = (*rng.choice(pairs), genus, degree)
+            if oracles.table_check(*drawn)[1] == (1, 0):
+                if not shallow:
+                    continue
+                shallow -= 1
+            sample.append(drawn)
+            count -= 1
+    return sample
+
+
+def test_checks_match_the_table_oracle_at_production_scale():
+    # check_single and one-pair check_multi against the table oracle's
+    # full grid: verdict, witness cell and checks_performed.  The oracle
+    # reads all d(g+1) cells of an admissible candidate, with no shortcut
+    # the scan takes.  g = 10^5 is left out (about 6 s per candidate).
+    # Budget 10 s (under 1 s here)
+    start = time.perf_counter()
+    sample = _production_sample()
+    assert len(sample) == 37
+    admissible = 0
+    for a, b, g, d in sample:
+        expect = oracles.table_check(a, b, g, d)
+        for v in (check_single(a, b, g, d), check_multi([(a, b)], g, d)):
+            cell = None if v.witness is None else (v.witness.j, v.witness.k)
+            assert (v.admissible, cell, v.checks_performed) == expect, (a, b, g, d)
+        admissible += expect[0]
+    assert 20 < admissible < 37, admissible
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, elapsed

@@ -6,7 +6,8 @@ coprime and (a - 1)(b - 1) = (d - 1)(d - 2) - 2g.  `enumerate_candidates`
 walks every degree up to a bound, attaches the admissibility verdict to
 each pair, and splits the outcome into pairs on the line a + b = 3d
 versus exceptions, tagging exceptions that belong to one of the known
-syntactic families.
+syntactic families.  Each degree's verdicts and tags are made once, in
+`_candidates_at_degree`, and kept in its memo.
 
 The families live in one table, `_FAMILIES`: each row is a tag and the
 member (g, a, b, d) at parameter t, for `(l,9l+1)`, `(p,p+3)`, `(p,2p-1)`
@@ -86,23 +87,11 @@ _FAMILIES = tuple((tag, member(1)[1], member) for tag, member in (
 ))
 
 
-# The rows again, each with its b at t = 0 and the slope of b in t, read
-# off the member (b is linear in t in every row): `_tags_for` rules a row
-# out from a and b before it builds the member.
-_TAG_ROWS = tuple((tag, step, member(0)[2], member(1)[2] - member(0)[2], member)
-                  for tag, step, member in _FAMILIES)
-
-
 def _tags_for(c: Candidate) -> tuple[str, ...]:
     """The tag of every family whose member at the parameter that a
     determines is c: a formula match, whatever the kind's range."""
     g, a, b, d, _ = c
-    tags = ()
-    for tag, step, b0, slope, member in _TAG_ROWS:
-        t = a // step
-        if b == b0 + slope * t and member(t) == (g, a, b, d):
-            tags += (tag,)
-    return tags
+    return tuple(tag for tag, step, member in _FAMILIES if member(a // step) == (g, a, b, d))
 
 
 @dataclass(frozen=True)
@@ -161,19 +150,24 @@ def _divisor_pairs(m: int) -> list[tuple[int, int]]:
 
 # Entries `_candidates_at_degree` keeps, sized from measured traffic.
 # Each (genus, d, allow_smooth) key holds one degree's candidates with
-# their verdicts.  The 750 `enumerate` ops of the seed-0 `sweep` benchmark
-# pool, run in one process, ask 1,920 distinct keys (g 0..29, d <= 64) and
-# made 151,138 `check_single` calls on 8,026 distinct candidates (94.7%
-# repeats); one `enumerate` at the `--dmax` ceiling asks 2000 keys.  2048
-# entries hold either whole.  Filled by the windows (0, 2000) and (1, 48)
-# they keep 6.4 MB alive, and 5.0 MB by (1, 2000) and (2, 48) (tracemalloc).
+# their verdicts and its exceptions with their tags.  The 750 `enumerate`
+# ops of the seed-0 `sweep` benchmark pool, run in one process, ask 1,920
+# distinct keys (g 0..29, d <= 64) and made 151,138 `check_single` calls
+# on 8,026 distinct candidates (94.7% repeats); one `enumerate` at the
+# `--dmax` ceiling asks 2000 keys.  2048 entries hold either whole.
+# Filled by the windows (0, 2000) and (1, 48) they keep 6.8 MB alive, and
+# 5.3 MB by (1, 2000) and (2, 48) (tracemalloc).
 CANDIDATE_MEMO_SIZE = 2048
 
 
 @lru_cache(maxsize=CANDIDATE_MEMO_SIZE)
-def _candidates_at_degree(genus: int, d: int, allow_smooth: bool) -> tuple[Candidate, ...]:
-    """The candidates of degree d, each with its verdict, in ascending a:
-    `_divisor_pairs` ascends in u = a - 1, and b follows from a.
+def _candidates_at_degree(
+    genus: int, d: int, allow_smooth: bool
+) -> tuple[tuple[Candidate, ...], tuple[tuple[Candidate, tuple[str, ...]], ...]]:
+    """The slice of degree d: its candidates, each with its verdict, and
+    its exceptions (admissible and off the 3d line), each paired with its
+    tags, both in ascending a: `_divisor_pairs` ascends in u = a - 1, and
+    b follows from a.
 
     Every pair kept has a < b and gcd(a, b) = 1, (a - 1)(b - 1) =
     (d - 1)(d - 2) - 2g holds by the choice of u and v, and d >= 1 and
@@ -181,14 +175,15 @@ def _candidates_at_degree(genus: int, d: int, allow_smooth: bool) -> tuple[Candi
     the candidates without a second check.
 
     Memoised: the answer depends on (genus, d, allow_smooth) alone, each
-    `Candidate` is an immutable named tuple and its verdict comes from the
-    pure `check_single`, so a repeated key returns the same tuple.  A miss
-    looks `check_single` up in this module's globals at call time, where
-    the benchmark tracer rebinds it.
+    `Candidate` is an immutable named tuple, its verdict comes from the
+    pure `check_single` and its tags from the pure `_tags_for`, so a
+    repeated key returns the same tuple.  A miss looks `check_single` up
+    in this module's globals at call time, where the benchmark tracer
+    rebinds it.
     """
     m = (d - 1) * (d - 2) - 2 * genus
     if m < 0:
-        return ()
+        return ((), ())
     found = []
     if m == 0:
         if allow_smooth:
@@ -198,8 +193,10 @@ def _candidates_at_degree(genus: int, d: int, allow_smooth: bool) -> tuple[Candi
             a, b = u + 1, v + 1
             if a < b and gcd(a, b) == 1:
                 found.append((a, b))
-    return tuple([Candidate._make((genus, a, b, d, check_single(a, b, genus, d).admissible))
-                  for a, b in found])
+    candidates = tuple([Candidate._make((genus, a, b, d, check_single(a, b, genus, d).admissible))
+                        for a, b in found])
+    return candidates, tuple([(c, _tags_for(c)) for c in candidates
+                              if c.admissible and not c.on_3d_line])
 
 
 def enumerate_candidates(
@@ -212,14 +209,15 @@ def enumerate_candidates(
     set.  `jobs` must be >= 1 and changes neither the work nor the
     report: the sweep is pure Python and runs serially.
 
-    Each degree's candidates come from `_candidates_at_degree`, an
-    `lru_cache` memo keyed by (genus, d, allow_smooth) and bounded at
-    `CANDIDATE_MEMO_SIZE` entries, so a later call that overlaps an
-    earlier window repeats no divisor search and no `check_single`.  The
-    memo holds the candidate tuples it returned, 6.4 MB when full of
-    genus-0 degrees, and `_candidates_at_degree.cache_clear()` frees
-    them.  Within one call every degree is a new key, so a single call
-    does the same work with or without the memo.
+    Each degree's candidates and tagged exceptions come from
+    `_candidates_at_degree`, an `lru_cache` memo keyed by (genus, d,
+    allow_smooth) and bounded at `CANDIDATE_MEMO_SIZE` entries, so a later
+    call that overlaps an earlier window repeats no divisor search, no
+    `check_single` and no tagging.  The memo holds the slices it
+    returned, 6.8 MB when full of genus-0 degrees, and
+    `_candidates_at_degree.cache_clear()` frees them.  Within one call
+    every degree is a new key, so a single call does the same work with
+    or without the memo.
     """
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
@@ -227,12 +225,12 @@ def enumerate_candidates(
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    # degrees ascend and each degree's list ascends in a: Candidate.key order
-    candidates = tuple(c for d in range(1, d_max + 1)
-                       for c in _candidates_at_degree(genus, d, allow_smooth))
+    # degrees ascend and each degree's lists ascend in a: Candidate.key order
+    slices = [_candidates_at_degree(genus, d, allow_smooth) for d in range(1, d_max + 1)]
+    candidates = tuple(c for found, _ in slices for c in found)
     admissible = tuple(c for c in candidates if c.admissible)
     on_line = tuple(c for c in admissible if c.on_3d_line)
-    exceptions = tuple((c, _tags_for(c)) for c in admissible if not c.on_3d_line)
+    exceptions = tuple(e for _, tagged in slices for e in tagged)
     return EnumerationReport(
         g=genus,
         d_max=d_max,

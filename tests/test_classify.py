@@ -21,7 +21,6 @@ from unicusp import (
 from unicusp.classify import (
     CANDIDATE_MEMO_SIZE,
     _FAMILIES,
-    _TAG_ROWS,
     _candidates_at_degree,
     _square_free_split,
     _tags_for,
@@ -74,11 +73,36 @@ def test_degree_memo_changes_no_report():
     for (g, d_max, smooth), report in zip(windows, warm):
         _candidates_at_degree.cache_clear()
         assert report == enumerate_candidates(g, d_max, allow_smooth=smooth), (g, d_max, smooth)
-    # an entry is the tuple it was, handed out again on a hit
+    # an entry is the slice it was, handed out again on a hit: the degree's
+    # candidates, and its exceptions each paired with its tags
     for d in range(1, 81):
         entry = _candidates_at_degree(3, d, True)
-        assert type(entry) is tuple and all(type(c) is Candidate for c in entry)
+        candidates, exceptions = entry
+        assert type(entry) is tuple and all(type(c) is Candidate for c in candidates)
+        assert exceptions == tuple((c, _tags_for(c)) for c in candidates
+                                   if c.admissible and not c.on_3d_line)
         assert _candidates_at_degree(3, d, True) is entry
+
+
+def test_memo_tags_each_exception_once(monkeypatch):
+    # a cold window tags each of its exceptions once; the same window read
+    # again, or a window inside it, tags nothing
+    calls = 0
+
+    def counted(c):
+        nonlocal calls
+        calls += 1
+        return _tags_for(c)
+
+    monkeypatch.setattr("unicusp.classify._tags_for", counted)
+    for g, d_max, smooth in ((0, 120, False), (1, 80, True), (7, 60, False)):
+        calls = 0
+        report = enumerate_candidates(g, d_max, allow_smooth=smooth)
+        assert calls == len(report.exceptions) > 0, (g, d_max, smooth)
+        calls = 0
+        assert enumerate_candidates(g, d_max, allow_smooth=smooth) == report
+        enumerate_candidates(g, d_max // 2, allow_smooth=smooth)
+        assert calls == 0, (g, d_max, smooth)
 
 
 def test_window_read_from_a_warm_memo_matches_brute_force():
@@ -181,15 +205,6 @@ def test_family_members_are_tagged_admissible_exceptions():
             assert not c.on_3d_line, (tag, t)
             assert tag in _tags_for(c), (tag, t)
             assert oracles.brute_admissible(c.a, c.b, c.g, c.d) == (True, None), (tag, t)
-
-
-def test_tag_prefilter_lines_match_every_member_b():
-    # `_tags_for` rules a row out when b is off the line through the
-    # member's b at t = 0 and t = 1; that needs b linear in t in each row
-    for (tag, step, member), (_, step_, b0, slope, member_) in zip(_FAMILIES, _TAG_ROWS):
-        assert (step_, member_) == (step, member), tag
-        for t in range(-5, 60):
-            assert member(t)[2] == b0 + slope * t, (tag, t)
 
 
 def test_exceptional_family_is_tagged_by_its_kind():

@@ -54,6 +54,13 @@ the last cell of every row in [0, g].  A row j with j*d <= x*
 holds; the scan starts after the last such row, x* // d, and at g = 0,
 where b <= d forces <d-1, d>, every row holds.  `_scan` proves the
 lemmas.
+
+Two of the paper's families are proved whole, so a check of one of
+their members reads no row: <p, p+3> at degree p + 3 (genus p + 2) and
+<a, 4a-1> at degree 2a (genus 0).  Counting the elements below each
+cell's argument in closed form puts every cell of the half grid in
+[0, g]; the proofs are in `_scan`, which returns the full-grid verdict
+for them under the same guard as the level certificate.
 None of this changes a verdict, a witness or `checks_performed`, which
 still counts cells by their position in the full d(g+1)-cell grid.
 """
@@ -278,6 +285,69 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
       gives a >= d - 1.  Every row up to (d-3)//2 has j <= d - 2 = a - 1,
       so both lemmas apply to its one cell, and the scan reads no row.
 
+    Under the same condition on gap_at and the identity, two families
+    are certified whole and `_scan` returns before reading a row:
+    b = a + 3 = d, the `(p,p+3)` family <p, p+3> at degree p + 3 and
+    genus p + 2, and g = 0 with b = 2d - 1, the `(d/2, 2d-1)` family
+    <a, 4a-1> at degree 2a (the identity then gives a = d/2).  Rows -1
+    and 0 hold as shown above, and every cell of rows 1..(d-3)//2 lies
+    in [0, g], as follows.
+
+    - Cells when b = d.  Take a row j <= a - 1 and a cell k with
+      i0 = ceil(2k/d) <= j + 1.  An element u*b + v*a lies below
+      x = j*d + 1 - 2k only if u <= j, and for such u < a the u-th term
+      counts floor(((j-u)*d - 2k)/a) + 1 elements when (j-u)*d >= 2k,
+      and none otherwise.  Put i = j - u and c = d - a, so
+      floor((i*d - 2k)/a) = i + floor((c*i - 2k)/a).  Summing over
+      i0 <= i <= j gives R(x) = T_j - T_{i0-1} + S with
+      S = sum_{i=i0..j} floor((c*i - 2k)/a) and T_{-1} = 0, so
+      value(j, k) = k - T_{i0-1} + S.
+    - <p, p+3> at d = p + 3.  Here c = 3, a = p, g = p + 2 = d - 1, and
+      3 does not divide p, since gcd(p, p+3) = 1.  A scanned row has
+      1 <= j <= p//2, so j <= a - 1, 3*i <= 3p/2, and i0 <= 2 <= j + 1
+      as 2k <= 2g < 2d.  Three ranges of k:
+      - k = 0.  i0 = 0 and 0 <= 3i < 2p, so each term is 0 or 1, and
+        0 <= value <= j + 1.
+      - 1 <= 2k <= d.  i0 = 1, T_0 = 1, and -p <= 3i - 2k < 2p, so each
+        term is -1, 0 or 1, and it is -1 only for 1 <= i < 2k/3, at
+        most ceil(2k/3) - 1 terms.  So
+        value >= k - 1 - (ceil(2k/3) - 1) = floor(k/3) >= 0 and
+        value <= k - 1 + j.
+      - d < 2k <= 2g.  i0 = 2, T_1 = 3, and
+        2 - 2p <= 3i - 2k < 3p/2 - d < p, so each term is -2, -1 or 0.
+        It is negative only for 2 <= i < 2k/3, at most ceil(2k/3) - 2
+        terms, and -2 only for 2 <= i < (2k - p)/3, at most
+        n = max(0, ceil((2k - p)/3) - 2) terms.  So
+        value >= k - 3 - (ceil(2k/3) - 2) - n = floor(k/3) - 1 - n and
+        value <= k - 3.  Here k >= 3, as 2k > d >= 5 (the half grid
+        of p = 1 has no row), so floor(k/3) >= 1.  As p >= k - 2,
+        2k - p <= k + 2, and ceil((k + 2)/3) - 2 = floor(k/3) - 1
+        unless k = 3m + 2; there n = m = floor(k/3) would need
+        2k - p > 3m + 3, that is p < k - 1, so p = k - 2 = 3m, which 3
+        does not divide.  So n <= floor(k/3) - 1 and value >= 0.
+      On the upper side j + 1 <= p/2 + 1, k - 1 + j <= p + 1/2 and
+      k - 3 are all below g = p + 2.
+    - <a, 4a-1> at d = 2a, g = 0.  Row j, 1 <= j <= a - 2, is the one
+      cell k = 0, value R(2aj + 1) - T_j.  For u < a,
+      u*(4a-1) <= 2aj reads 2a*(2u - j) <= u, which holds iff
+      2u <= j; so the elements below 2aj + 1 have u <= U = floor(j/2),
+      and U < a.  The u-th term counts
+      floor((2aj - u*(4a-1))/a) + 1 = 2j - 4u + 1 of them (u < a), so
+      R(2aj + 1) = sum_{u=0..U} (2j + 1 - 4u) = (U+1)(2j + 1 - 2U),
+      which is T_j for j = 2U and for j = 2U + 1.  Every cell holds 0.
+
+    The tests check each certificate three ways: every cell of every
+    member with d < 160 against the oracle's element table
+    (`test_family_certificates_hold_on_every_cell`); the uncertified
+    scan's verdict for every member up to d = 2000
+    (`test_family_certificates_match_the_scan`); and at production
+    scale, `_production_sample`'s <t, t+3> members at g = t + 2 (one
+    seeded, one at g = 1000) and its two (d/2, 2d-1) members, beside
+    two <p, p+3> rejections at d = p + 2 with d in 1000-2000.  Members'
+    neighbours, <p, p+3> at d = p + 2 and p + 4, <a, a+4> and <a, a+5>
+    at d = a + 3, and <a, 4a-1> at d = 2a + 1 and 2a + 2, are still
+    scanned (`test_family_neighbours_are_scanned`).
+
     No skipped row holds a violated cell, so the witness and
     `checks_performed` stay those of a scan of every row.
 
@@ -290,13 +360,14 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
     first = 1
     per = 0
     if cusp is not None:
-        a = cusp.a
+        a, b = cusp.a, cusp.b
         per = a // gcd(a, 2)
-        first = _first_row(genus, degree, cusp)
-        # the certificate speaks only of the cusp's own count on its grid
-        if first > 1 and (gap_at != cusp.gaps_at_least
-                          or (degree - 1) * (degree - 2) != 2 * (genus + cusp.delta)):
-            first = 1
+        # the certificates speak only of the cusp's own count on its grid
+        if gap_at == cusp.gaps_at_least and (
+                (degree - 1) * (degree - 2) == 2 * (genus + cusp.delta)):
+            if b == a + 3 == degree or (genus == 0 and b == 2 * degree - 1):
+                return Verdict(True, None, degree * (genus + 1))
+            first = _first_row(genus, degree, cusp)
     classes = 1
     for j in range(first, _last_row(degree) + 1):
         base = j * degree + 1

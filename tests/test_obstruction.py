@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import time
+from math import gcd
 from operator import sub
 
 import pytest
@@ -516,22 +517,39 @@ def test_pair_class_skips_keep_the_first_violated_cell_on_gap_counts():
     assert lower > 300, lower
 
 
-def test_check_single_counts_few_gaps_with_the_pair_class_rule(monkeypatch):
-    # <349, 352> at g = 351, d = 352: the min(v, g - v) skip and the row
-    # tails make 727 gap counts; the pair-class rule lifts the lower-side
-    # skips and leaves 240
-    calls = 0
+def _count_gap_calls(monkeypatch):
+    """Route `Semigroup.gaps_at_least` through a counter; returns the
+    one-item list that holds the count."""
+    calls = [0]
     count = Semigroup.gaps_at_least
 
     def counted(self, m):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return count(self, m)
 
     monkeypatch.setattr(Semigroup, "gaps_at_least", counted)
-    v = check_single(349, 352, 351, 352)
+    return calls
+
+
+def test_check_single_counts_few_gaps_with_the_pair_class_rule(monkeypatch):
+    # <349, 352> at g = 351, d = 352 through a counting wrapper, which is
+    # not the cusp's own count, so no certificate applies: the
+    # min(v, g - v) skip and the row tails make 727 gap counts; the
+    # pair-class rule lifts the lower-side skips and leaves 240.
+    # `check_single` reads no row at all, as the cusp is a (p,p+3) member
+    s = Semigroup(349, 352)
+    calls = 0
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return s.gaps_at_least(m)
+
+    v = obstruction._scan(351, 352, counted, s.first_pair, s)
     assert v.admissible and v.checks_performed == 352 * 352
-    assert calls <= 300, calls
+    assert 0 < calls <= 300, calls
+    gap_calls = _count_gap_calls(monkeypatch)
+    assert check_single(349, 352, 351, 352) == v and gap_calls[0] == 0
 
 
 # The level certificate: for b <= d, `_scan` starts at row
@@ -631,6 +649,118 @@ def test_level_certificate_needs_the_cusps_own_count():
         assert _scan_witnesses(count, genus, degree, s) == [expect] * 2, (genus, degree)
 
 
+# The family certificates: `_scan` returns the verdict of <p, p+3> at
+# degree p + 3 and of <a, 4a-1> at degree 2a (g = 0) before reading a
+# row.  A verdict cannot show a certificate that covers too much when the
+# extra inputs are admissible too, so the neighbours are held to a gap
+# count as well as to their verdict.
+
+def _family_members(d_max):
+    """Every member (a, b, g, d) with d <= d_max of the (p,p+3) family at
+    degree p + 3 and of the (d/2, 2d-1) family."""
+    members = [(p, p + 3, p + 2, p + 3) for p in range(1, d_max - 2) if p % 3]
+    members += [(a, 4 * a - 1, 0, 2 * a) for a in range(1, d_max // 2 + 1)]
+    return members
+
+
+def test_family_certificates_hold_on_every_cell():
+    # every cell of the full grid of every member with d < 160 lies in
+    # [0, g], read off the sieve's element table; and the b = d cell
+    # formula of the proof, value(j, k) = k - T(i0 - 1) + the sum of
+    # floor((c*i - 2k)/a) over i0 <= i <= j, matches the table on every
+    # half-grid cell with j <= a - 1 and i0 = ceil(2k/d) <= j + 1 of every
+    # valid b = d input with d < 40.  Budget 10 s (about 2 s)
+    start = time.perf_counter()
+
+    def tri(j):
+        return (j + 1) * (j + 2) // 2
+
+    cells = 0
+    for a, b, g, d in _family_members(159):
+        below = oracles.count_below_table(a, b, max(1, (d - 2) * d + 1))
+        for j in range(-1, d - 1):
+            base, t = j * d + 1, tri(j)
+            values = [(below[x] if x > 0 else 0) + k - t
+                      for k, x in enumerate(range(base, base - 2 * g - 1, -2))]
+            assert 0 <= min(values) and max(values) <= g, (a, b, g, d, j)
+            cells += len(values)
+    assert cells > 500000, cells
+    formula = 0
+    for d in range(3, 40):
+        for a in range(1, d):
+            if gcd(a, d) != 1:
+                continue
+            genus = (d - 1) * (d - 1 - a) // 2
+            below = oracles.count_below_table(a, d, (d - 2) * d + 1)
+            for j in range(0, min(a - 1, (d - 3) // 2) + 1):
+                for k in range(0, genus + 1):
+                    i0 = -(-2 * k // d)
+                    if i0 > j + 1:
+                        break
+                    x = j * d + 1 - 2 * k
+                    value = (below[x] if x > 0 else 0) + k - tri(j)
+                    closed = k - tri(i0 - 1) + sum(((d - a) * i - 2 * k) // a
+                                                   for i in range(i0, j + 1))
+                    assert value == closed, (a, d, j, k)
+                    formula += 1
+    assert formula > 300000, formula
+    assert time.perf_counter() - start < 10.0
+
+
+def test_family_certificates_match_the_scan(monkeypatch):
+    # every member up to d = 2000: `check_single` and one-pair
+    # `check_multi` make no gap count and give the verdict of the
+    # uncertified scan (a wrapper of the cusp's count fails the
+    # certificates' guard), which reads the rows.  Budget 15 s (about 3 s)
+    start = time.perf_counter()
+    calls = _count_gap_calls(monkeypatch)
+    for a, b, g, d in _family_members(2000):
+        s = Semigroup(a, b)
+        calls[0] = 0
+        single = check_single(a, b, g, d)
+        assert check_multi([(a, b)], g, d) == single and calls[0] == 0, (a, b, g, d)
+        scanned = obstruction._scan(g, d, lambda m: s.gaps_at_least(m), s.first_pair, s)
+        assert scanned == single == Verdict(True, None, d * (g + 1)), (a, b, g, d)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 15.0, elapsed
+
+
+def test_family_neighbours_are_scanned(monkeypatch):
+    # inputs next to a family member read rows and get the uncertified
+    # scan's verdict: <p, p+3> at d = p + 2 (g = 1; rejected at (1, 0)
+    # from p = 4 on, criterion 02) and at d = p + 4 (g = 2p + 4);
+    # <a, a+4> and <a, a+5> at d = a + 3, where a + 3 = d but b != d; and
+    # <a, 4a-1> at d = 2a + 1 and 2a + 2, off g = 0.  Budget 10 s
+    # (about 1 s)
+    start = time.perf_counter()
+    calls = _count_gap_calls(monkeypatch)
+    neighbours = []
+    for p in range(2, 2000):
+        if p % 3 and p > 2:
+            neighbours.append((p, p + 3, 1, p + 2))
+        if p % 3 and p < 400:
+            neighbours.append((p, p + 3, 2 * p + 4, p + 4))
+        if p % 2:
+            neighbours.append((p, p + 4, (p + 5) // 2, p + 3))
+        if p % 5:
+            neighbours.append((p, p + 5, 3, p + 3))
+        if p < 200:
+            neighbours += [(p, 4 * p - 1, 2 * p - 1, 2 * p + 1),
+                           (p, 4 * p - 1, 4 * p - 1, 2 * p + 2)]
+    rejected = 0
+    for a, b, g, d in neighbours:
+        s = Semigroup(a, b)
+        calls[0] = 0
+        v = check_single(a, b, g, d)
+        assert calls[0] > 0, (a, b, g, d)
+        assert v == obstruction._scan(g, d, lambda m: s.gaps_at_least(m), s.first_pair, s)
+        if b == a + 3 and d == a + 2 and a >= 4:
+            assert v.witness[:2] == (1, 0), (a, b, g, d)
+        rejected += not v.admissible
+    assert rejected > 3800, rejected
+    assert time.perf_counter() - start < 10.0
+
+
 # One scan for a lone cusp: `check_multi([(a, b)])` hands its cusp to
 # `check_single`'s scan, with the pair-class rule and the level
 # certificate.
@@ -708,18 +838,21 @@ def test_table_oracle_matches_brute_force():
 
 
 def _production_sample():
-    """39 candidates: seeded ones at g = 0, 1 (d 1000-2000) and g = 1000
+    """42 candidates: seeded ones at g = 0, 1 (d 1000-2000) and g = 1000
     (d 400-800), two g = 1 rejections at cell (4, 1), and members of each
     admissible family: <d-1, d>, (d/2, 2d-1), the Fibonacci pairs, every
     `_FAMILIES` row (at its own genus where it has no member at g = 0, 1
-    or 1000) and a Lucas rung.
+    or 1000) and a Lucas rung.  The (p,p+3) certificate has a second
+    member, at g = 1000, and two of its neighbours, <p, p+3> at
+    d = p + 2 (g = 1), rejected at cell (1, 0).
     Most seeded candidates fail at cell (1, 0); at most half of each
     genus's draws may, so the rest fail deeper in the grid, where the
     scan's skips and bisections decide the witness."""
     rng = random.Random(3)
     sample = [(1999, 2000, 0, 2000), (2, 3, 0, 3), (3, 22, 0, 8), (6, 43, 0, 16),
               (233, 1597, 0, 610), (169, 1156, 0, 442), (9, 64, 1, 24), (2, 5, 1, 4),
-              (523, 4183, 1, 1479), (595, 4761, 1, 1683)]
+              (523, 4183, 1, 1479), (595, 4761, 1, 1683), (998, 1001, 1000, 1001),
+              (1000, 1003, 1, 1002), (1699, 1702, 1, 1701)]
     c = lucas_family(2, 4)
     sample.append((c.a, c.b, c.g, c.d))
     for _ in range(2):
@@ -759,7 +892,7 @@ def test_checks_match_the_table_oracle_at_production_scale():
     # Budget 10 s (under 1 s here)
     start = time.perf_counter()
     sample = _production_sample()
-    assert len(sample) == 39
+    assert len(sample) == 42
     admissible = 0
     for a, b, g, d in sample:
         expect = oracles.table_check(a, b, g, d)
@@ -767,6 +900,6 @@ def test_checks_match_the_table_oracle_at_production_scale():
             cell = None if v.witness is None else (v.witness.j, v.witness.k)
             assert (v.admissible, cell, v.checks_performed) == expect, (a, b, g, d)
         admissible += expect[0]
-    assert 20 < admissible < 38, admissible
+    assert 21 < admissible < 39, admissible
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed

@@ -40,9 +40,9 @@ SCHEMA_VERSION = "1"
 # Germ input ceilings.  The cost of a germ grows with both its exponent and
 # the order, and a node germ prints about N^2 / 2 polynomial terms (1.9 MB
 # at N = 200), so larger inputs are refused before any series is built.
-# At the ceilings, `germ --node 200 --order 1000` takes 0.22-0.45 s at
-# 26 MB peak RSS, and `germ --flex 300 --order 1000` 0.11-0.14 s (2-vCPU
-# x86-64, Python 3.11.7, whole process).
+# At the ceilings, `germ --node 200 --order 1000` takes 0.11-0.13 s at
+# 26 MB peak RSS, and `germ --flex 300 --order 1000` 0.08-0.09 s at 18 MB
+# (2-vCPU x86-64, Python 3.11.7, whole process, five runs each).
 GERM_NODE_MAX = 200
 GERM_FLEX_MAX = 300
 GERM_ORDER_MAX = 1000

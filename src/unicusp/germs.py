@@ -6,7 +6,8 @@ denominator, so every result stays exact.
 `PowerSeries` is the general series type: sums, a truncated schoolbook
 product (one `sum(map(mul, ...))` per coefficient), powers by squaring and
 a sparse reciprocal.  Neither model below multiplies two series: both run
-on plain int lists, where multiplying by a monomial is a shift.
+on plain int lists or sparse maps, where multiplying by a monomial is a
+shift.
 
 The node model is the parametrization x(t) = t/(1 + t^3),
 y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
@@ -16,17 +17,23 @@ y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
     f_n = c_{n-2} f_{n-1} - c_{n-1} x y f_{n-2},
 
 where c_n is the leading coefficient of f_n along the parametrization.
+The terms of f_1 and f_2 all have the form x^k y^(k+1) or x^(k+2) y^k, and
+multiplying by x y moves a term one place along its own diagonal, so every
+f_n lives on these two diagonals and is held as two int lists, one per
+diagonal; a step is one scaled subtraction on each list.
 Evaluation along the parametrization is a ring homomorphism, so the same
 recursion runs on series without re-evaluating any polynomial.  It runs on
 the unit-scaled U_n = (1 + t^3)^n f_n(x(t), y(t)): since
 x y (1 + t^3)^2 = t^3, it reads U_n = c_{n-2} (U_{n-1} + t^3 U_{n-1})
-- c_{n-1} t^3 U_{n-2} from U_1 = t^2 and U_2 = t^5, so a step is two
-shifts by 3, an add and a subtract over int lists, and no series product.
-U_n has the valuation and leading coefficient of f_n(x(t), y(t)), because
-(1 + t^3)^n is a unit with constant term 1.  Each f_n must vanish to
-order exactly 3n - 1 at the node, carry a nonzero y coefficient, have
-total degree n, and be supported on monomials x^i y^j with
-i + 2j == 2 (mod 3); any breach raises instead of passing silently.
+- c_{n-1} t^3 U_{n-2} from U_1 = t^2 and U_2 = t^5, on sparse
+{exponent: coefficient} maps, with no series product.  U_n has the
+valuation and leading coefficient of f_n(x(t), y(t)), because
+(1 + t^3)^n is a unit with constant term 1.  By induction U_n = t^{3n - 1}
+and c_n = 1 at every n, so each map holds one term; the code still
+computes every U_n and c_n and reads them off the maps.  Each f_n must
+vanish to order exactly 3n - 1 at the node, carry a nonzero y
+coefficient, have total degree n, and be supported on monomials x^i y^j
+with i + 2j == 2 (mod 3); any breach raises instead of passing silently.
 Each step comes back as a `GermRecord`, which `unicusp germ --node` prints
 from one JSON template, with one f-string per polynomial term.
 
@@ -165,31 +172,6 @@ def node_parametrization(order: int) -> tuple[PowerSeries, PowerSeries]:
     return (PowerSeries(tuple(xs)), PowerSeries(tuple(ys)))
 
 
-Poly = dict[tuple[int, int], Coeff]
-
-
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for key, c in q.items():
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _poly_scale(p: Poly, c: Coeff) -> Poly:
-    if c == 0:
-        return {}
-    return {key: v * c for key, v in p.items()}
-
-
-def _poly_shift_xy(p: Poly) -> Poly:
-    """Multiply by the monomial x*y."""
-    return {(i + 1, j + 1): c for (i, j), c in p.items()}
-
-
 @dataclass(frozen=True)
 class GermRecord:
     """One step of the node recursion: the polynomial and its local data."""
@@ -200,22 +182,30 @@ class GermRecord:
     valuation: int
 
 
-def _check_invariants(n: int, poly: Poly) -> None:
-    degree = max(i + j for i, j in poly)
-    if degree != n:
-        raise RuntimeError(f"step {n}: total degree {degree} != {n}")
-    if poly.get((0, 1), 0) == 0:
-        raise RuntimeError(f"step {n}: vanishing y coefficient")
-    bad = [(i, j) for i, j in poly if (i + 2 * j) % 3 != 2]
-    if bad:
-        raise RuntimeError(f"step {n}: support off the residue class: {sorted(bad)}")
+def _diagonal_step(prev: list[Coeff], prev2: list[Coeff], c2: Coeff, c1: Coeff) -> list[Coeff]:
+    """c2 * prev[k] - c1 * prev2[k - 1] for every k, trailing zeros trimmed:
+    one diagonal of c2 f_{n-1} - c1 x y f_{n-2}, where x y moves each term
+    of f_{n-2} one place along its diagonal."""
+    out = [c2 * v for v in prev]
+    out += [0] * (len(prev2) + 1 - len(out))
+    for k, v in enumerate(prev2, 1):
+        out[k] -= c1 * v
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _scaled(coeffs: list[Coeff], c: Coeff) -> list[Coeff]:
-    """coeffs times the scalar c; the list itself when c is 1."""
-    if c == 1:
-        return coeffs
-    return [c * v for v in coeffs]
+def _unit_step(u1: dict[int, Coeff], u2: dict[int, Coeff], c2: Coeff, c1: Coeff,
+               order: int) -> dict[int, Coeff]:
+    """U_n = c2 (U_{n-1} + t^3 U_{n-1}) - c1 t^3 U_{n-2} below t^order, for
+    sparse series held as {exponent: coefficient} with no zero values."""
+    out: dict[int, Coeff] = {}
+    for shift, series, scale in ((0, u1, c2), (3, u1, c2), (3, u2, -c1)):
+        for e, v in series.items():
+            e += shift
+            if e < order:
+                out[e] = out.get(e, 0) + scale * v
+    return {e: v for e, v in out.items() if v}
 
 
 def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
@@ -225,7 +215,22 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
     expected valuation 3n - 1.  Raises RuntimeError the moment a step
     vanishes to the wrong order or breaks a structural invariant.
 
-    The valuations and leading coefficients are read off
+    The polynomials.  f_1 = y and f_2 = y - x^2 have terms only of the
+    forms x^k y^(k+1) (the low diagonal) and x^(k+2) y^k (the high one),
+    and x y maps each form to itself with k + 1 for k.  So f_n is two int
+    lists, low[k] on x^k y^(k+1) and high[k] on x^(k+2) y^k, and the
+    recursion runs on each list alone:
+
+        L_n[k] = c_{n-2} L_{n-1}[k] - c_{n-1} L_{n-2}[k - 1],
+
+    with trailing zeros trimmed.  A low term has total degree 2k + 1 and a
+    high term 2k + 2, so the total degree is max(2 len(low) - 1,
+    2 len(high)), and the y coefficient is low[0].  On both diagonals
+    i + 2j is 3k + 2, so the residue check below cannot fail on lists the
+    recursion built; it still runs on the emitted terms, so that a fault
+    in the term layout shows.
+
+    The series.  The valuations and leading coefficients are read off
     U_n = (1 + t^3)^n S_n, where S_n = f_n(x(t), y(t)).  Multiplying
     f_n = c_{n-2} f_{n-1} - c_{n-1} x y f_{n-2} by (1 + t^3)^n and using
     x y (1 + t^3)^2 = t^3 gives
@@ -235,12 +240,24 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
 
     This is exact at every truncation.  The first `order` coefficients of
     a product depend only on the first `order` of each factor, so the
-    recursion run on lists truncated at t^order gives U_n mod t^order, and
+    recursion run on maps truncated at t^order gives U_n mod t^order, and
     U_n = P S_n mod t^order with P = (1 + t^3)^n.  P has constant term 1,
     so it is a unit mod t^order: U_n vanishes mod t^order exactly when
     S_n does, and if S_n = a t^v + (higher terms) with a != 0 and v < order,
     then U_n = a t^v + (higher terms) too.  The checks below therefore
     see the valuation and the leading coefficient of S_n.
+
+    Why the maps stay small.  U_1 = t^2 and U_2 = t^5, so c_1 = c_2 = 1.
+    If c_{n-2} = c_{n-1} = 1, U_{n-1} = t^{3n-4} and U_{n-2} = t^{3n-7},
+    then U_n = t^{3n-4} + t^{3n-1} - t^{3n-4} = t^{3n-1}, so c_n = 1.
+    Every step therefore reads at most three terms, and 3n - 1 <=
+    order - 4 keeps the one term inside the truncation.  The code does not
+    assume any of this: it runs the recursion for any c, reads the
+    valuation (the smallest exponent in the map) and c_n off the computed
+    map, and checks the valuation, the total degree, the y coefficient
+    and the residue class i + 2j == 2 (mod 3) of every emitted term at
+    every step, so a fault in the recursion raises rather than being
+    covered by the proof.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -248,42 +265,39 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
         order = 3 * n_max + 3
     if order < 3 * n_max + 3:
         raise ValueError(f"order {order} too small; need at least {3 * n_max + 3}")
-    polys: list[Poly] = [{(0, 1): 1}, {(0, 1): 1, (2, 0): -1}]
-    # units[n - 1] is U_n = (1 + t^3)^n f_n(x(t), y(t)): U_1 = t^2, U_2 = t^5
-    units = [[0] * order, [0] * order]
-    units[0][2] = units[1][5] = 1
+    # f_n = sum of low[k] x^k y^(k+1) + high[k] x^(k+2) y^k
+    lows: list[list[Coeff]] = [[1], [1]]
+    highs: list[list[Coeff]] = [[], [-1]]
+    # U_n = (1 + t^3)^n f_n(x(t), y(t)) mod t^order: U_1 = t^2, U_2 = t^5
+    units: list[dict[int, Coeff]] = [{2: 1}, {5: 1}]
     cs: list[Coeff] = []
     records: list[GermRecord] = []
     for n in range(1, n_max + 1):
         if n > 2:
-            prev, prev2 = polys[-1], polys[-2]
-            poly = _poly_add(
-                _poly_scale(prev, cs[-2]),
-                _poly_scale(_poly_shift_xy(prev2), -cs[-1]),
-            )
-            polys.append(poly)
-            # U_n = c_{n-2} U_{n-1} + t^3 (c_{n-2} U_{n-1} - c_{n-1} U_{n-2})
-            u1 = _scaled(units[-1], cs[-2])
-            u2 = _scaled(units[-2], cs[-1])
-            units.append(u1[:3] + list(map(add, u1[3:], map(sub, u1, u2))))
-        poly = polys[n - 1]
-        _check_invariants(n, poly)
+            c2, c1 = cs[-2], cs[-1]
+            lows.append(_diagonal_step(lows[-1], lows[-2], c2, c1))
+            highs.append(_diagonal_step(highs[-1], highs[-2], c2, c1))
+            units.append(_unit_step(units[-1], units[-2], c2, c1, order))
+        low, high = lows[n - 1], highs[n - 1]
+        degree = max(2 * len(low) - 1, 2 * len(high))
+        if degree != n:
+            raise RuntimeError(f"step {n}: total degree {degree} != {n}")
+        if not low or low[0] == 0:
+            raise RuntimeError(f"step {n}: vanishing y coefficient")
+        # the records list their terms sorted by (i, j)
+        terms = sorted([((k, k + 1), v) for k, v in enumerate(low) if v]
+                       + [((k + 2, k), v) for k, v in enumerate(high) if v])
+        bad = [(i, j) for (i, j), _ in terms if (i + 2 * j) % 3 != 2]
+        if bad:
+            raise RuntimeError(f"step {n}: support off the residue class: {bad}")
         unit = units[n - 1]
-        val = _leading_zeros(unit, order)
+        val = min(unit) if unit else order
         if val != 3 * n - 1:
             shown = None if val == order else val
             raise RuntimeError(f"step {n}: valuation {shown}, expected {3 * n - 1}")
-        # val < order is the index of the first nonzero coefficient
         c = unit[val]
         cs.append(c)
-        records.append(
-            GermRecord(
-                n=n,
-                polynomial=tuple(sorted(poly.items())),
-                c=c,
-                valuation=val,
-            )
-        )
+        records.append(GermRecord(n=n, polynomial=tuple(terms), c=c, valuation=val))
     return records
 
 

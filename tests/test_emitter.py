@@ -41,6 +41,8 @@ EXTRA_ARGVS = [
     # node steps render from their own template
     *[["germ", "--node", str(n)] for n in range(1, 21)],
     ["germ", "--node", "14", "--order", "95"],
+    # the largest node payload, at both germ ceilings
+    ["germ", "--node", "200", "--order", "1000"],
 ]
 
 

@@ -359,6 +359,60 @@ def test_germ_sequence_at_the_ceiling():
     assert expansion[599] == 1
 
 
+def test_germ_sequence_closed_form_coefficients():
+    # with c = 1 the recursion on each diagonal is Pascal's rule, so f_n has
+    # (-1)^k C(n-1-k, k) on x^k y^(k+1) and -(-1)^k C(n-2-k, k) on
+    # x^(k+2) y^k, and no other term
+    start = time.perf_counter()
+    records = germ_sequence(200)
+    assert time.perf_counter() - start < 1.0
+    assert len(records) == 200
+    for r in records:
+        n = r.n
+        expected = {(k, k + 1): (-1) ** k * comb(n - 1 - k, k)
+                    for k in range(n) if 2 * k <= n - 1}
+        expected.update({(k + 2, k): -(-1) ** k * comb(n - 2 - k, k)
+                         for k in range(n) if 2 * k <= n - 2})
+        assert dict(r.polynomial) == expected, n
+        assert [key for key, _ in r.polynomial] == sorted(expected), n
+        assert (r.c, r.valuation) == (1, 3 * n - 1)
+
+
+def _dense_sequence(n_max, order):
+    """The node recursion on dense data: each f_n a dict of monomials and
+    each U_n = (1 + t^3)^n f_n(x(t), y(t)) a full coefficient list below
+    t^order, with the valuation found by scanning for leading zeros."""
+    polys = [{(0, 1): 1}, {(0, 1): 1, (2, 0): -1}]
+    units = [[0] * order, [0] * order]
+    units[0][2] = units[1][5] = 1
+    records = []
+    for n in range(1, n_max + 1):
+        if n > 2:
+            c2, c1 = records[-2].c, records[-1].c
+            poly = {key: c2 * v for key, v in polys[-1].items()}
+            for (i, j), v in polys[-2].items():
+                poly[(i + 1, j + 1)] = poly.get((i + 1, j + 1), 0) - c1 * v
+            polys.append({key: v for key, v in poly.items() if v})
+            u1 = [c2 * v for v in units[-1]]
+            u2 = [c1 * v for v in units[-2]]
+            units.append(u1[:3] + [u1[k] + u1[k - 3] - u2[k - 3] for k in range(3, order)])
+        unit = units[n - 1]
+        val = next(k for k, v in enumerate(unit) if v)
+        records.append(GermRecord(n=n, polynomial=tuple(sorted(polys[n - 1].items())),
+                                  c=unit[val], valuation=val))
+    return records
+
+
+def test_germ_sequence_matches_dense_recursion():
+    start = time.perf_counter()
+    for n_max in range(1, 61):
+        for order in (3 * n_max + 3, 3 * n_max + 17):
+            assert germ_sequence(n_max, order) == _dense_sequence(n_max, order), (n_max, order)
+    for n_max, order in ((200, 603), (200, 1000)):
+        assert germ_sequence(n_max, order) == _dense_sequence(n_max, order), (n_max, order)
+    assert time.perf_counter() - start < 10.0
+
+
 def test_germ_sequence_first_three_polynomials():
     records = germ_sequence(3)
     assert records[0].polynomial == (((0, 1), Fraction(1)),)

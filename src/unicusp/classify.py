@@ -34,7 +34,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 from math import gcd, isqrt
+from operator import attrgetter, itemgetter
 
 # pair_to_element is unused here, but the benchmark tracer rebinds this name
 from .families import Candidate, fibonacci, pair_to_element  # noqa: F401
@@ -225,12 +227,13 @@ def enumerate_candidates(
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    # degrees ascend and each degree's lists ascend in a: Candidate.key order
+    # degrees ascend and each degree's lists ascend in a: Candidate.key
+    # order.  The C-level iterators read field 4, admissible, by index.
     slices = [_candidates_at_degree(genus, d, allow_smooth) for d in range(1, d_max + 1)]
-    candidates = tuple(c for found, _ in slices for c in found)
-    admissible = tuple(c for c in candidates if c.admissible)
-    on_line = tuple(c for c in admissible if c.on_3d_line)
-    exceptions = tuple(e for _, tagged in slices for e in tagged)
+    candidates = tuple(chain.from_iterable(map(itemgetter(0), slices)))
+    admissible = tuple(compress(candidates, map(itemgetter(4), candidates)))
+    on_line = tuple(filter(attrgetter("on_3d_line"), admissible))
+    exceptions = tuple(chain.from_iterable(map(itemgetter(1), slices)))
     return EnumerationReport(
         g=genus,
         d_max=d_max,

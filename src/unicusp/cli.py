@@ -19,8 +19,10 @@ import re
 import sys
 from contextlib import contextmanager
 from functools import partial
-from itertools import islice, repeat
+from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
+from operator import not_
+from typing import NamedTuple
 
 from .classify import degree_for_products, enumerate_candidates, sector_bounds, walk_sectors
 from .families import (
@@ -102,19 +104,18 @@ CHECK_PAIRS_DELTA_MAX = 10 ** 6
 CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 
 # `enumerate` walks every degree up to --dmax: it factors (d-1)(d-2) - 2g by
-# trial division and scans the grid of every candidate it finds.  At g = 0
-# most candidates fail in the first grid row, and the level certificate
-# passes each (d-1, d) member with no row read: --dmax 500, 1000 and 2000
-# took 0.2-0.4, 0.5-0.8 and 1.3-2.2 s (8.5 MB of output at 64-65 MB peak RSS
-# at 2000), against 0.43, 1.03 and 2.7-3.2 s with every (d-1, d) row
-# scanned.  Of that, rendering the JSON at 2000 (43,708 candidates) takes
-# 0.07-0.09 s in-process.  The degree memo of `enumerate_candidates` saves
-# nothing here, since within one command every degree is new.  At a large
-# genus nearly every candidate is admissible and its scan runs through half
-# the grid: --dmax 2000 took 36-58 s at g = 10^4 to 10^6 (at g = 10^5, 0.4 s
-# at 500 and 9.7 s at 1000).  The ceiling keeps g = 0 up to d = 2000 in
-# reach, and --dmax 10^8, which ran on with no output, is refused before any
-# work (whole process, same host).
+# trial division and checks every candidate it finds.  At g = 0 most
+# candidates fail at cell (1, 0), which the first-row rule decides in closed
+# form, and the (d-1, d) and (d/2, 2d-1) members pass with no row read:
+# --dmax 500, 1000 and 2000 took 0.15-0.24, 0.28-0.36 and 0.47-0.56 s
+# (8.5 MB of output at 51 MB peak RSS at 2000; TSV 1.4 MB at 31 MB), and
+# g = 1 at 2000 took 1.1-1.2 s.  The degree memo of `enumerate_candidates`
+# saves nothing here, since within one command every degree is new.  At a
+# large genus nearly every candidate is admissible and its scan runs
+# through half the grid: --dmax 2000 took 20-21 s at g = 10^4, 10^5 and
+# 10^6 (at g = 10^5, 0.24-0.29 s at 500 and 4.9-5.0 s at 1000).  The
+# ceiling keeps g = 0 up to d = 2000 in reach, and --dmax 10^8, which ran
+# on with no output, is refused before any work (whole process, same host).
 ENUMERATE_DMAX_MAX = 2000
 
 
@@ -125,9 +126,10 @@ def _json(value, indent: str) -> str:
     Payloads hold dicts with str keys, lists, str, int, bool and None, plus
     candidates: a list of `Candidate`s, or of (Candidate, tags) pairs for
     tagged ones, renders in one pass of `_candidate_items`, and a lone
-    `Candidate` as the one item of such a list.  A `GermRecord` renders as
-    a node step's object.  Anything else, a candidate list holding any
-    other item included, raises TypeError.
+    `Candidate` as the one item of such a list.  A `_ListText` is a
+    payload list rendered beforehand.  A `GermRecord` renders as a node
+    step's object.  Anything else, a candidate list holding any other item
+    included, raises TypeError.
     """
     if type(value) is Candidate:
         return _candidate_items([value], indent)[0]
@@ -146,61 +148,118 @@ def _json(value, indent: str) -> str:
         if not value:
             return "[]"
         first = type(value[0])
-        texts = (_candidate_items(value, inner) if first is Candidate or first is tuple
-                 else [_json(v, inner) for v in value])
-        return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
+        return _list_text(_candidate_items(value, inner) if first is Candidate or first is tuple
+                          else [_json(v, inner) for v in value], indent)
+    if type(value) is _ListText:
+        if indent != _LIST_INDENT:
+            raise TypeError("a rendered list belongs under a payload key")
+        return value.text
     if type(value) is dict:
         if not value:
             return "{}"
-        items = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
-                                    for k, v in sorted(value.items())])
-        return f"{{\n{inner}{items}\n{indent}}}"
+        # one join over all the pieces, so a long value's text (a payload
+        # list) is copied once, into the object, and not first into its item
+        sep = f",\n{inner}"
+        pieces = [f"{{\n{inner}"]
+        for k, v in sorted(value.items()):
+            pieces += (encode_basestring_ascii(k), ": ", _json(v, inner), sep)
+        pieces[-1] = f"\n{indent}}}"
+        return "".join(pieces)
     if type(value) is GermRecord:
         return _step_json(value, indent)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
+def _list_text(texts: list[str], indent: str) -> str:
+    """The JSON list of the given item texts, its brackets at the nesting
+    depth len(indent) // 2 and its items one level deeper."""
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
+
+
+# A payload list's brackets sit at depth 2 (record, payload), its items at 3.
+_LIST_INDENT = "    "
+_ITEM_INDENT = _LIST_INDENT + "  "
+
+
+class _ListText(NamedTuple):
+    """A payload list's JSON text, laid out at `_LIST_INDENT`."""
+
+    text: str
+
+
 def _candidate_items(items: list, indent: str) -> list[str]:
     """The object text of each item of a candidate list, at the nesting
     depth len(indent) // 2.  The items are all `Candidate`s, or all
-    (Candidate, tags) pairs, whose objects gain a tags key; anything else
-    raises TypeError.
+    (Candidate, tags) pairs, whose objects gain a tags key by `_tagged`;
+    anything else raises TypeError."""
+    if type(items[0]) is not tuple:
+        return _candidate_texts(items, indent)[0]
+    if {*map(type, items)} != {tuple} or {*map(len, items)} != {2}:
+        raise TypeError("a tagged candidate list holds (Candidate, tags) pairs only")
+    texts = _candidate_texts([c for c, _ in items], indent)[0]
+    return _tagged(texts, [tags for _, tags in items], indent)
+
+
+def _candidate_texts(cands, indent: str) -> tuple[list[str], list[str]]:
+    """The object text of each `Candidate` in cands, at the nesting depth
+    len(indent) // 2, and the texts of the admissible ones off the 3d
+    line, in the same order: the exceptions of an `enumerate` report.
+    Anything but a `Candidate` raises TypeError.
 
     An object's keys in sorted order are a, admissible (when decided), b,
-    d, element, g, on_3d_line and tags (tagged only).  The text between
-    its fields is built once per call: one piece per verdict (None, True,
-    False), one per side of the 3d line, and the fixed rest.  Each item
-    then fills one f-string from a single unpack of its fields, the
-    pieces its verdict and side pick, and its tags text.  The element is
+    d, element, g and on_3d_line.  Each side of the 3d line has its own
+    template, built once per call, with one piece per verdict (None,
+    True, False) between a and b.  Each candidate is unpacked once and
+    fills its side's template.  Off the line everything after b depends
+    on d and g alone, so that end is built once per run of candidates
+    sharing them (a report's candidates come by degree).  The element is
     None exactly off the line, and is read through `Candidate.element`
     only on it.
     """
-    i = indent + "  "
-    if type(items[0]) is tuple:
-        if {*map(type, items)} != {tuple} or {*map(len, items)} != {2}:
-            raise TypeError("a tagged candidate list holds (Candidate, tags) pairs only")
-        cands = [c for c, _ in items]
-        j = i + "  "
-        sep = f",\n{j}"
-        tails = [f',\n{i}"tags": ' + (f"[\n{j}{sep.join(map(encode_basestring_ascii, tags))}\n{i}]"
-                                      if tags else "[]")
-                 for _, tags in items]
-    else:
-        cands = items
-        tails = repeat("")
-    if {*map(type, cands)} != {Candidate}:
+    if not {*map(type, cands)} <= {Candidate}:
         raise TypeError("a candidate list holds Candidates only")
+    i = indent + "  "
     head = f'{{\n{i}"a": '
     to_b = {v: ("" if v is None else f',\n{i}"admissible": {"true" if v else "false"}')
             + f',\n{i}"b": ' for v in (None, True, False)}
-    to_d, to_element, to_g = f',\n{i}"d": ', f',\n{i}"element": ', f',\n{i}"g": '
-    line = (f',\n{i}"on_3d_line": false', f',\n{i}"on_3d_line": true')
+    to_d = f',\n{i}"d": '
+    off_g, off_close = f',\n{i}"element": null,\n{i}"g": ', f',\n{i}"on_3d_line": false\n{indent}}}'
+    on_element, on_g = f',\n{i}"element": ', f',\n{i}"g": '
+    on_close = f',\n{i}"on_3d_line": true\n{indent}}}'
+    texts, exceptions = [], []
+    last_d = last_g = None
+    for c in cands:
+        g, a, b, d, admissible = c
+        if a + b == 3 * d:
+            texts.append(f"{head}{a}{to_b[admissible]}{b}{to_d}{d}{on_element}"
+                         f"{encode_basestring_ascii(str(c.element))}{on_g}{g}{on_close}")
+        else:
+            if d != last_d or g != last_g:
+                last_d, last_g = d, g
+                off_end = f"{to_d}{d}{off_g}{g}{off_close}"
+            text = f"{head}{a}{to_b[admissible]}{b}{off_end}"
+            texts.append(text)
+            if admissible:
+                exceptions.append(text)
+    return texts, exceptions
+
+
+def _tagged(texts: list[str], tag_lists: list, indent: str) -> list[str]:
+    """Each object text, at the nesting depth len(indent) // 2, with a
+    tags key listing its tags put before the closing brace: the key sorts
+    after every other one."""
+    i = indent + "  "
+    j = i + "  "
+    sep = f",\n{j}"
     close = f"\n{indent}}}"
-    return [f"{head}{a}{to_b[admissible]}{b}{to_d}{d}{to_element}"
-            f"{encode_basestring_ascii(str(c.element)) if on_line else 'null'}"
-            f"{to_g}{g}{line[on_line]}{tail}{close}"
-            for c, (g, a, b, d, admissible), tail in zip(cands, cands, tails)
-            for on_line in [a + b == 3 * d]]
+    cut = -len(close)
+    key, empty = f',\n{i}"tags": ', f',\n{i}"tags": []'
+    return [text[:cut] + (f"{key}[\n{j}{sep.join(map(encode_basestring_ascii, tags))}\n{i}]"
+                          if tags else empty) + close
+            for text, tags in zip(texts, tag_lists)]
 
 
 def _step_json(r: GermRecord, indent: str) -> str:
@@ -334,20 +393,19 @@ def _cmd_check(args) -> int:
 
 
 def _enumerate_tsv(report) -> str:
+    """The report as a TSV table, one row per candidate.  The exceptions
+    are the admissible candidates off the 3d line, in candidate order, so
+    one walk over the candidates meets each exception's tags in turn."""
     lines = ["d\ta\tb\tg\tadmissible\ton_3d_line\ttags\telement"]
-    tag_map = {(c.a, c.b): tags for c, tags in report.exceptions}
+    tag_lists = iter([tags for _, tags in report.exceptions])
     for c in report.candidates:
         g, a, b, d, admissible = c
-        on_line = c.on_3d_line
-        tags = () if on_line else tag_map.get((a, b), ())
-        element = c.element
-        lines.append("\t".join([
-            str(d), str(a), str(b), str(g),
-            "true" if admissible else "false",
-            "true" if on_line else "false",
-            ",".join(tags) if tags else "-",
-            "-" if element is None else str(element),
-        ]))
+        verdict = "true" if admissible else "false"
+        if a + b == 3 * d:
+            lines.append(f"{d}\t{a}\t{b}\t{g}\t{verdict}\ttrue\t-\t{str(c.element)}")
+        else:
+            tags = ",".join(next(tag_lists)) if admissible else ""
+            lines.append(f"{d}\t{a}\t{b}\t{g}\t{verdict}\tfalse\t{tags or '-'}\t-")
     return "\n".join(lines) + "\n"
 
 
@@ -364,14 +422,29 @@ def _cmd_enumerate(args) -> int:
         "genus": report.g,
         "d_max": report.d_max,
         "allow_smooth": report.allow_smooth,
-        "candidates": list(report.candidates),
         "admissible_count": len(report.admissible),
         "on_3d_line_count": len(report.on_3d_line),
-        "exceptions": list(report.exceptions),
-        "untagged": list(report.untagged),
         "largest_exceptional_degree": report.largest_exceptional_degree,
+        **_enumerate_lists(report),
     })
     return 0
+
+
+def _enumerate_lists(report) -> dict[str, _ListText]:
+    """The candidates, exceptions and untagged lists of an `enumerate`
+    payload, each candidate rendered once: an exception is its candidate's
+    text with its tags put in, and an untagged one its candidate's text.
+    Only the joined lists outlive the call, so no item text is alive
+    while `_emit` joins the record."""
+    texts, off_line = _candidate_texts(report.candidates, _ITEM_INDENT)
+    tag_lists = [tags for _, tags in report.exceptions]
+    return {
+        "candidates": _ListText(_list_text(texts, _LIST_INDENT)),
+        "exceptions": _ListText(_list_text(_tagged(off_line, tag_lists, _ITEM_INDENT),
+                                           _LIST_INDENT)),
+        "untagged": _ListText(_list_text(list(compress(off_line, map(not_, tag_lists))),
+                                         _LIST_INDENT)),
+    }
 
 
 def _cmd_pell(args) -> int:

@@ -61,6 +61,12 @@ their members reads no row: <p, p+3> at degree p + 3 (genus p + 2) and
 cell's argument in closed form puts every cell of the half grid in
 [0, g]; the proofs are in `_scan`, which returns the full-grid verdict
 for them under the same guard as the level certificate.
+
+For one cusp with b > d >= 5 the first-row lemma decides many
+rejections without reading a cell: every element up to d is then a
+multiple of a, so cell (1, 0) holds d // a - 2, and when that value lies
+outside [0, g] the cell is the witness.  `_scan` proves it, and applies
+it under the same guard.
 None of this changes a verdict, a witness or `checks_performed`, which
 still counts cells by their position in the full d(g+1)-cell grid.
 """
@@ -336,6 +342,22 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
       R(2aj + 1) = sum_{u=0..U} (2j + 1 - 4u) = (U+1)(2j + 1 - 2U),
       which is T_j for j = 2U and for j = 2U + 1.  Every cell holds 0.
 
+    Under the same condition the first-row rule decides a cusp with
+    b > d at cell (1, 0), when that cell fails, with no gap count.  Row 1
+    lies in the half grid exactly when (d-3)//2 >= 1, that is d >= 5, and
+    its first cell reads R(d + 1), the number of elements u*b + v*a <= d.
+    As b > d, only u = 0 contributes: the elements are the multiples
+    0, a, ..., (d // a)*a, so R(d + 1) = d // a + 1 and
+    value(1, 0) = d // a + 1 - T_1 = d // a - 2.  Rows -1 and 0 always
+    hold, so when this value lies outside [0, g], cell (1, 0) is the
+    first violated cell in scan order and `_rejected(1, 0, value, g)`
+    gives the witness and count of a scan.  Otherwise the scan reads row
+    1 as before (`_first_row` is 1 for b > d).  The tests hold the rule
+    to the uncertified scan on every single cusp with g < 60 and d < 90
+    (`test_first_row_rule_matches_the_scan`), and to the oracle's full
+    grid on ten rejections at g = 1000 or with d in 1000-2000
+    (`test_first_row_rejections_match_the_table_oracle`).
+
     The tests check each certificate three ways: every cell of every
     member with d < 160 against the oracle's element table
     (`test_family_certificates_hold_on_every_cell`); the uncertified
@@ -367,6 +389,10 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
                 (degree - 1) * (degree - 2) == 2 * (genus + cusp.delta)):
             if b == a + 3 == degree or (genus == 0 and b == 2 * degree - 1):
                 return Verdict(True, None, degree * (genus + 1))
+            if b > degree >= 5:
+                value = degree // a - 2
+                if not 0 <= value <= genus:
+                    return _rejected(1, 0, value, genus)
             first = _first_row(genus, degree, cusp)
     classes = 1
     for j in range(first, _last_row(degree) + 1):

@@ -43,6 +43,9 @@ EXTRA_ARGVS = [
     ["germ", "--node", "14", "--order", "95"],
     # the largest node payload, at both germ ceilings
     ["germ", "--node", "200", "--order", "1000"],
+    # nearly every candidate is an untagged exception, rendered from its
+    # candidate's text
+    ["enumerate", "--genus", "1000", "--dmax", "150"],
 ]
 
 
@@ -74,6 +77,22 @@ def test_writer_matches_json_dumps_on_edge_payloads(capsys):
     assert payloads[3]["orbits"][0]["candidates"]
     first, second = (orbit["candidates"] for orbit in payloads[4]["orbits"])
     assert len(first) == len(second) == 77 and first != second
+    exceptions, untagged = payloads[-1]["exceptions"], payloads[-1]["untagged"]
+    assert len(exceptions) > 400 and all(c["tags"] == [] for c in exceptions)
+    assert untagged == [{k: v for k, v in c.items() if k != "tags"} for c in exceptions]
+
+
+def test_exceptions_are_the_admissible_candidates_off_the_line():
+    # `enumerate` renders each exception from its candidate's text, which
+    # rests on this: the exceptions are exactly the admissible candidates
+    # off the 3d line, as the same objects and in candidate order
+    for g in range(41):
+        for allow_smooth in (False, True):
+            report = enumerate_candidates(g, 120, allow_smooth=allow_smooth)
+            off_line = [c for c in report.candidates
+                        if c.admissible and c.a + c.b != 3 * c.d]
+            assert len(report.exceptions) == len(off_line), g
+            assert all(c is e for c, (e, _) in zip(off_line, report.exceptions)), g
 
 
 def _expected(c, tags=None):

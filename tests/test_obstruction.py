@@ -726,12 +726,13 @@ def test_family_certificates_match_the_scan(monkeypatch):
 
 
 def test_family_neighbours_are_scanned(monkeypatch):
-    # inputs next to a family member read rows and get the uncertified
-    # scan's verdict: <p, p+3> at d = p + 2 (g = 1; rejected at (1, 0)
-    # from p = 4 on, criterion 02) and at d = p + 4 (g = 2p + 4);
-    # <a, a+4> and <a, a+5> at d = a + 3, where a + 3 = d but b != d; and
-    # <a, 4a-1> at d = 2a + 1 and 2a + 2, off g = 0.  Budget 10 s
-    # (about 1 s)
+    # inputs next to a family member get the uncertified scan's verdict:
+    # <p, p+3> at d = p + 2 (g = 1; rejected at (1, 0) from p = 4 on,
+    # criterion 02) and at d = p + 4 (g = 2p + 4); <a, a+4> and <a, a+5>
+    # at d = a + 3, where a + 3 = d but b != d; and <a, 4a-1> at
+    # d = 2a + 1 and 2a + 2, off g = 0.  They read rows, except the b > d
+    # rejections at (1, 0), which the first-row rule decides with no gap
+    # count.  Budget 10 s (about 1 s)
     start = time.perf_counter()
     calls = _count_gap_calls(monkeypatch)
     neighbours = []
@@ -747,17 +748,101 @@ def test_family_neighbours_are_scanned(monkeypatch):
         if p < 200:
             neighbours += [(p, 4 * p - 1, 2 * p - 1, 2 * p + 1),
                            (p, 4 * p - 1, 4 * p - 1, 2 * p + 2)]
-    rejected = 0
+    rejected = scanned = 0
     for a, b, g, d in neighbours:
         s = Semigroup(a, b)
         calls[0] = 0
         v = check_single(a, b, g, d)
-        assert calls[0] > 0, (a, b, g, d)
+        counted = calls[0]
         assert v == obstruction._scan(g, d, lambda m: s.gaps_at_least(m), s.first_pair, s)
+        if b > d and v.witness is not None and v.witness[:2] == (1, 0):
+            assert counted == 0, (a, b, g, d)
+        else:
+            assert counted > 0, (a, b, g, d)
+            scanned += 1
         if b == a + 3 and d == a + 2 and a >= 4:
             assert v.witness[:2] == (1, 0), (a, b, g, d)
         rejected += not v.admissible
-    assert rejected > 3800, rejected
+    assert rejected > 3800 and scanned > 600, (rejected, scanned)
+    assert time.perf_counter() - start < 10.0
+
+
+# The first-row rule: for b > d >= 5 every element up to d is a multiple
+# of a, so cell (1, 0) holds d // a - 2, and `_scan` rejects there, with
+# no gap count, when that value leaves [0, g].
+
+def test_first_row_rule_matches_the_scan(monkeypatch):
+    # every single cusp with g < 60 and d < 90: `check_single` and
+    # one-pair `check_multi` give the uncertified scan's verdict, witness
+    # and checks_performed, and the b > d rejections at (1, 0) make no
+    # gap count and hold d // a - 2.  Budget 20 s (about 4 s)
+    start = time.perf_counter()
+    calls = _count_gap_calls(monkeypatch)
+    checked = equal_b_d = 0
+    sides = {"lower": 0, "upper": 0}
+    for g in range(60):
+        for d in range(1, 90):
+            for a, b in oracles.pairs_at_degree(g, d):
+                s = Semigroup(a, b)
+                calls[0] = 0
+                single = check_single(a, b, g, d)
+                multi = check_multi([(a, b)], g, d)
+                counted = calls[0]
+                scanned = obstruction._scan(g, d, lambda m: s.gaps_at_least(m), s.first_pair, s)
+                assert single == multi == scanned, (a, b, g, d)
+                w = single.witness
+                if b > d and w is not None and w[:2] == (1, 0):
+                    assert counted == 0 and w.lhs_value == d // a - 2, (a, b, g, d)
+                    sides[w.side] += 1
+                checked += 1
+                equal_b_d += b == d
+    assert checked > 20000 and equal_b_d > 200, (checked, equal_b_d)
+    assert sides["lower"] > 3000 and sides["upper"] > 3000, sides
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, elapsed
+
+
+def _first_row_sample():
+    """b > d rejections at cell (1, 0) at production scale, on both sides:
+    seeded ones at g = 1000 (d 400-800) and at g = 0, 1 (d 1000-2000),
+    <p, p+3> at d = p + 2 (g = 1), and <2, b> at g = 0 and at g = 1000,
+    where d // 2 - 2 exceeds g."""
+    rng = random.Random(31)
+    sample = [(2, 2009 * 2008 - 1999, 1000, 2010)]
+    p = 3 * rng.randrange(333, 666) + 1
+    sample.append((p, p + 3, 1, p + 2))
+    d = rng.randrange(1000, 2001)
+    sample.append((2, (d - 1) * (d - 2) + 1, 0, d))
+    for genus, low, high, count in ((1000, 400, 801, 3), (0, 1000, 2001, 2), (1, 1000, 2001, 2)):
+        while count:
+            d = rng.randrange(low, high)
+            pairs = [(a, b) for a, b in oracles.pairs_at_degree(genus, d)
+                     if b > d and not 0 <= d // a - 2 <= genus]
+            if pairs:
+                sample.append((*rng.choice(pairs), genus, d))
+                count -= 1
+    return sample
+
+
+def test_first_row_rejections_match_the_table_oracle(monkeypatch):
+    # the oracle's full-grid reading agrees on verdict, witness cell and
+    # checks_performed, and the checks make no gap count.  Budget 10 s
+    # (under 1 s)
+    start = time.perf_counter()
+    calls = _count_gap_calls(monkeypatch)
+    sample = _first_row_sample()
+    sides = set()
+    for a, b, g, d in sample:
+        expect = oracles.table_check(a, b, g, d)
+        assert expect[:2] == (False, (1, 0)), (a, b, g, d)
+        calls[0] = 0
+        for v in (check_single(a, b, g, d), check_multi([(a, b)], g, d)):
+            assert (v.admissible, v.witness[:2], v.checks_performed) == expect, (a, b, g, d)
+            sides.add(v.witness.side)
+        assert calls[0] == 0, (a, b, g, d)
+    assert len(sample) == 10 and sides == {"lower", "upper"}
+    assert sum(g == 1000 for _, _, g, _ in sample) == 4
+    assert sum(1000 <= d <= 2000 for _, _, _, d in sample) == 6
     assert time.perf_counter() - start < 10.0
 
 

@@ -201,15 +201,12 @@ def _candidates_at_degree(
                               if c.admissible and not c.on_3d_line])
 
 
-def enumerate_candidates(
-    genus: int, d_max: int, allow_smooth: bool = False, jobs: int = 1
-) -> EnumerationReport:
+def enumerate_candidates(genus: int, d_max: int, allow_smooth: bool = False) -> EnumerationReport:
     """Sweep every degree in [1, d_max] at the given genus.
 
     Smooth models (a, b) = (1, 3d - 1) occur exactly when
     (d - 1)(d - 2) = 2*genus and are included only when `allow_smooth` is
-    set.  `jobs` must be >= 1 and changes neither the work nor the
-    report: the sweep is pure Python and runs serially.
+    set.
 
     Each degree's candidates and tagged exceptions come from
     `_candidates_at_degree`, an `lru_cache` memo keyed by (genus, d,
@@ -225,8 +222,6 @@ def enumerate_candidates(
         raise ValueError(f"genus must be >= 0, got {genus}")
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     # degrees ascend and each degree's lists ascend in a: Candidate.key
     # order.  The C-level iterators read field 4, admissible, by index.
     slices = [_candidates_at_degree(genus, d, allow_smooth) for d in range(1, d_max + 1)]

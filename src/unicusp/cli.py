@@ -86,9 +86,11 @@ FAMILIES_INDEX_MAX = 10 ** 5
 IDENTITIES_LMAX_MAX = 4000
 
 # `check` scans grid rows 1..(d-3)//2 at a few gap counts per row, whatever
-# the genus, so its cost grows about linearly in the degree.  At d = 10^5
-# a single cusp took 0.06-0.2 s at g = 0 and 2.2 s for <d-2, d-1>, the
-# slowest shape found (in-process, 2-vCPU x86-64, Python 3.11.7).  With
+# the genus, so its cost grows about linearly in the degree; a single cusp
+# with b <= d is certified with no row read.  At d = 10^5 the slowest
+# single cusp found among a few hundred sampled shapes with b > d,
+# <11234, 500199> at g = 2,190,487,934, took 0.6-0.7 s, and <d-1, d> and
+# <d-2, d-1> about 0.1 s (whole process, 2-vCPU x86-64, Python 3.11.7).  With
 # several cusps the check also holds the run starts, O(total delta) memory:
 # total delta 10^6 took 0.2 s at 92 MB.  Its lazy convolution reads about
 # degree * X terms, where X is the total delta less the largest local
@@ -112,8 +114,8 @@ CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 # g = 1 at 2000 took 1.1-1.2 s.  The degree memo of `enumerate_candidates`
 # saves nothing here, since within one command every degree is new.  At a
 # large genus nearly every candidate is admissible and its scan runs
-# through half the grid: --dmax 2000 took 20-21 s at g = 10^4, 10^5 and
-# 10^6 (at g = 10^5, 0.24-0.29 s at 500 and 4.9-5.0 s at 1000).  The
+# through half the grid: --dmax 2000 took 20-21 s at g = 10^4 and 10^6, and
+# 22-27 s at g = 10^5 (0.23-0.32 s at 500 and 4.5-5.4 s at 1000).  The
 # ceiling keeps g = 0 up to d = 2000 in reach, and --dmax 10^8, which ran
 # on with no output, is refused before any work (whole process, same host).
 ENUMERATE_DMAX_MAX = 2000
@@ -412,9 +414,13 @@ def _enumerate_tsv(report) -> str:
 def _cmd_enumerate(args) -> int:
     if args.dmax > ENUMERATE_DMAX_MAX:
         return _fail(f"--dmax must be <= {ENUMERATE_DMAX_MAX}, got {args.dmax}")
-    report = enumerate_candidates(
-        args.genus, args.dmax, allow_smooth=args.allow_smooth, jobs=args.jobs
-    )
+    if args.genus < 0:
+        return _fail(f"genus must be >= 0, got {args.genus}")
+    if args.dmax < 1:
+        return _fail(f"d_max must be >= 1, got {args.dmax}")
+    if args.jobs < 1:
+        return _fail(f"jobs must be >= 1, got {args.jobs}")
+    report = enumerate_candidates(args.genus, args.dmax, allow_smooth=args.allow_smooth)
     if args.format == "tsv":
         sys.stdout.write(_enumerate_tsv(report))
         return 0

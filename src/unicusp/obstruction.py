@@ -46,27 +46,19 @@ one class only once every per = a / gcd(a, 2) cells.  So the next
 (v // P) * per cells fall at most P * (v // P) <= v times and stay
 >= 0.  `_scan` proves all three rules.
 
-For one cusp with b <= d, the level certificate proves rows without
-reading them.  Counting the elements u*b + v*a by their level u + v
-bounds R from both sides, and for b <= d those bounds put the first and
-the last cell of every row in [0, g].  A row j with j*d <= x*
-(`Semigroup.first_pair`) meets no pair start, so it is monotone and
-holds; the scan starts after the last such row, x* // d, and at g = 0,
-where b <= d forces <d-1, d>, every row holds.  `_scan` proves the
-lemmas.
-
-Two of the paper's families are proved whole, so a check of one of
-their members reads no row: <p, p+3> at degree p + 3 (genus p + 2) and
-<a, 4a-1> at degree 2a (genus 0).  Counting the elements below each
-cell's argument in closed form puts every cell of the half grid in
-[0, g]; the proofs are in `_scan`, which returns the full-grid verdict
-for them under the same guard as the level certificate.
+For one cusp with b <= d the check reads no row: a curve of degree d
+and genus g with that cusp exists, and the paper's theorem, which is
+this grid, holds on it, so every cell lies in [0, g].  One family with
+b > d is proved whole as well, <a, 4a-1> at degree 2a (genus 0):
+counting the elements below each cell's argument in closed form puts
+every cell of the half grid in [0, g].  The proofs are in `_scan`,
+which returns the full-grid verdict for both before reading a row.
 
 For one cusp with b > d >= 5 the first-row lemma decides many
 rejections without reading a cell: every element up to d is then a
 multiple of a, so cell (1, 0) holds d // a - 2, and when that value lies
 outside [0, g] the cell is the witness.  `_scan` proves it, and applies
-it under the same guard.
+it under the same guard as the certificates.
 None of this changes a verdict, a witness or `checks_performed`, which
 still counts cells by their position in the full d(g+1)-cell grid.
 """
@@ -138,18 +130,6 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
 def _last_row(degree: int) -> int:
     """The last grid row the scan visits: (d-3)//2, half of -1..d-2."""
     return (degree - 3) // 2
-
-
-def _first_row(genus: int, degree: int, cusp: Semigroup) -> int:
-    """The first row the single-cusp scan of <a, b> = cusp must read,
-    once the level certificate in `_scan` has proved the rows before it:
-    x* // d + 1 when b <= d, past the last row at g = 0, and row 1 (no
-    certificate) when b > d."""
-    if cusp.b > degree:
-        return 1
-    if genus == 0:
-        return _last_row(degree) + 1
-    return cusp.first_pair // degree + 1
 
 
 def _scan(genus: int, degree: int, gap_at, pair_sum: int,
@@ -254,123 +234,91 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
     checked or skipped by the steps above, so that cell is the first
     violated one in scan order, the one a cell-by-cell scan reports.
 
-    The level certificate skips whole rows of one cusp with b <= d.  It
-    needs G to be that cusp's own count and the degree-genus identity to
-    hold, so it applies only when gap_at is `cusp.gaps_at_least` and
-    (d-1)(d-2) = 2(g + delta), as in every call from either checker.
-    Then R(x) counts the elements of <a, b> below x, and:
+    For one cusp, two certificates return the full-grid verdict before
+    reading a row, and the first-row rule decides some rejections at
+    cell (1, 0) with no gap count.  They need G to be that cusp's own
+    count and the degree-genus identity to hold, so they apply only when
+    gap_at is `cusp.gaps_at_least` and (d-1)(d-2) = 2(g + delta), as in
+    every call from either checker.  Then R(x) counts the elements of
+    <a, b> below x, every element is u*b + v*a for exactly one pair with
+    0 <= u < a and v >= 0 (the `Semigroup` docstring), and cell (j, k)
+    holds R(j*d + 1 - 2k) + k - T_j with T_j = (j+1)(j+2)/2.
 
-    - Levels.  Every element is u*b + v*a for exactly one pair with
-      0 <= u < a and v >= 0 (the `Semigroup` docstring); call s = u + v
-      its level.  As a < b, an element of level s lies in [s*a, s*b], and
-      for s <= a - 1 every pair with u + v = s has u < a, so level s
-      holds exactly s + 1 elements.
-    - Lemma A.  If L <= a - 1 and L*b < x, then R(x) >= T_L =
-      (L+1)(L+2)/2: every element of level <= L is at most L*b < x.
-    - Lemma B.  If x <= (L+1)*a, then R(x) <= T_L: an element of level
-      >= L + 1 is at least (L+1)*a >= x, so an element below x has
-      level <= L, and at most T_L pairs have u + v <= L.
-    - The bounds on a row.  Cell (j, k) holds R(j*d + 1 - 2k) + k - T_j.
-      Take b <= d and L = j.  Lemma A gives value(j, 0) >= 0 whenever
-      j <= a - 1, since j*b <= j*d < j*d + 1.  Lemma B gives
-      value(j, g) <= g whenever j*d + 1 - 2g <= (j+1)*a, that is
-      j(d - a) <= a + 2g - 1, and this holds on every row up to
-      (d-3)//2.  Put e = d - a.  As b <= d, 2g = (d-1)(d-2) -
-      (a-1)(b-1) >= (d-1)(d-2) - (a-1)(d-1) = (d-1)(e-1).  If e = 1,
-      then j*e <= (d-3)/2 <= a + 2g - 1 with a = d - 1.  If e >= 2,
-      then j*e <= (d-3)e/2 <= (d-1)(e-1) <= 2g <= a + 2g - 1, because
-      (d-1)(e-1) - (d-3)e/2 = e(d+1)/2 - (d-1) >= 2.
-    - Tail rows.  If j*d <= x*, the row's tail starts at
-      k0 = (j*d + 1 - x*)//2 <= 0, so by the tail argument above the
-      whole row is non-decreasing: its minimum is value(j, 0) and its
-      maximum value(j, g).  Since x* <= (a - 1)*b < a*d, such a j is at
-      most x* // d <= a - 1, so Lemma A applies, and the row holds.  The
-      scan therefore starts at row x* // d + 1.
-    - g = 0.  Each row is the single cell k = 0 = g.  Here b <= d forces
-      (a, b) = (d-1, d), because (d-1)(d-2) = (a-1)(b-1) <= (a-1)(d-1)
-      gives a >= d - 1.  Every row up to (d-3)//2 has j <= d - 2 = a - 1,
-      so both lemmas apply to its one cell, and the scan reads no row.
+    b <= d: the curve exists.  Every cell of a single cusp <a, b> with
+    b <= d lies in [0, g], because a curve of degree d and genus g with
+    that cusp exists.
 
-    Under the same condition on gap_at and the identity, two families
-    are certified whole and `_scan` returns before reading a row:
-    b = a + 3 = d, the `(p,p+3)` family <p, p+3> at degree p + 3 and
-    genus p + 2, and g = 0 with b = 2d - 1, the `(d/2, 2d-1)` family
-    <a, 4a-1> at degree 2a (the identity then gives a = d/2).  Rows -1
-    and 0 hold as shown above, and every cell of rows 1..(d-3)//2 lies
-    in [0, g], as follows.
+    1. For coprime 1 < a < b <= d, let F = y^a z^(d-a) - x^b z^(d-b)
+       plus a general combination of the monomials x^i y^l z^(d-i-l),
+       i + l <= d, with a*i + b*l > a*b.  As b <= d, both fixed terms are
+       monomials of degree d.  In the chart z = 1, F is
+       semi-quasi-homogeneous for the weights (a, b) of (x, y), with
+       principal part y^a - x^b, an isolated singularity; so F's germ at
+       [0:0:1] is topologically that of y^a - x^b, which has one branch
+       as gcd(a, b) = 1.  So [0:0:1] is a cusp with semigroup <a, b>
+       and local delta (a-1)(b-1)/2.
+    2. The system's only base point is [0:0:1].  As b*d > a*b, y^d lies
+       in it, so a base point has y = 0.  There the fixed part is
+       -x^b z^(d-b), and when d > b, x^d also lies in the system; so a
+       base point has x = 0 as well.
+    3. By Bertini's theorem the general F is smooth everywhere else.  A
+       multiple component would make F singular along a curve, and two
+       components would meet (Bezout) at a singular point of F, which
+       can only be [0:0:1]; a point with one branch lies on one
+       component only.  So F is irreducible, with genus
+       (d-1)(d-2)/2 - delta = g by the identity.
+    4. The paper's theorem, which is the grid this scan evaluates, holds
+       on every cuspidal curve, so every cell of F's grid lies in [0, g].
+       For a = 1 (a smooth point) R(x) = max(x, 0) and 2g = (d-1)(d-2)
+       bound each cell directly.  A scanned row has
+       1 <= j <= (d-3)/2 <= d - j - 3, so j*d + 2 - 2*T_j = j(d-j-3) >= 1
+       and j*d + 1 - T_j = g - (d-j-1)(d-j-2)/2.  If 2k <= j*d + 1 the
+       cell holds j*d + 1 - k - T_j, between (j(d-j-3) - 1)/2 >= 0 and
+       j*d + 1 - T_j <= g; otherwise it holds k - T_j, between
+       j(d-j-3)/2 >= 0 and g - T_j.
 
-    - Cells when b = d.  Take a row j <= a - 1 and a cell k with
-      i0 = ceil(2k/d) <= j + 1.  An element u*b + v*a lies below
-      x = j*d + 1 - 2k only if u <= j, and for such u < a the u-th term
-      counts floor(((j-u)*d - 2k)/a) + 1 elements when (j-u)*d >= 2k,
-      and none otherwise.  Put i = j - u and c = d - a, so
-      floor((i*d - 2k)/a) = i + floor((c*i - 2k)/a).  Summing over
-      i0 <= i <= j gives R(x) = T_j - T_{i0-1} + S with
-      S = sum_{i=i0..j} floor((c*i - 2k)/a) and T_{-1} = 0, so
-      value(j, k) = k - T_{i0-1} + S.
-    - <p, p+3> at d = p + 3.  Here c = 3, a = p, g = p + 2 = d - 1, and
-      3 does not divide p, since gcd(p, p+3) = 1.  A scanned row has
-      1 <= j <= p//2, so j <= a - 1, 3*i <= 3p/2, and i0 <= 2 <= j + 1
-      as 2k <= 2g < 2d.  Three ranges of k:
-      - k = 0.  i0 = 0 and 0 <= 3i < 2p, so each term is 0 or 1, and
-        0 <= value <= j + 1.
-      - 1 <= 2k <= d.  i0 = 1, T_0 = 1, and -p <= 3i - 2k < 2p, so each
-        term is -1, 0 or 1, and it is -1 only for 1 <= i < 2k/3, at
-        most ceil(2k/3) - 1 terms.  So
-        value >= k - 1 - (ceil(2k/3) - 1) = floor(k/3) >= 0 and
-        value <= k - 1 + j.
-      - d < 2k <= 2g.  i0 = 2, T_1 = 3, and
-        2 - 2p <= 3i - 2k < 3p/2 - d < p, so each term is -2, -1 or 0.
-        It is negative only for 2 <= i < 2k/3, at most ceil(2k/3) - 2
-        terms, and -2 only for 2 <= i < (2k - p)/3, at most
-        n = max(0, ceil((2k - p)/3) - 2) terms.  So
-        value >= k - 3 - (ceil(2k/3) - 2) - n = floor(k/3) - 1 - n and
-        value <= k - 3.  Here k >= 3, as 2k > d >= 5 (the half grid
-        of p = 1 has no row), so floor(k/3) >= 1.  As p >= k - 2,
-        2k - p <= k + 2, and ceil((k + 2)/3) - 2 = floor(k/3) - 1
-        unless k = 3m + 2; there n = m = floor(k/3) would need
-        2k - p > 3m + 3, that is p < k - 1, so p = k - 2 = 3m, which 3
-        does not divide.  So n <= floor(k/3) - 1 and value >= 0.
-      On the upper side j + 1 <= p/2 + 1, k - 1 + j <= p + 1/2 and
-      k - 3 are all below g = p + 2.
-    - <a, 4a-1> at d = 2a, g = 0.  Row j, 1 <= j <= a - 2, is the one
-      cell k = 0, value R(2aj + 1) - T_j.  For u < a,
-      u*(4a-1) <= 2aj reads 2a*(2u - j) <= u, which holds iff
-      2u <= j; so the elements below 2aj + 1 have u <= U = floor(j/2),
-      and U < a.  The u-th term counts
-      floor((2aj - u*(4a-1))/a) + 1 = 2j - 4u + 1 of them (u < a), so
-      R(2aj + 1) = sum_{u=0..U} (2j + 1 - 4u) = (U+1)(2j + 1 - 2U),
-      which is T_j for j = 2U and for j = 2U + 1.  Every cell holds 0.
+    The tests hold this certificate to the uncertified scan on every
+    valid input with b < 50 and b <= d < b + 30
+    (`test_measured_pattern_cusps_with_b_at_most_d_are_admissible`), to
+    the oracle's element table on every cell of every valid b <= d
+    input with d < 30 (`test_family_certificates_hold_on_every_cell`),
+    and to the oracle's full grid at production scale
+    (`_production_sample`).
 
-    Under the same condition the first-row rule decides a cusp with
-    b > d at cell (1, 0), when that cell fails, with no gap count.  Row 1
-    lies in the half grid exactly when (d-3)//2 >= 1, that is d >= 5, and
-    its first cell reads R(d + 1), the number of elements u*b + v*a <= d.
-    As b > d, only u = 0 contributes: the elements are the multiples
-    0, a, ..., (d // a)*a, so R(d + 1) = d // a + 1 and
+    <a, 4a-1> at d = 2a, g = 0 (the identity then gives a = d/2).  Rows
+    -1 and 0 hold as shown above.  Row j, 1 <= j <= a - 2, is the one
+    cell k = 0, value R(2aj + 1) - T_j.  For u < a, u*(4a-1) <= 2aj
+    reads 2a*(2u - j) <= u, which holds iff 2u <= j; so the elements
+    below 2aj + 1 have u <= U = floor(j/2), and U < a.  The u-th term
+    counts floor((2aj - u*(4a-1))/a) + 1 = 2j - 4u + 1 of them (u < a),
+    so R(2aj + 1) = sum_{u=0..U} (2j + 1 - 4u) = (U+1)(2j + 1 - 2U),
+    which is T_j for j = 2U and for j = 2U + 1.  Every cell holds 0.
+
+    The first-row rule decides a cusp with b > d at cell (1, 0), when
+    that cell fails, with no gap count.  Row 1 lies in the half grid
+    exactly when (d-3)//2 >= 1, that is d >= 5, and its first cell reads
+    R(d + 1), the number of elements u*b + v*a <= d.  As b > d, only
+    u = 0 contributes: the elements are the multiples 0, a, ...,
+    (d // a)*a, so R(d + 1) = d // a + 1 and
     value(1, 0) = d // a + 1 - T_1 = d // a - 2.  Rows -1 and 0 always
     hold, so when this value lies outside [0, g], cell (1, 0) is the
     first violated cell in scan order and `_rejected(1, 0, value, g)`
     gives the witness and count of a scan.  Otherwise the scan reads row
-    1 as before (`_first_row` is 1 for b > d).  The tests hold the rule
-    to the uncertified scan on every single cusp with g < 60 and d < 90
+    1 as before.  The tests hold the rule to the uncertified scan on
+    every single cusp with g < 60 and d < 90
     (`test_first_row_rule_matches_the_scan`), and to the oracle's full
     grid on ten rejections at g = 1000 or with d in 1000-2000
     (`test_first_row_rejections_match_the_table_oracle`).
 
-    The tests check each certificate three ways: every cell of every
-    member with d < 160 against the oracle's element table
-    (`test_family_certificates_hold_on_every_cell`); the uncertified
-    scan's verdict for every member up to d = 2000
-    (`test_family_certificates_match_the_scan`); and at production
-    scale, `_production_sample`'s <t, t+3> members at g = t + 2 (one
-    seeded, one at g = 1000) and its two (d/2, 2d-1) members, beside
-    two <p, p+3> rejections at d = p + 2 with d in 1000-2000.  Members'
-    neighbours, <p, p+3> at d = p + 2 and p + 4, <a, a+4> and <a, a+5>
-    at d = a + 3, and <a, 4a-1> at d = 2a + 1 and 2a + 2, are still
-    scanned (`test_family_neighbours_are_scanned`).
+    The <a, 4a-1> certificate is checked on every cell of every member
+    with d < 160 against the oracle's element table (the same test),
+    against the uncertified scan for every member up to d = 2000
+    (`test_family_certificates_match_the_scan`), and at production
+    scale by `_production_sample`'s two members.  Its neighbours,
+    <a, 4a-1> at d = 2a + 1 and 2a + 2, are still scanned
+    (`test_family_neighbours_are_scanned`).
 
-    No skipped row holds a violated cell, so the witness and
+    No certificate or rule hides a violated cell, so the witness and
     `checks_performed` stay those of a scan of every row.
 
     `checks_performed` counts every cell up to the witness by its
@@ -379,7 +327,6 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
     # per = a / gcd(a, 2), and 0 (no rule) for several cusps.  `classes`
     # is the row's P once `exact`, and until then the P of an earlier row,
     # a lower bound; P >= 1 in every cell before the tail.
-    first = 1
     per = 0
     if cusp is not None:
         a, b = cusp.a, cusp.b
@@ -387,15 +334,14 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
         # the certificates speak only of the cusp's own count on its grid
         if gap_at == cusp.gaps_at_least and (
                 (degree - 1) * (degree - 2) == 2 * (genus + cusp.delta)):
-            if b == a + 3 == degree or (genus == 0 and b == 2 * degree - 1):
+            if b <= degree or (genus == 0 and b == 2 * degree - 1):
                 return Verdict(True, None, degree * (genus + 1))
-            if b > degree >= 5:
+            if degree >= 5:  # and b > degree
                 value = degree // a - 2
                 if not 0 <= value <= genus:
                     return _rejected(1, 0, value, genus)
-            first = _first_row(genus, degree, cusp)
     classes = 1
-    for j in range(first, _last_row(degree) + 1):
+    for j in range(1, _last_row(degree) + 1):
         base = j * degree + 1
         c = genus - (degree - j - 2) * (degree - j - 1) // 2
         tail = (base - pair_sum) // 2

@@ -165,14 +165,6 @@ def test_frozen_genus_one_sweep():
     assert [(c.a, c.b) for c in rep.on_3d_line] == [(1, 8), (8, 55)]
 
 
-def test_jobs_do_not_change_results():
-    one = enumerate_candidates(1, 30, allow_smooth=True, jobs=1)
-    four = enumerate_candidates(1, 30, allow_smooth=True, jobs=4)
-    key = lambda r: [(c.a, c.b, c.d, c.admissible, c.element) for c in r.candidates]
-    assert key(one) == key(four)
-    assert [(c.a, c.b) for c, _ in one.exceptions] == [(c.a, c.b) for c, _ in four.exceptions]
-
-
 def test_exception_tags():
     assert _tags_for(Candidate(1, 2, 19, 6)) == ("(l,9l+1)",)
     assert _tags_for(Candidate(1, 3, 28, 9)) == ("(l,9l+1)",)
@@ -225,8 +217,6 @@ def test_enumerate_validation():
         enumerate_candidates(-1, 10)
     with pytest.raises(ValueError):
         enumerate_candidates(1, 0)
-    with pytest.raises(ValueError):
-        enumerate_candidates(1, 10, jobs=0)
 
 
 def test_exceptional_family_generators():

@@ -209,6 +209,9 @@ def test_enumerate_output_is_deterministic(capsys):
     parallel = invoke(capsys, "enumerate", "--genus", "1", "--dmax", "30",
                       "--allow-smooth", "--jobs", "4")
     assert first == second == parallel
+    # --jobs changes nothing, but below 1 it is refused as a usage error
+    assert invoke(capsys, "enumerate", "--genus", "1", "--dmax", "30", "--jobs", "0") == (
+        2, "", "error: jobs must be >= 1, got 0\n")
 
 
 def test_json_round_trip(capsys):

@@ -46,6 +46,15 @@ def test_check_degree_ceiling(capsys):
                                   "-b", str(d))
     assert code == 0, err
     assert took < 5.0, took
+    # <d-2, d-1> at g = d - 2 took 2.5 s as a scan and is certified now, as
+    # b <= d; from -a/-b and from one-pair --pairs alike (well under 0.1 s)
+    g = d - 2
+    for cusp in (["-a", str(d - 2), "-b", str(d - 1)], ["--pairs", f"{d - 2},{d - 1}"]):
+        code, out, err, took = invoke(capsys, "check", "--genus", str(g), *cusp,
+                                      "-d", str(d))
+        assert code == 0, err
+        assert '"witness": null' in out and f'"checks_performed": {d * (g + 1)},' in out
+        assert took < 0.5, (cusp, took)
 
 
 def test_check_pairs_ceilings(capsys):

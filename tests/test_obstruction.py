@@ -3,8 +3,6 @@ import itertools
 import json
 import random
 import time
-from math import gcd
-from operator import sub
 
 import pytest
 
@@ -536,7 +534,7 @@ def test_check_single_counts_few_gaps_with_the_pair_class_rule(monkeypatch):
     # not the cusp's own count, so no certificate applies: the
     # min(v, g - v) skip and the row tails make 727 gap counts; the
     # pair-class rule lifts the lower-side skips and leaves 240.
-    # `check_single` reads no row at all, as the cusp is a (p,p+3) member
+    # `check_single` reads no row at all, as b <= d
     s = Semigroup(349, 352)
     calls = 0
 
@@ -552,27 +550,48 @@ def test_check_single_counts_few_gaps_with_the_pair_class_rule(monkeypatch):
     assert check_single(349, 352, 351, 352) == v and gap_calls[0] == 0
 
 
-# The level certificate: for b <= d, `_scan` starts at row
-# `_first_row(g, d, cusp)`, having proved every row before it.  A verdict
-# cannot show a skip that goes one row too far (the rows past x* // d
-# still pass), so these tests hold the lemmas and the skipped rows to the
-# sieve directly.
+# The b <= d certificate: `_scan` returns the verdict of every single
+# cusp <a, b> at a degree d >= b before reading a row, under a guard that
+# only the cusp's own count on its own grid passes.
 
-def test_level_lemmas_hold_on_the_sieve():
-    # for every coprime a < b <= 40 and x in [-3, 2ab], R(x) from the
-    # sieve against the strongest L of each lemma (T_L grows with L):
-    # A, R(x) >= T_L for the largest L <= a - 1 with L*b < x; and
-    # B, R(x) <= T_L for the smallest L >= -1 with x <= (L+1)*a (under 1 s)
-    def tri(level):
-        return (level + 1) * (level + 2) // 2
+def test_certificate_reads_no_row_of_a_cusp_with_b_at_most_d(monkeypatch):
+    # at g = 0 a cusp with b <= d is <d-1, d>; <98, 99> at degree 100 has
+    # b < d and g = 98.  `check_single` answers all with no gap count
+    calls = _count_gap_calls(monkeypatch)
+    for d in range(3, 400):
+        assert check_single(d - 1, d, 0, d) == Verdict(True, None, d), d
+    assert check_single(1999, 2000, 0, 2000) == (True, None, 2000)
+    assert check_single(98, 99, 98, 100) == (True, None, 100 * 99)
+    assert calls[0] == 0
 
-    for a, b in _coprime_cusps(39, 41):
-        below = oracles.count_below_table(a, b, 2 * a * b)
-        for x in range(-3, 2 * a * b + 1):
-            r = below[x] if x > 0 else 0
-            if x > 0:
-                assert r >= tri(min(a - 1, (x - 1) // b)), (a, b, x)
-            assert r <= tri(max(-1, -(-x // a) - 1)), (a, b, x)
+
+def test_certificates_need_the_cusps_own_count():
+    # a count other than the cusp's, or a genus off the degree-genus
+    # identity, gets the plain scan: the pair-class tests above probe the
+    # skip rules that way, on grids the certificate says nothing about.
+    # <7, 9> at d = 9 has g = 4, and on its own count the certificate
+    # answers with no row read
+    s = Semigroup(7, 9)
+    steep = _steepest_count(7, 9)
+    for genus, degree, count in ((4, 9, steep), (0, 9, s.gaps_at_least),
+                                 (3, 9, s.gaps_at_least), (4, 9, s.gaps_at_least)):
+        expect = _rows_oracle(count, genus, degree)
+        assert _scan_witnesses(count, genus, degree, s) == [expect] * 2, (genus, degree)
+
+
+# The family certificates: `_scan` returns the verdict of <p, p+3> at
+# degree p + 3 (b = d, so the b <= d certificate) and of <a, 4a-1> at
+# degree 2a (g = 0) before reading a row.  A verdict cannot show a
+# certificate that covers too much when the extra inputs are admissible
+# too, so the neighbours are held to a gap count as well as to their
+# verdict.
+
+def _family_members(d_max):
+    """Every member (a, b, g, d) with d <= d_max of the (p,p+3) family at
+    degree p + 3 and of the (d/2, 2d-1) family."""
+    members = [(p, p + 3, p + 2, p + 3) for p in range(1, d_max - 2) if p % 3]
+    members += [(a, 4 * a - 1, 0, 2 * a) for a in range(1, d_max // 2 + 1)]
+    return members
 
 
 def _valid_inputs(b_max, d_above):
@@ -584,127 +603,25 @@ def _valid_inputs(b_max, d_above):
                 yield a, b, twice_genus // 2, d
 
 
-def test_rows_the_level_certificate_skips_hold_on_the_sieve():
-    # every row before the first scanned one is non-decreasing from k = 0,
-    # with its first and last cells in [0, g], on every valid input with
-    # b < 50 and d < b + 30 (d < b included, where nothing may be skipped),
-    # 47 million cells read off the sieve (about 3 s).  Starting one row
-    # later, or at ceil(x*/d) + 1, or certifying b = d + 1 or any b, fails
-    skipped = {}
-    for a, b, g, d in _valid_inputs(50, 30):
-        first = min(obstruction._first_row(g, d, Semigroup(a, b)), (d - 3) // 2 + 1)
-        if first > 1:
-            skipped.setdefault((a, b), []).append((g, d, first))
-    rows = 0
-    for (a, b), runs in skipped.items():
-        below = oracles.count_below_table(a, b, max((first - 1) * d + 1
-                                                    for g, d, first in runs))
-        for g, d, first in runs:
-            for j in range(1, first):
-                # R at the row's arguments j*d + 1 - 2k, ascending in m,
-                # so k = g comes first; R is 0 at every m <= 0
-                hi, lo = j * d + 1, j * d + 1 - 2 * g
-                zeros = max(0, -lo // 2 + 1)
-                counts = [0] * zeros + below[lo + 2 * zeros:hi + 1:2]
-                tri = (j + 1) * (j + 2) // 2
-                # value(k + 1) >= value(k) is R(m - 2) + 1 >= R(m)
-                assert g == 0 or max(map(sub, counts[1:], counts)) <= 1, (a, b, g, d, j)
-                assert 0 <= counts[-1] - tri <= g, (a, b, g, d, j)
-                assert 0 <= counts[0] + g - tri <= g, (a, b, g, d, j)
-                rows += 1
-    assert rows > 50000, rows
-
-
-def test_level_certificate_reads_no_row_of_the_rational_cusp(monkeypatch):
-    # at g = 0 a cusp with b <= d is <d-1, d>, and `check_single` answers
-    # with no gap count; <d-2, d-1> at degree d has b < d and g = d - 2
-    calls = 0
-    count = Semigroup.gaps_at_least
-
-    def counted(self, m):
-        nonlocal calls
-        calls += 1
-        return count(self, m)
-
-    monkeypatch.setattr(Semigroup, "gaps_at_least", counted)
-    for d in range(3, 400):
-        assert check_single(d - 1, d, 0, d) == Verdict(True, None, d), d
-    assert calls == 0
-    assert check_single(1999, 2000, 0, 2000) == (True, None, 2000) and calls == 0
-    assert check_single(98, 99, 98, 100).admissible and calls > 0
-
-
-def test_level_certificate_needs_the_cusps_own_count():
-    # a count other than the cusp's, or a genus off the degree-genus
-    # identity, gets the plain scan: the pair-class tests above probe the
-    # skip rules that way, on grids the certificate says nothing about.
-    # <7, 9> at d = 9 has g = 4 and x* = 27, so on its own count the
-    # certificate proves all three rows of the half grid
-    s = Semigroup(7, 9)
-    assert s.first_pair == 27 and obstruction._first_row(4, 9, s) == 4
-    steep = _steepest_count(7, 9)
-    for genus, degree, count in ((4, 9, steep), (0, 9, s.gaps_at_least),
-                                 (3, 9, s.gaps_at_least), (4, 9, s.gaps_at_least)):
-        expect = _rows_oracle(count, genus, degree)
-        assert _scan_witnesses(count, genus, degree, s) == [expect] * 2, (genus, degree)
-
-
-# The family certificates: `_scan` returns the verdict of <p, p+3> at
-# degree p + 3 and of <a, 4a-1> at degree 2a (g = 0) before reading a
-# row.  A verdict cannot show a certificate that covers too much when the
-# extra inputs are admissible too, so the neighbours are held to a gap
-# count as well as to their verdict.
-
-def _family_members(d_max):
-    """Every member (a, b, g, d) with d <= d_max of the (p,p+3) family at
-    degree p + 3 and of the (d/2, 2d-1) family."""
-    members = [(p, p + 3, p + 2, p + 3) for p in range(1, d_max - 2) if p % 3]
-    members += [(a, 4 * a - 1, 0, 2 * a) for a in range(1, d_max // 2 + 1)]
-    return members
-
-
 def test_family_certificates_hold_on_every_cell():
-    # every cell of the full grid of every member with d < 160 lies in
-    # [0, g], read off the sieve's element table; and the b = d cell
-    # formula of the proof, value(j, k) = k - T(i0 - 1) + the sum of
-    # floor((c*i - 2k)/a) over i0 <= i <= j, matches the table on every
-    # half-grid cell with j <= a - 1 and i0 = ceil(2k/d) <= j + 1 of every
-    # valid b = d input with d < 40.  Budget 10 s (about 2 s)
+    # every cell of the full grid lies in [0, g], read off the sieve's
+    # element table, for every family member with d < 160 and for every
+    # valid b <= d input with d < 30 (2,710 inputs, 11 million cells).
+    # Budget 15 s (about 3 s)
     start = time.perf_counter()
-
-    def tri(j):
-        return (j + 1) * (j + 2) // 2
-
+    inputs = [(a, b, g, d) for a, b, g, d in _valid_inputs(30, 30) if b <= d < 30]
+    assert len(inputs) == 2710, len(inputs)
     cells = 0
-    for a, b, g, d in _family_members(159):
+    for a, b, g, d in _family_members(159) + inputs:
         below = oracles.count_below_table(a, b, max(1, (d - 2) * d + 1))
         for j in range(-1, d - 1):
-            base, t = j * d + 1, tri(j)
-            values = [(below[x] if x > 0 else 0) + k - t
+            base, tri = j * d + 1, (j + 1) * (j + 2) // 2
+            values = [(below[x] if x > 0 else 0) + k - tri
                       for k, x in enumerate(range(base, base - 2 * g - 1, -2))]
             assert 0 <= min(values) and max(values) <= g, (a, b, g, d, j)
             cells += len(values)
-    assert cells > 500000, cells
-    formula = 0
-    for d in range(3, 40):
-        for a in range(1, d):
-            if gcd(a, d) != 1:
-                continue
-            genus = (d - 1) * (d - 1 - a) // 2
-            below = oracles.count_below_table(a, d, (d - 2) * d + 1)
-            for j in range(0, min(a - 1, (d - 3) // 2) + 1):
-                for k in range(0, genus + 1):
-                    i0 = -(-2 * k // d)
-                    if i0 > j + 1:
-                        break
-                    x = j * d + 1 - 2 * k
-                    value = (below[x] if x > 0 else 0) + k - tri(j)
-                    closed = k - tri(i0 - 1) + sum(((d - a) * i - 2 * k) // a
-                                                   for i in range(i0, j + 1))
-                    assert value == closed, (a, d, j, k)
-                    formula += 1
-    assert formula > 300000, formula
-    assert time.perf_counter() - start < 10.0
+    assert cells > 11000000, cells
+    assert time.perf_counter() - start < 15.0
 
 
 def test_family_certificates_match_the_scan(monkeypatch):
@@ -730,9 +647,10 @@ def test_family_neighbours_are_scanned(monkeypatch):
     # <p, p+3> at d = p + 2 (g = 1; rejected at (1, 0) from p = 4 on,
     # criterion 02) and at d = p + 4 (g = 2p + 4); <a, a+4> and <a, a+5>
     # at d = a + 3, where a + 3 = d but b != d; and <a, 4a-1> at
-    # d = 2a + 1 and 2a + 2, off g = 0.  They read rows, except the b > d
-    # rejections at (1, 0), which the first-row rule decides with no gap
-    # count.  Budget 10 s (about 1 s)
+    # d = 2a + 1 and 2a + 2, off g = 0.  They read rows, except <p, p+3>
+    # at d = p + 4, which has b <= d, and the b > d rejections at (1, 0),
+    # which the first-row rule decides with no gap count.  Budget 10 s
+    # (about 1 s)
     start = time.perf_counter()
     calls = _count_gap_calls(monkeypatch)
     neighbours = []
@@ -755,15 +673,13 @@ def test_family_neighbours_are_scanned(monkeypatch):
         v = check_single(a, b, g, d)
         counted = calls[0]
         assert v == obstruction._scan(g, d, lambda m: s.gaps_at_least(m), s.first_pair, s)
-        if b > d and v.witness is not None and v.witness[:2] == (1, 0):
-            assert counted == 0, (a, b, g, d)
-        else:
-            assert counted > 0, (a, b, g, d)
-            scanned += 1
+        certified = b <= d or v.witness is not None and v.witness[:2] == (1, 0)
+        assert (counted == 0) == certified, (a, b, g, d)
+        scanned += not certified
         if b == a + 3 and d == a + 2 and a >= 4:
             assert v.witness[:2] == (1, 0), (a, b, g, d)
         rejected += not v.admissible
-    assert rejected > 3800 and scanned > 600, (rejected, scanned)
+    assert rejected > 3800 and scanned > 350, (rejected, scanned)
     assert time.perf_counter() - start < 10.0
 
 
@@ -847,8 +763,7 @@ def test_first_row_rejections_match_the_table_oracle(monkeypatch):
 
 
 # One scan for a lone cusp: `check_multi([(a, b)])` hands its cusp to
-# `check_single`'s scan, with the pair-class rule and the level
-# certificate.
+# `check_single`'s scan, with the pair-class rule and the certificates.
 
 def _lone_cusp_sample():
     """<1999, 2000> at g = 0 (no gap count), <349, 352> at g = 351, two
@@ -923,13 +838,16 @@ def test_table_oracle_matches_brute_force():
 
 
 def _production_sample():
-    """42 candidates: seeded ones at g = 0, 1 (d 1000-2000) and g = 1000
+    """46 candidates: seeded ones at g = 0, 1 (d 1000-2000) and g = 1000
     (d 400-800), two g = 1 rejections at cell (4, 1), and members of each
     admissible family: <d-1, d>, (d/2, 2d-1), the Fibonacci pairs, every
     `_FAMILIES` row (at its own genus where it has no member at g = 0, 1
-    or 1000) and a Lucas rung.  The (p,p+3) certificate has a second
-    member, at g = 1000, and two of its neighbours, <p, p+3> at
-    d = p + 2 (g = 1), rejected at cell (1, 0).
+    or 1000) and a Lucas rung.  The (p,p+3) family has a second member,
+    at g = 1000, and two of its neighbours, <p, p+3> at d = p + 2
+    (g = 1), rejected at cell (1, 0).  The b <= d certificate has four
+    more inputs with b != a + 1 or g > 0: <496, 501> at d = 501 and
+    <1000, 1001> at d = 1002, both at g = 1000, and seeded <d-2, d-1>
+    (g = d - 2) and <d-2, d> (odd d, g = (d-1)/2) with d in 1000-2000.
     Most seeded candidates fail at cell (1, 0); at most half of each
     genus's draws may, so the rest fail deeper in the grid, where the
     scan's skips and bisections decide the witness."""
@@ -966,6 +884,11 @@ def _production_sample():
                 shallow -= 1
             sample.append(drawn)
             count -= 1
+    sample += [(496, 501, 1000, 501), (1000, 1001, 1000, 1002)]
+    d = rng.randrange(1000, 2001)
+    sample.append((d - 2, d - 1, d - 2, d))
+    d = 2 * rng.randrange(500, 1000) + 1
+    sample.append((d - 2, d, (d - 1) // 2, d))
     return sample
 
 
@@ -977,7 +900,7 @@ def test_checks_match_the_table_oracle_at_production_scale():
     # Budget 10 s (under 1 s here)
     start = time.perf_counter()
     sample = _production_sample()
-    assert len(sample) == 42
+    assert len(sample) == 46
     admissible = 0
     for a, b, g, d in sample:
         expect = oracles.table_check(a, b, g, d)
@@ -985,6 +908,6 @@ def test_checks_match_the_table_oracle_at_production_scale():
             cell = None if v.witness is None else (v.witness.j, v.witness.k)
             assert (v.admissible, cell, v.checks_performed) == expect, (a, b, g, d)
         admissible += expect[0]
-    assert 21 < admissible < 39, admissible
+    assert 25 < admissible < 43, admissible
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed

@@ -91,16 +91,21 @@ IDENTITIES_LMAX_MAX = 4000
 # single cusp found among a few hundred sampled shapes with b > d,
 # <11234, 500199> at g = 2,190,487,934, took 0.6-0.7 s, and <d-1, d> and
 # <d-2, d-1> about 0.1 s (whole process, 2-vCPU x86-64, Python 3.11.7).  With
-# several cusps the check also holds the run starts, O(total delta) memory:
-# total delta 10^6 took 0.2 s at 92 MB.  Its lazy convolution reads about
+# several cusps the check also holds the run starts and the count tables of
+# its lazy convolution, O(total delta) memory.  At total delta 10^6,
+# <2, 1998001> with <3, 1000> took 0.45-0.53 s at 109 MB, rejected at
+# d = 1416, and 0.6-0.8 s at 200 MB admitted at d = 2200, where the count
+# table of the larger cusp fills.  The lazy convolution reads about
 # degree * X terms, where X is the total delta less the largest local
 # delta (for two cusps, the smaller local delta), and three or more cusps
 # first fold all but the largest by `convolve`, at most about X^2 / 2
 # additions more; the estimate keeps X^2.  At degree * X = 3 * 10^6,
-# admissible two-cusp inputs took 0.7-1.7 s; three <40, 43> cusps at
-# d = 72 and 74, with degree * X + X^2 = 2.8 * 10^6, took 0.06 s.  A single
-# cusp, from -a/-b or --pairs, holds no run starts and meets only the degree
-# bound.  All three bounds are checked before any work.
+# admissible two-cusp inputs took 0.19-0.35 s (97,261;70,417 at d = 240,
+# 94,191;145,526 at d = 312 and 47,481;41,867 at d = 241), and three
+# <40, 43> cusps at d = 72 and 74, with degree * X + X^2 = 2.8 * 10^6, took
+# 0.12-0.19 s; about 0.1 s of each is interpreter start and imports.  A
+# single cusp, from -a/-b or --pairs, holds no run starts and meets only the
+# degree bound.  All three bounds are checked before any work.
 CHECK_DEGREE_MAX = 10 ** 5
 CHECK_PAIRS_DELTA_MAX = 10 ** 6
 CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6

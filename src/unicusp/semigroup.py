@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import chain, repeat
+from functools import reduce
+from itertools import accumulate, chain
 from math import gcd
-from operator import add, lt, sub
+from operator import add, lt
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -201,7 +201,11 @@ class Semigroup:
                 + _floor_sum(terms, a, b, m - 1 - (terms - 1) * b))
 
     def gap_function(self) -> GapFunction:
-        return GapFunction((0, *(x + 1 for x in self.gaps)))
+        """The gap function, whose run starts are 0 and each gap + 1: the
+        ranges of `gaps` moved up by 1, merged."""
+        a, b = self._a, self._b
+        return GapFunction((0, *sorted(chain.from_iterable(
+            range(u * b % a + 1, u * b + 1, a) for u in range(1, a)))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Semigroup):
@@ -307,40 +311,89 @@ def convolve_at(f: GapFunction, g: GapFunction):
     1, so i + J(s - a_i) never decreases along the run's starts <= s.
     The maximum is therefore at the last start <= s of some run: the
     run's end when that is <= s, and otherwise the last start <= s of
-    all, since only the run holding it can be cut off by s.  Each call
-    reads those, over whichever operand has fewer run ends <= s; IC is
-    symmetric in its operands.  The run ends are found once per call of
-    `convolve_at`.
+    all, since only the run holding it can be cut off by s.  The run ends
+    are found once per call of `convolve_at`.
+
+    J(x) + 1 = #{j : b_j <= x} is read from a count table of g, counts[x]
+    for 0 <= x < b_last, its last start; from b_last on it is the number
+    of starts of g, since no b_j lies above b_last.  So every run end
+    e <= s - b_last gives J(s - e) its largest value, and as the indices
+    of the run ends ascend with them, the last of these gives the largest
+    term among them: one bisection finds it.  Only the run ends in
+    (s - b_last, s] read the table, all at arguments below b_last, and so
+    does the last start a_i <= s when s - a_i < b_last.  IC is symmetric
+    in its operands, so each value reads whichever operand has fewer run
+    ends in that window against the other's table.  A table is a list
+    that grows in place, to the argument asked or to twice its length,
+    whichever is larger, but never to b_last: it holds only what the
+    arguments asked so far reach, and a check rejected in its first rows
+    builds little of it.
     """
     total_delta = f.delta + g.delta
     starts_f, starts_g = f.starts, g.starts
     ends_f, index_f = _run_ends(starts_f)
     ends_g, index_g = _run_ends(starts_g)
-    # bisect_right(starts, x) is 1 + max{j : starts[j] <= x}, for x >= 0
-    reach_f = partial(bisect_right, starts_f)
-    reach_g = partial(bisect_right, starts_g)
+    last_f, last_g = starts_f[-1], starts_g[-1]
+    counts_f, counts_g = [], []
+    # per side: the operand whose run ends are read, then the other's
+    # count table, starts, last start and number of starts
+    side_f = (starts_f, ends_f, index_f, counts_g, starts_g, last_g, len(starts_g))
+    side_g = (starts_g, ends_g, index_g, counts_f, starts_f, last_f, len(starts_f))
 
     def gap_at(s: int) -> int:
         if s < 0:
             return total_delta - s
+        # run ends k..n-1 of f lie in (s - last_g, s], likewise for g
         n = bisect_right(ends_f, s)
+        k = bisect_right(ends_f, s - last_g, 0, n)
         n_g = bisect_right(ends_g, s)
-        if n <= n_g:
-            starts, ends, index, reach = starts_f, ends_f, index_f, reach_g
+        k_g = bisect_right(ends_g, s - last_f, 0, n_g)
+        if n - k <= n_g - k_g:
+            starts, ends, index, counts, other, last, full = side_f
         else:
-            n, starts, ends, index, reach = n_g, starts_g, ends_g, index_g, reach_f
-        # the last start <= s, and the n run ends <= s (map stops with its
-        # shortest argument, repeat(s, n)); each term is at least 1
+            n, k = n_g, k_g
+            starts, ends, index, counts, other, last, full = side_g
         i = bisect_right(starts, s) - 1
-        at_ends = max(map(add, index, map(reach, map(sub, repeat(s, n), ends))), default=0)
-        return total_delta + 1 - max(at_ends, i + reach(s - starts[i]))
+        x = s - starts[i]
+        deepest = s - ends[k] if k < n else x
+        if len(counts) <= deepest < last:
+            _grow_counts(counts, other, deepest)
+        top = i + (counts[x] if x < last else full)
+        if k and index[k - 1] + full > top:
+            top = index[k - 1] + full
+        for r in range(k, n):
+            term = index[r] + counts[s - ends[r]]
+            if term > top:
+                top = term
+        return total_delta + 1 - top
 
     return gap_at
 
 
+def _grow_counts(counts: list[int], starts: tuple[int, ...], x: int) -> None:
+    """Extend counts, the table of #{j : starts[j] <= y} for 0 <= y <
+    starts[m], m = counts[-1] (0 while empty), to cover x < starts[-1].
+
+    It grows by whole runs between starts, to the first start above
+    max(x, 2 * len(counts)) or to the last start, which it never covers.
+    The new values are m + 1 at starts[m], plus a running sum of marks
+    at the starts above it.
+    """
+    m = counts[-1] if counts else 0
+    end = bisect_right(starts, max(x, 2 * len(counts)), m)
+    if end >= len(starts):
+        end = len(starts) - 1
+    low = starts[m] + 1
+    marks = bytearray(starts[end] - low)
+    for c in starts[m + 1:end]:
+        marks[c - low] = 1
+    counts += accumulate(marks, initial=m + 1)
+
+
 def _run_ends(starts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The last start of each run of consecutive starts, as (values,
-    indices), both ascending."""
+    indices), both ascending: the only starts `convolve_at` reads besides
+    the last start <= s.  The indices are each end's i in i + J(s - a_i)."""
     last = len(starts) - 1
     index = (*(i for i in range(last) if starts[i + 1] != starts[i] + 1), last)
     return tuple(starts[i] for i in index), index

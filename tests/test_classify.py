@@ -8,7 +8,6 @@ import pytest
 from unicusp import (
     Candidate,
     asymptote_slopes,
-    check_single,
     degree_for,
     enumerate_candidates,
     exceptional_family,

@@ -6,6 +6,7 @@ before the work it bounds; each ceiling itself is admitted.  The --pairs
 ceilings bind two or more cusps only.
 """
 
+import json
 import sys
 import time
 from pathlib import Path
@@ -93,7 +94,7 @@ def test_check_one_cusp_pairs_meets_only_the_degree_ceiling(capsys):
 def test_check_pairs_at_the_work_ceiling(capsys):
     # degree * smaller delta just under the ceiling: 233 * 11980 for the
     # two-cusp rejection that took 26 s with a tabulated convolution, and
-    # 240 * 12480 for an admissible pair (about 2 s)
+    # 240 * 12480 for an admissible pair (about 0.2 s)
     assert 233 * 11980 <= CHECK_PAIRS_WORK_MAX
     code, out, err, took = invoke(capsys, "check", "--genus", "116",
                                   "--pairs", "50,601;41,600", "-d", "233")
@@ -103,7 +104,21 @@ def test_check_pairs_at_the_work_ceiling(capsys):
     code, out, err, took = invoke(capsys, "check", "--genus", "1609",
                                   "--pairs", "97,261;70,417", "-d", "240")
     assert code == 0, err
-    assert took < 10.0, took
+    assert took < 3.0, took
+
+
+def test_check_pairs_at_the_delta_ceiling(capsys):
+    # total delta 999,999: the run starts of <2, 1998001> take most of the
+    # time and memory (about 0.5 s at 110 MB as a whole process); the
+    # rejection at cell (1, 0) builds almost none of the count tables
+    code, out, err, took = invoke(capsys, "check", "--genus", "406",
+                                  "--pairs", "2,1998001;3,1000", "-d", "1416")
+    assert code == 1, err
+    payload = json.loads(out)["payload"]
+    w = payload["witness"]
+    assert (w["j"], w["k"], w["side"], w["lhs_value"]) == (1, 0, "upper", 539)
+    assert payload["checks_performed"] == 815
+    assert took < 3.0, took
 
 
 def test_check_ceilings_admit_the_benchmark_pool(capsys, monkeypatch):

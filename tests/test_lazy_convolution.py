@@ -99,6 +99,35 @@ def test_convolve_at_matches_the_table_everywhere():
             assert lazy(s) == table(s), (f.starts, g.starts, s)
 
 
+def test_convolve_at_in_shuffled_order():
+    # the count tables grow with the arguments asked so far, so a value
+    # must not depend on the order of the calls: every s in
+    # [-5, 2 Delta + 5] in a seeded shuffled order, on a fresh evaluator
+    # per pair of operands, against the `convolve` run starts.  Operands
+    # are cusps and folds of two, and lopsided pairs (delta below 3 against
+    # one of at least 5,000, either way round), whose s run past the
+    # small operand's last start (about 1 s)
+    rng = random.Random(83)
+    cusps = [(a, b) for a in range(1, 10) for b in range(a + 1, 30) if gcd(a, b) == 1]
+
+    def operand(choices, sizes):
+        return reduce(convolve, [Semigroup(*rng.choice(choices)).gap_function()
+                                 for _ in range(rng.choice(sizes))])
+
+    pairs = [(operand(cusps, (1, 2)), operand(cusps, (1, 2))) for _ in range(120)]
+    tiny = [(1, 2), (2, 3), (2, 5)]
+    for large in [(2, 10001), (3, 5002), (101, 103), (71, 149)]:
+        f, g = operand(tiny, (1, 1, 2)), Semigroup(*large).gap_function()
+        assert f.delta < 3 and g.delta >= 5000
+        pairs += [(f, g), (g, f)]
+    for f, g in pairs:
+        table, lazy = convolve(f, g), convolve_at(f, g)
+        arguments = list(range(-5, 2 * table.delta + 6))
+        rng.shuffle(arguments)
+        for s in arguments:
+            assert lazy(s) == table(s), (f.starts[:8], g.starts[:8], s)
+
+
 def test_every_pairs_reference_row():
     # the 160 stored two-cusp rows, each in both cusp orders (well under 1 s)
     start = time.perf_counter()

@@ -10,7 +10,6 @@ from unicusp import (
     Semigroup,
     check_multi,
     check_single,
-    convolve,
     lucas_family,
     triangle_lower,
     triangle_upper,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from contextlib import contextmanager
 from functools import partial
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
@@ -284,6 +283,25 @@ def _step_json(r: GermRecord, indent: str) -> str:
             f'{i}"polynomial": {polynomial},\n{i}"valuation": {r.valuation}\n{indent}}}')
 
 
+def _check_json(pairs: list[tuple[int, int]], genus: int, degree: int, verdict) -> str:
+    """A `check` record from one template: its payload's keys in sorted
+    order are admissible, checks_performed, degree, genus, pairs and
+    witness, each pair renders as the list [a, b], and a witness's keys
+    are j, k, lhs_value, side and triangular."""
+    pair_texts = ",\n      ".join([f"[\n        {a},\n        {b}\n      ]" for a, b in pairs])
+    w = verdict.witness
+    witness = "null" if w is None else (
+        f'{{\n      "j": {w.j},\n      "k": {w.k},\n      "lhs_value": {w.lhs_value},\n'
+        f'      "side": {encode_basestring_ascii(w.side)},\n'
+        f'      "triangular": {w.triangular}\n    }}')
+    return (f'{{\n  "command": "check",\n  "payload": {{\n'
+            f'    "admissible": {"true" if verdict.admissible else "false"},\n'
+            f'    "checks_performed": {verdict.checks_performed},\n'
+            f'    "degree": {degree},\n    "genus": {genus},\n'
+            f'    "pairs": [\n      {pair_texts}\n    ],\n    "witness": {witness}\n  }},\n'
+            f'  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)}\n}}')
+
+
 def _emit(command: str, payload: dict) -> None:
     record = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
     sys.stdout.write(_json(record, "") + "\n")
@@ -383,19 +401,7 @@ def _cmd_check(args) -> int:
         verdict = check_single(args.a, args.b, args.genus, degree)
     else:
         verdict = check_multi(pairs, args.genus, degree)
-    witness = None
-    if verdict.witness is not None:
-        w = verdict.witness
-        witness = {"j": w.j, "k": w.k, "triangular": w.triangular,
-                   "lhs_value": w.lhs_value, "side": w.side}
-    _emit("check", {
-        "pairs": [list(p) for p in pairs],
-        "genus": args.genus,
-        "degree": degree,
-        "admissible": verdict.admissible,
-        "checks_performed": verdict.checks_performed,
-        "witness": witness,
-    })
+    sys.stdout.write(_check_json(pairs, args.genus, degree, verdict) + "\n")
     return 0 if verdict.admissible else 1
 
 
@@ -672,8 +678,51 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+class _Table(NamedTuple):
+    """What a command's subparser does with a well-formed argv: the
+    namespace it starts from (`command` first, then its actions' defaults
+    and its set_defaults), each option string's (action, dest, type,
+    choices), with type None for store_true, and its required actions."""
+
+    namespace: dict
+    options: dict
+    required: frozenset
+
+
+def _build_table(name: str, sub: argparse.ArgumentParser) -> _Table:
+    """Command `name`'s table, read off its subparser's own actions and
+    set_defaults.  It models the kinds the commands use: a store taking
+    one value (nargs None), store_true and help.  Any other kind, a
+    mutually exclusive group or a typed string default raises TypeError,
+    so an option added later cannot be parsed wrong unnoticed."""
+    if sub._mutually_exclusive_groups:
+        raise TypeError(f"{name}: the parse table models no mutually exclusive group")
+    namespace, options, required = {}, {}, set()
+    for action in sub._actions:
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue
+        if not (action.option_strings and not getattr(action, "deprecated", False)
+                and (kind is argparse._StoreAction and action.nargs is None
+                     or kind is argparse._StoreTrueAction)
+                and not (isinstance(action.default, str) and action.type is not None)):
+            raise TypeError(f"{name}: the parse table does not model {kind.__name__} "
+                            f"{action.option_strings or action.dest}")
+        if action.default is not argparse.SUPPRESS:
+            namespace.setdefault(action.dest, action.default)
+        entry = ((action, action.dest, None, None) if kind is argparse._StoreTrueAction
+                 else (action, action.dest, action.type or str, action.choices))
+        options.update(dict.fromkeys(action.option_strings, entry))
+        if action.required:
+            required.add(action)
+    for dest, value in sub._defaults.items():
+        namespace.setdefault(dest, value)
+    return _Table({"command": name, **namespace}, options, frozenset(required))
+
+
 # parse_args leaves the parser as it was, so every call shares one
 _PARSER, _COMMANDS = _build_parser()
+_TABLES = {name: _build_table(name, sub) for name, sub in _COMMANDS.items()}
 
 _NEGATIVE_START = re.compile(r"-\d")
 
@@ -702,28 +751,68 @@ def _attach_negative_windows(argv: list[str]) -> list[str]:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`_PARSER.parse_args(argv)`, parsing a command's arguments once.
+    """`_PARSER.parse_args(argv)`, with well-formed argvs read off a table.
 
-    When argv[0] names a command, the top-level parser only hands
-    argv[1:] to that command's subparser, sets `command` and fails if
-    arguments are left over.  So the subparser is called directly, and
-    the top-level parser runs only for what it would itself report:
-    leftover arguments, and an argv[0] that is no command name (--help,
-    an unknown command, none at all).  Every help text, usage error and
-    exit code thus comes from the same parser as under
-    `_PARSER.parse_args(argv)`.
+    The table takes an argv whose first token names a command and whose
+    other tokens are that command's exact option strings, each but a
+    store_true one followed by one value that does not start with "-"
+    and passes the option's own type and choices, with every required
+    option given.  argparse hands such an argv whole to the command's
+    subparser, which sets each value in turn (a repeated option keeps its
+    last), so the table gives the namespace argparse gives.  Every other
+    argv (help, `--`, an abbreviation, an `=` form, a negative or bad
+    value, a missing option or value, an unknown command) goes to
+    `_PARSER.parse_args` unchanged, so its messages and exit codes are
+    argparse's own.
     """
-    sub = _COMMANDS.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return _PARSER.parse_args(argv)
+    args = _table_parse(argv)
+    return _PARSER.parse_args(argv) if args is None else args
+
+
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a well-formed argv (see `_parse`), else None."""
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    values = table.namespace.copy()
+    seen = set()
+    tokens = iter(argv)
+    next(tokens)
+    for flag in tokens:
+        entry = table.options.get(flag)
+        if entry is None:
+            return None
+        action, dest, convert, choices = entry
+        if convert is None:
+            values[dest] = action.const
+        else:
+            # a missing value reads as one starting with "-"
+            token = next(tokens, "-")
+            if token[:1] == "-":
+                return None
+            try:
+                value = convert(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+        seen.add(action)
+    if not table.required <= seen:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
 
 def run(argv: list[str]) -> int:
-    with _unlimited_int_digits():
+    # Python's int-str digit limit is lifted, for arguments as well as
+    # output, and the caller's setting restored; Pythons without the
+    # limit have nothing to lift
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
         try:
             args = _parse(_attach_negative_windows(argv))
         except SystemExit as exc:
@@ -735,22 +824,9 @@ def run(argv: list[str]) -> int:
         except RuntimeError as exc:
             sys.stderr.write(f"computation rejected: {exc}\n")
             return 1
-
-
-@contextmanager
-def _unlimited_int_digits():
-    """Lift Python's int-str digit limit, for arguments as well as output,
-    then restore the caller's setting.  Pythons without the limit have
-    nothing to lift."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

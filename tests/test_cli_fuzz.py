@@ -7,17 +7,23 @@ or a malformed token, a flag repeated, an unknown or foreign flag or
 --help appended, the flags shuffled.  Whatever the argv, `run` must
 return 0, 1 or 2, never raise, never print a traceback, and return
 within a per-argv budget.  On every argv, `cli._parse` must also give
-what `_PARSER.parse_args` gives.
+what `_PARSER.parse_args` gives, and on the benchmark's well-formed argvs
+it must give it without running argparse.
 """
 
 import argparse
 import random
+import sys
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 
-from unicusp.cli import _PARSER, _attach_negative_windows, _parse, run
+from unicusp.cli import _PARSER, _attach_negative_windows, _build_table, _parse, run
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 MALFORMED = ("", "x", "1.5", "-", "--", "1e3", "0x10", "3,", ",", ";", "1:2:3", " 7")
 
@@ -200,9 +206,9 @@ def _parsed(parse, argv, capsys):
 
 
 def test_one_parse_matches_the_parser(capsys):
-    # `_parse` calls a command's subparser directly; on every fuzzed argv
-    # it must give what `_PARSER.parse_args` gives: the same namespace, or
-    # the same exit code, stdout (--help) and stderr
+    # `_parse` reads well-formed argvs off a parse table; on every fuzzed
+    # argv it must give what `_PARSER.parse_args` gives: the same
+    # namespace, or the same exit code, stdout (--help) and stderr
     exits = 0
     for argv in _fuzzed_argvs():
         argv = _attach_negative_windows(argv)
@@ -218,7 +224,42 @@ def test_one_parse_matches_the_parser(capsys):
     ["check", "--", "--genus", "0"], ["check", "--help", "--bogus"],
     ["pell", "--orbit", "-2:4", "--genus", "1"], ["pell", "--orb", "-2:4"],
     ["germ", "--node", "3", "--node", "4"], ["enumerate", "--genus=1", "--dmax=9"],
+    # the parse table's edges: what it takes, and what it leaves to argparse
+    ["check", "--genus", "0", "-a", "2", "-b", "3", "-a", "4"],
+    ["enumerate", "--genus", "1", "--dmax", "9", "--allow-smooth", "--allow-smooth"],
+    ["enumerate", "--genus", "1", "--dmax", "9", "--format", "xml"],
+    ["pell", "--genus", "1", "--orbit", "1:2:3"], ["pell", "--genus", "1", "--orbit", "x"],
+    ["check", "--genus", "0", "-a", "1_0", "-b", "\u0663", "-d", " 4"],
+    ["check", "--genus", "0", "-a", "", "-b", "3"], ["check", "--genus", "0", "-a", "2", "-b"],
+    ["check", "--gen", "1", "-a", "2", "-b", "3"], ["check", "--genus=1", "-a", "2", "-b", "3"],
+    ["germ", "--node", "5", "-h"],
 ])
 def test_one_parse_matches_the_parser_on_edge_argvs(argv, capsys):
     argv = _attach_negative_windows(argv)
     assert _parsed(_parse, argv, capsys) == _parsed(_PARSER.parse_args, argv, capsys)
+
+
+def test_benchmark_argvs_parse_without_argparse(monkeypatch):
+    # every benchmark op is well formed, so the parse table reads it and
+    # argparse never runs: every 10th op of each workload's seed-0 order,
+    # and the warm-up commands
+    argvs = [argv for w in workloads.WORKLOADS for _, argv, _ in workloads.make_ops(w, 0)[::10]]
+    argvs += [argv for w in workloads.WORKLOADS for argv in workloads.WARMUP[w]]
+    expect = [_PARSER.parse_args(argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse ran")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [_parse(argv) for argv in argvs] == expect
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"action": "append"}, {"nargs": "+"}, {"nargs": 1}, {"action": "store_const", "const": 1},
+    {"action": "count"}, {"type": int, "default": "3"},
+])
+def test_parse_table_refuses_what_it_does_not_model(kwargs):
+    sub = argparse.ArgumentParser().add_subparsers().add_parser("x")
+    sub.add_argument("--y", **kwargs)
+    with pytest.raises(TypeError, match="does not model"):
+        _build_table("x", sub)

@@ -3,7 +3,7 @@
 `unicusp.cli` renders its records with a small writer instead of
 `json.dumps(record, sort_keys=True, indent=2)`: a whole candidate list in
 one pass, whose items fill text pieces built once per list, and each node
-step from one template.  These tests hold the two to the same bytes on a
+step and each `check` record from one template.  These tests hold the two to the same bytes on a
 sample of the benchmark's commands, on the payload shapes the sample may
 miss, and on seeded payloads whose expected objects are built from the
 candidates' fields, and check that the parser every `run` call shares
@@ -36,6 +36,13 @@ EXTRA_ARGVS = [
     ["pell", "--genus", "3", "--orbit=-2:4"],
     # two 77-candidate lists at one depth
     ["pell", "--genus", "105", "--orbit=-40:40"],
+    # `check` records render from one template: a lower and an upper
+    # witness, three cusps, an inadmissible two-cusp input, a derived -d
+    ["check", "--genus", "0", "-a", "3", "-b", "7", "-d", "5"],
+    ["check", "--genus", "0", "-a", "2", "-b", "21", "-d", "6"],
+    ["check", "--genus", "0", "--pairs", "2,3;2,3;2,3"],
+    ["check", "--genus", "1", "--pairs", "2,3;2,27", "-d", "7"],
+    ["check", "--genus", "1", "-a", "3", "-b", "28"],
     ["families", "--k", "3", "--j", "2"],
     ["sectors", "--genus", "2", "--lmax", "5"],
     # node steps render from their own template
@@ -77,6 +84,11 @@ def test_writer_matches_json_dumps_on_edge_payloads(capsys):
     assert payloads[3]["orbits"][0]["candidates"]
     first, second = (orbit["candidates"] for orbit in payloads[4]["orbits"])
     assert len(first) == len(second) == 77 and first != second
+    lower, upper, three, two, derived = payloads[5:10]
+    assert (lower["witness"]["side"], upper["witness"]["side"]) == ("lower", "upper")
+    assert len(three["pairs"]) == 3 and three["degree"] == 4
+    assert len(two["pairs"]) == 2 and two["witness"]["j"] == 2 and not two["admissible"]
+    assert derived["degree"] == 9 and derived["witness"] is None
     exceptions, untagged = payloads[-1]["exceptions"], payloads[-1]["untagged"]
     assert len(exceptions) > 400 and all(c["tags"] == [] for c in exceptions)
     assert untagged == [{k: v for k, v in c.items() if k != "tags"} for c in exceptions]

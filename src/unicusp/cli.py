@@ -15,6 +15,7 @@ reported on standard error.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from functools import partial
@@ -41,16 +42,17 @@ SCHEMA_VERSION = "1"
 # Germ input ceilings.  The cost of a germ grows with both its exponent and
 # the order, and a node germ prints about N^2 / 2 polynomial terms (1.9 MB
 # at N = 200), so larger inputs are refused before any series is built.
-# At the ceilings, `germ --node 200 --order 1000` takes 0.11-0.13 s at
-# 26 MB peak RSS, and `germ --flex 300 --order 1000` 0.08-0.09 s at 18 MB
+# At the ceilings, `germ --node 200 --order 1000` takes 0.14-0.19 s at
+# 26 MB peak RSS, and `germ --flex 300 --order 1000` 0.09-0.15 s at 17 MB
 # (2-vCPU x86-64, Python 3.11.7, whole process, five runs each).
 GERM_NODE_MAX = 200
 GERM_FLEX_MAX = 300
 GERM_ORDER_MAX = 1000
 
 # Listing a semigroup's gaps takes O(delta) time and memory: at delta =
-# 10^6 about 1.1-1.3 s and 145 MB on the same host.  The counting queries
-# (--query) use closed forms and stay unbounded.
+# 10^6 (`semigroup -a 1001 -b 2001`, 14 MB of output) 0.70-1.10 s and
+# 138 MB on the same host.  The counting queries (--query) use closed
+# forms and stay unbounded.
 SEMIGROUP_DELTA_MAX = 10 ** 6
 
 # `pell` factors n by trial division, which stays under 0.5 s up to the
@@ -61,24 +63,25 @@ PELL_N_MAX = 10 ** 12
 
 # `pell --orbit HMIN:HMAX` prints, per generator, candidates whose digits
 # grow with |h|: at genus 1 (one generator) --orbit -3000:3000 takes
-# 1.2-1.4 s for 5.0 MB of output at 36 MB peak RSS, 0:4000 about 1.4 s for
-# 8.7 MB, and 0:8000 about 8 s for 34 MB.  The bound is on
-# max(|HMIN|, |HMAX|), checked before any factoring.  The cost is per
-# generator, and a genus within PELL_N_MAX has up to 64 of them (genus
-# 13862504035 at --orbit -3000:0 took 45-48 s for 320 MB of output at
-# 932 MB peak RSS).  So once the generators are known, generators times
+# 0.42-0.59 s for 5.0 MB of output at 35 MB peak RSS, 0:4000 about 0.8 s
+# for 8.7 MB at 48 MB, and 0:8000 about 4 s for 34 MB at 121 MB.  The
+# bound is on max(|HMIN|, |HMAX|), checked before any factoring.  The cost
+# is per generator, and a genus within PELL_N_MAX has up to 64 of them
+# (genus 13862504035 at --orbit -3000:0 took 45-48 s for 320 MB of output
+# at 932 MB peak RSS, measured when a hand-written writer rendered the
+# candidates).  So once the generators are known, generators times
 # (HMAX - HMIN + 1) may not exceed one generator's full window,
 # 2 * PELL_ORBIT_MAX + 1 = 6001.
 PELL_ORBIT_MAX = 3000
 
 # `sectors` walks the walls once, so the bound keeps its output small:
-# --lmax 400 prints 0.47 MB in about 0.15 s, and --lmax 2000 would print
+# --lmax 400 prints 0.47 MB in 0.12-0.17 s, and --lmax 2000 would print
 # 10 MB.  `families` prints Lucas numbers of about 0.84 i (or j) digits,
 # and CPython's int-to-str conversion is quadratic in the digits: --i
-# 100000 takes about 1 s for 0.42 MB of output, and --i 300000 about 7 s
+# 100000 takes 0.9-1.1 s for 0.42 MB of output, and --i 300000 about 8 s
 # for 1.25 MB.  `identities` checks O(l_max) identities on numbers of
-# O(l_max) digits: --lmax 4000 takes 1.2-1.7 s, 5000 about 2.5-2.9 s and
-# 8000 about 8 s.  All three bounds are checked before any work (same
+# O(l_max) digits: --lmax 4000 takes 1.1-1.4 s, 5000 about 2.5-2.8 s and
+# 8000 about 6.4 s.  All three bounds are checked before any work (same
 # host, whole process).
 SECTORS_LMAX_MAX = 400
 FAMILIES_INDEX_MAX = 10 ** 5
@@ -113,67 +116,17 @@ CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 # trial division and checks every candidate it finds.  At g = 0 most
 # candidates fail at cell (1, 0), which the first-row rule decides in closed
 # form, and the (d-1, d) and (d/2, 2d-1) members pass with no row read:
-# --dmax 500, 1000 and 2000 took 0.15-0.24, 0.28-0.36 and 0.47-0.56 s
-# (8.5 MB of output at 51 MB peak RSS at 2000; TSV 1.4 MB at 31 MB), and
-# g = 1 at 2000 took 1.1-1.2 s.  The degree memo of `enumerate_candidates`
+# --dmax 500, 1000 and 2000 took 0.15-0.24, 0.24-0.36 and 0.50-0.74 s
+# (8.5 MB of output at 48 MB peak RSS at 2000; TSV 1.4 MB at 31 MB), and
+# g = 1 at 2000 took 1.0-1.7 s.  The degree memo of `enumerate_candidates`
 # saves nothing here, since within one command every degree is new.  At a
 # large genus nearly every candidate is admissible and its scan runs
-# through half the grid: --dmax 2000 took 20-21 s at g = 10^4 and 10^6, and
-# 22-27 s at g = 10^5 (0.23-0.32 s at 500 and 4.5-5.4 s at 1000).  The
-# ceiling keeps g = 0 up to d = 2000 in reach, and --dmax 10^8, which ran
-# on with no output, is refused before any work (whole process, same host).
+# through half the grid: --dmax 2000 took about 17 s at g = 10^4, 20-21 s
+# at 10^6 and 22-27 s at 10^5, and at g = 10^5 --dmax 500 took 0.22-0.32 s
+# and 1000 4.5-5.4 s.  The ceiling keeps g = 0 up to d = 2000 in reach, and
+# --dmax 10^8, which ran on with no output, is refused before any work
+# (whole process, same host).
 ENUMERATE_DMAX_MAX = 2000
-
-
-def _json(value, indent: str) -> str:
-    """JSON text of value, laid out as json.dumps(..., sort_keys=True,
-    indent=2) lays it out at the nesting depth len(indent) // 2.
-
-    Payloads hold dicts with str keys, lists, str, int, bool and None, plus
-    candidates: a list of `Candidate`s, or of (Candidate, tags) pairs for
-    tagged ones, renders in one pass of `_candidate_items`, and a lone
-    `Candidate` as the one item of such a list.  A `_ListText` is a
-    payload list rendered beforehand.  A `GermRecord` renders as a node
-    step's object.  Anything else, a candidate list holding any other item
-    included, raises TypeError.
-    """
-    if type(value) is Candidate:
-        return _candidate_items([value], indent)[0]
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return int.__repr__(value)
-    inner = indent + "  "
-    if type(value) is list:
-        if not value:
-            return "[]"
-        first = type(value[0])
-        return _list_text(_candidate_items(value, inner) if first is Candidate or first is tuple
-                          else [_json(v, inner) for v in value], indent)
-    if type(value) is _ListText:
-        if indent != _LIST_INDENT:
-            raise TypeError("a rendered list belongs under a payload key")
-        return value.text
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        # one join over all the pieces, so a long value's text (a payload
-        # list) is copied once, into the object, and not first into its item
-        sep = f",\n{inner}"
-        pieces = [f"{{\n{inner}"]
-        for k, v in sorted(value.items()):
-            pieces += (encode_basestring_ascii(k), ": ", _json(v, inner), sep)
-        pieces[-1] = f"\n{indent}}}"
-        return "".join(pieces)
-    if type(value) is GermRecord:
-        return _step_json(value, indent)
-    raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 def _list_text(texts: list[str], indent: str) -> str:
@@ -188,25 +141,6 @@ def _list_text(texts: list[str], indent: str) -> str:
 # A payload list's brackets sit at depth 2 (record, payload), its items at 3.
 _LIST_INDENT = "    "
 _ITEM_INDENT = _LIST_INDENT + "  "
-
-
-class _ListText(NamedTuple):
-    """A payload list's JSON text, laid out at `_LIST_INDENT`."""
-
-    text: str
-
-
-def _candidate_items(items: list, indent: str) -> list[str]:
-    """The object text of each item of a candidate list, at the nesting
-    depth len(indent) // 2.  The items are all `Candidate`s, or all
-    (Candidate, tags) pairs, whose objects gain a tags key by `_tagged`;
-    anything else raises TypeError."""
-    if type(items[0]) is not tuple:
-        return _candidate_texts(items, indent)[0]
-    if {*map(type, items)} != {tuple} or {*map(len, items)} != {2}:
-        raise TypeError("a tagged candidate list holds (Candidate, tags) pairs only")
-    texts = _candidate_texts([c for c, _ in items], indent)[0]
-    return _tagged(texts, [tags for _, tags in items], indent)
 
 
 def _candidate_texts(cands, indent: str) -> tuple[list[str], list[str]]:
@@ -253,6 +187,19 @@ def _candidate_texts(cands, indent: str) -> tuple[list[str], list[str]]:
     return texts, exceptions
 
 
+def _candidate_object(c: Candidate) -> dict:
+    """The object `_candidate_texts` renders for c, as a dict for `_emit`:
+    its keys are a, b, d, element, g and on_3d_line, and admissible when
+    decided."""
+    g, a, b, d, admissible = c
+    on_line = a + b == 3 * d
+    obj = {"a": a, "b": b, "d": d, "element": str(c.element) if on_line else None,
+           "g": g, "on_3d_line": on_line}
+    if admissible is not None:
+        obj["admissible"] = admissible
+    return obj
+
+
 def _tagged(texts: list[str], tag_lists: list, indent: str) -> list[str]:
     """Each object text, at the nesting depth len(indent) // 2, with a
     tags key listing its tags put before the closing brace: the key sorts
@@ -283,6 +230,16 @@ def _step_json(r: GermRecord, indent: str) -> str:
             f'{i}"polynomial": {polynomial},\n{i}"valuation": {r.valuation}\n{indent}}}')
 
 
+def _node_json(n_max: int, order: int, steps: list[GermRecord]) -> str:
+    """A node `germ` record from one template: its payload's keys in sorted
+    order are model, n_max, order and steps, each step `_step_json`'s
+    object."""
+    step_list = _list_text([_step_json(r, _ITEM_INDENT) for r in steps], _LIST_INDENT)
+    return (f'{{\n  "command": "germ",\n  "payload": {{\n    "model": "node",\n'
+            f'    "n_max": {n_max},\n    "order": {order},\n    "steps": {step_list}\n  }},\n'
+            f'  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)}\n}}')
+
+
 def _check_json(pairs: list[tuple[int, int]], genus: int, degree: int, verdict) -> str:
     """A `check` record from one template: its payload's keys in sorted
     order are admissible, checks_performed, degree, genus, pairs and
@@ -304,7 +261,7 @@ def _check_json(pairs: list[tuple[int, int]], genus: int, degree: int, verdict) 
 
 def _emit(command: str, payload: dict) -> None:
     record = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
-    sys.stdout.write(_json(record, "") + "\n")
+    sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _fail(message: str) -> int:
@@ -422,6 +379,31 @@ def _enumerate_tsv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _enumerate_json(report) -> str:
+    """An `enumerate` record from one template: its payload's keys in sorted
+    order are admissible_count, allow_smooth, candidates, d_max,
+    exceptions, genus, largest_exceptional_degree, on_3d_line_count and
+    untagged.  Each candidate renders once: an exception is its
+    candidate's text with its tags put in, and an untagged one its
+    candidate's text.  The three lists are joined first, so no item text
+    is alive while the record is."""
+    texts, off_line = _candidate_texts(report.candidates, _ITEM_INDENT)
+    tag_lists = [tags for _, tags in report.exceptions]
+    candidates = _list_text(texts, _LIST_INDENT)
+    exceptions = _list_text(_tagged(off_line, tag_lists, _ITEM_INDENT), _LIST_INDENT)
+    untagged = _list_text(list(compress(off_line, map(not_, tag_lists))), _LIST_INDENT)
+    del texts, off_line
+    largest = report.largest_exceptional_degree
+    return (f'{{\n  "command": "enumerate",\n  "payload": {{\n'
+            f'    "admissible_count": {len(report.admissible)},\n'
+            f'    "allow_smooth": {"true" if report.allow_smooth else "false"},\n'
+            f'    "candidates": {candidates},\n    "d_max": {report.d_max},\n'
+            f'    "exceptions": {exceptions},\n    "genus": {report.g},\n'
+            f'    "largest_exceptional_degree": {"null" if largest is None else largest},\n'
+            f'    "on_3d_line_count": {len(report.on_3d_line)},\n    "untagged": {untagged}\n'
+            f'  }},\n  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)}\n}}')
+
+
 def _cmd_enumerate(args) -> int:
     if args.dmax > ENUMERATE_DMAX_MAX:
         return _fail(f"--dmax must be <= {ENUMERATE_DMAX_MAX}, got {args.dmax}")
@@ -435,38 +417,15 @@ def _cmd_enumerate(args) -> int:
     if args.format == "tsv":
         sys.stdout.write(_enumerate_tsv(report))
         return 0
-    _emit("enumerate", {
-        "genus": report.g,
-        "d_max": report.d_max,
-        "allow_smooth": report.allow_smooth,
-        "admissible_count": len(report.admissible),
-        "on_3d_line_count": len(report.on_3d_line),
-        "largest_exceptional_degree": report.largest_exceptional_degree,
-        **_enumerate_lists(report),
-    })
+    sys.stdout.write(_enumerate_json(report) + "\n")
     return 0
-
-
-def _enumerate_lists(report) -> dict[str, _ListText]:
-    """The candidates, exceptions and untagged lists of an `enumerate`
-    payload, each candidate rendered once: an exception is its candidate's
-    text with its tags put in, and an untagged one its candidate's text.
-    Only the joined lists outlive the call, so no item text is alive
-    while `_emit` joins the record."""
-    texts, off_line = _candidate_texts(report.candidates, _ITEM_INDENT)
-    tag_lists = [tags for _, tags in report.exceptions]
-    return {
-        "candidates": _ListText(_list_text(texts, _LIST_INDENT)),
-        "exceptions": _ListText(_list_text(_tagged(off_line, tag_lists, _ITEM_INDENT),
-                                           _LIST_INDENT)),
-        "untagged": _ListText(_list_text(list(compress(off_line, map(not_, tag_lists))),
-                                         _LIST_INDENT)),
-    }
 
 
 def _cmd_pell(args) -> int:
     if (args.n is None) == (args.genus is None):
         return _fail("exactly one of --n or --genus is required")
+    if args.genus is not None and args.genus < 0:
+        return _fail(f"genus must be >= 0, got {args.genus}")
     if args.genus is not None:
         n = 4 * (2 * args.genus - 1)
     else:
@@ -507,7 +466,8 @@ def _cmd_pell(args) -> int:
         payload["orbits"] = [
             {
                 "generator": str(z),
-                "candidates": orbit_candidates(z, args.genus, h_min, h_max),
+                "candidates": [_candidate_object(c)
+                               for c in orbit_candidates(z, args.genus, h_min, h_max)],
             }
             for z in gens
         ]
@@ -527,7 +487,7 @@ def _cmd_families(args) -> int:
     else:
         cand = lucas_family_neg(args.k, args.j)
         which = {"j": args.j}
-    _emit("families", {"k": args.k, **which, "candidate": cand})
+    _emit("families", {"k": args.k, **which, "candidate": _candidate_object(cand)})
     return 0
 
 
@@ -561,22 +521,17 @@ def _cmd_germ(args) -> int:
             return _fail(f"{flag} must be <= {ceiling}, got {value}")
     if args.node is not None:
         records = germ_sequence(args.node, args.order)
-        payload = {
-            "model": "node",
-            "n_max": args.node,
-            "order": args.order if args.order is not None else 3 * args.node + 3,
-            "steps": records,
-        }
-    else:
-        report = flex_check(args.flex, args.order)
-        payload = {
-            "model": "flex",
-            "d": report.d,
-            "order": args.order if args.order is not None else 3 * args.flex + 3,
-            "valuation": report.valuation,
-            "collapse_exact": report.collapse_exact,
-        }
-    _emit("germ", payload)
+        order = args.order if args.order is not None else 3 * args.node + 3
+        sys.stdout.write(_node_json(args.node, order, records) + "\n")
+        return 0
+    report = flex_check(args.flex, args.order)
+    _emit("germ", {
+        "model": "flex",
+        "d": report.d,
+        "order": args.order if args.order is not None else 3 * args.flex + 3,
+        "valuation": report.valuation,
+        "collapse_exact": report.collapse_exact,
+    })
     return 0
 
 

@@ -293,6 +293,10 @@ def test_pell_usage_errors(capsys):
     code, _, err = invoke(capsys, "pell", "--n", "5", "--orbit", "0:2")
     assert code == 2 and "--orbit requires --genus" in err
     assert invoke(capsys, "pell", "--genus", "1", "--orbit", "nonsense")[0] == 2
+    # a negative genus is refused as `check` and `enumerate` refuse it; n may be negative
+    assert invoke(capsys, "pell", "--genus", "-5") == (
+        2, "", "error: genus must be >= 0, got -5\n")
+    assert invoke(capsys, "pell", "--n", "-44")[0] == 0
 
 
 def test_pell_reversed_orbit_window(capsys):
@@ -612,13 +616,18 @@ def test_pell_bound_refuses_before_factoring(capsys):
     # |n| above 10^12 is refused before any trial division, from either flag
     refused = (["--n", str(PELL_N_MAX + 1)], ["--n", str(-PELL_N_MAX - 1)],
                ["--n", "1000000000000000031"],
-               ["--genus", str((PELL_N_MAX // 4 + 2) // 2)], ["--genus", "-125000000000"])
+               ["--genus", str((PELL_N_MAX // 4 + 2) // 2)])
     for argv in refused:
         start = time.perf_counter()
         code, out, err = invoke(capsys, "pell", *argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: |n| must be <= {PELL_N_MAX}, got {argv[0]}")
+    # a negative genus, however large, is refused before the bound
+    start = time.perf_counter()
+    assert invoke(capsys, "pell", "--genus", "-125000000000") == (
+        2, "", "error: genus must be >= 0, got -125000000000\n")
+    assert time.perf_counter() - start < 1.0
     for argv in (["--n", str(PELL_N_MAX)], ["--n", str(-PELL_N_MAX)],
                  ["--genus", str(PELL_N_MAX // 8)]):
         code, out, _ = invoke(capsys, "pell", *argv)

@@ -1,13 +1,14 @@
-"""The CLI's JSON writer gives the bytes of json.dumps(indent=2).
+"""The CLI's records give the bytes of json.dumps(indent=2).
 
-`unicusp.cli` renders its records with a small writer instead of
-`json.dumps(record, sort_keys=True, indent=2)`: a whole candidate list in
-one pass, whose items fill text pieces built once per list, and each node
-step and each `check` record from one template.  These tests hold the two to the same bytes on a
-sample of the benchmark's commands, on the payload shapes the sample may
-miss, and on seeded payloads whose expected objects are built from the
-candidates' fields, and check that the parser every `run` call shares
-keeps no state between calls.
+`unicusp.cli` writes most records with `json.dumps(record, sort_keys=True,
+indent=2)`, and fills one template each for a `check` record, an
+`enumerate` record, whose candidate lists render in one pass of
+`_candidate_texts`, and a node `germ` record.  These tests hold every
+record to that layout on a sample of the benchmark's commands and on the
+payload shapes the sample may miss, refuse a non-integer number anywhere
+in a record, hold each rendered candidate and each candidate object to
+the object built from the candidate's fields, and check that the parser
+every `run` call shares keeps no state between calls.
 """
 
 import json
@@ -20,7 +21,7 @@ import pytest
 
 from unicusp import GermRecord
 from unicusp.classify import _FAMILIES, enumerate_candidates
-from unicusp.cli import _emit, _json, run
+from unicusp.cli import _candidate_object, _candidate_texts, _node_json, _tagged, run
 from unicusp.families import orbit_candidates
 from unicusp.quadring import QuadInt, generating_set
 
@@ -45,6 +46,12 @@ EXTRA_ARGVS = [
     ["check", "--genus", "1", "-a", "3", "-b", "28"],
     ["families", "--k", "3", "--j", "2"],
     ["sectors", "--genus", "2", "--lmax", "5"],
+    # records that json.dumps writes
+    ["semigroup", "-a", "7", "-b", "9"],
+    ["semigroup", "-a", "7", "-b", "9", "--query", "gamma", "--arg", "5"],
+    ["pell", "--n", "-20"],
+    ["identities", "--lmax", "50"],
+    ["germ", "--flex", "7"],
     # node steps render from their own template
     *[["germ", "--node", str(n)] for n in range(1, 21)],
     ["germ", "--node", "14", "--order", "95"],
@@ -56,12 +63,18 @@ EXTRA_ARGVS = [
 ]
 
 
+def _refuse(text):
+    raise AssertionError(f"a record holds the non-integer number {text}")
+
+
 def _record(capsys, argv):
+    # numbers are integers: an approximate value is a string under a "~" key
     code = run(argv)
     out = capsys.readouterr().out
     assert code in (0, 1), argv
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
-    return json.loads(out)["payload"]
+    record = json.loads(out, parse_float=_refuse, parse_constant=_refuse)
+    assert out == json.dumps(record, sort_keys=True, indent=2) + "\n", argv
+    return record["payload"]
 
 
 def test_writer_matches_json_dumps_on_benchmark_sample(capsys):
@@ -120,14 +133,9 @@ def _expected(c, tags=None):
     return obj
 
 
-def _nest(rng, value, depth):
-    """value wrapped in depth random dict or list levels, beside siblings."""
-    for _ in range(depth):
-        if rng.random() < 0.5:
-            value = {"x": value, "n": rng.randint(0, 9)}
-        else:
-            value = [rng.randint(0, 9), value]
-    return value
+def _dumps(obj, indent):
+    """json.dumps's layout of obj at the nesting depth len(indent) // 2."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
 def test_writer_matches_json_dumps_on_seeded_candidate_payloads():
@@ -137,44 +145,29 @@ def test_writer_matches_json_dumps_on_seeded_candidate_payloads():
     # orbit candidates carry no verdict
     lists += [orbit_candidates(z, 105, -6, 6) for z in generating_set(4 * (2 * 105 - 1))]
     assert any(c.admissible is None for c in lists[-1])
-    on_line, depths = 0, set()
-    for cands, others in zip(lists, lists[1:] + lists[:1]):
+    on_line = 0
+    for cands in lists:
         assert cands
         on_line += sum(c.a + c.b == 3 * c.d for c in cands)
         tags = [tuple(rng.sample(tag_names, rng.randint(0, 2))) for _ in cands]
-        some = [c for c in cands if rng.random() < 0.3]
-        shapes = [
-            (cands, [_expected(c) for c in cands]),
-            (list(zip(cands, tags)), [_expected(c, t) for c, t in zip(cands, tags)]),
-            (cands[0], _expected(cands[0])),
-            # as in `enumerate` and `pell`: the same candidates listed again,
-            # and another list, at one depth
-            ({"all": cands, "some": some, "others": others},
-             {"all": [_expected(c) for c in cands], "some": [_expected(c) for c in some],
-              "others": [_expected(c) for c in others]}),
-        ]
-        for value, expected in shapes:
-            depth = rng.randint(0, 3)
-            depths.add(depth)
-            seed = rng.random()
-            got = _json(_nest(random.Random(seed), value, depth), "")
-            assert got == json.dumps(_nest(random.Random(seed), expected, depth),
-                                     sort_keys=True, indent=2), (cands[0], depth)
-    assert on_line > 20 and depths == {0, 1, 2, 3}
+        for indent in ("", "  ", "    ", "      "):
+            texts = _candidate_texts(cands, indent)[0]
+            assert len(texts) == len(cands)
+            for c, t, text, tagged in zip(cands, tags, texts, _tagged(texts, tags, indent)):
+                assert text == _dumps(_expected(c), indent), c
+                assert tagged == _dumps(_expected(c, t), indent), (c, t)
+                assert _dumps(_candidate_object(c), indent) == text, c
+    assert on_line > 20
 
 
 def test_candidate_list_with_another_item_raises_type_error():
     c = enumerate_candidates(0, 10).candidates[0]
-    for value in (
-        [c, 5], [c, (c, ())], [c, "abcde"], [c, tuple(c)],
-        [(c, ()), c], [(c, ()), (c,)], [(c, ()), (c, (), ())],
-        [(c, ()), (tuple(c), ())], [(c, ("(p,p+3)",)), (c, (1,))],
-    ):
+    for value in ([c, 5], [c, (c, ())], [c, "abcde"], [c, tuple(c)]):
         with pytest.raises(TypeError):
-            _json({"list": value}, "")
+            _candidate_texts(value, "")
 
 
-def test_writer_matches_json_dumps_on_a_rational_node_step(capsys):
+def test_writer_matches_json_dumps_on_a_rational_node_step():
     # germ_sequence gives int data only, so a Fraction c, a Fraction term
     # and negative multi-digit coefficients are built by hand
     steps = [
@@ -183,15 +176,14 @@ def test_writer_matches_json_dumps_on_a_rational_node_step(capsys):
                                     ((13, 4), 10 ** 30)),
                    c=Fraction(-355, 113), valuation=20),
     ]
-    payload = {"model": "node", "n_max": 7, "order": 24, "steps": steps}
-    _emit("germ", payload)
-    out = capsys.readouterr().out
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
-    assert json.loads(out)["payload"]["steps"] == [
+    out = _node_json(7, 24, steps)
+    record = json.loads(out)
+    assert out == json.dumps(record, sort_keys=True, indent=2)
+    assert record["payload"] == {"model": "node", "n_max": 7, "order": 24, "steps": [
         {"c": "1", "n": 1, "polynomial": [[0, 1, "1"]], "valuation": 2},
         {"c": "-355/113", "n": 7, "valuation": 20,
          "polynomial": [[0, 1, "-22/7"], [2, 11, "-1234567"], [13, 4, str(10 ** 30)]]},
-    ]
+    ]}
 
 
 def test_shared_parser_keeps_no_state(capsys):

@@ -6,7 +6,7 @@ carry a single cusp whose local branch has semigroup <a, b>?  Everything
 is integer or rational arithmetic; no floats enter any verdict.
 """
 
-from .semigroup import GapFunction, Semigroup, combined_gap_value, convolve
+from .semigroup import GapFunction, Semigroup, convolve
 from .obstruction import (
     ObstructionWitness,
     Verdict,
@@ -58,7 +58,6 @@ from .germs import (
     PowerSeries,
     flex_check,
     germ_sequence,
-    node_parametrization,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +82,6 @@ __all__ = [
     "canonical",
     "check_multi",
     "check_single",
-    "combined_gap_value",
     "convolve",
     "coprime_decompose",
     "cremona_step",
@@ -101,7 +99,6 @@ __all__ = [
     "lucas_family",
     "lucas_family_neg",
     "mediant_bound",
-    "node_parametrization",
     "orbit_candidates",
     "pair_to_element",
     "phi_power",

@@ -305,10 +305,12 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"malformed pair {chunk!r}; expected 'a,b'")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            a, b = map(int, chunk.split(","))
+        except ValueError:
+            # a wrong count of parts or a part int() refuses
+            raise ValueError(f"malformed pair {chunk!r}; expected 'a,b'") from None
+        pairs.append((a, b))
     if not pairs:
         raise ValueError("empty pair list")
     return pairs

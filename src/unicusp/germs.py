@@ -3,11 +3,9 @@ truncated power series.  Coefficients are Python ints, and Python's
 number tower turns them into `Fraction`s only where a division leaves a
 denominator, so every result stays exact.
 
-`PowerSeries` is the general series type: sums, a truncated schoolbook
-product (one `sum(map(mul, ...))` per coefficient), powers by squaring and
-a sparse reciprocal.  Neither model below multiplies two series: both run
-on plain int lists or sparse maps, where multiplying by a monomial is a
-shift.
+Neither model below multiplies two series: both run on plain int lists
+or sparse maps, where multiplying by a monomial is a shift.  `PowerSeries`
+keeps only a truncated product, which no model calls (see its docstring).
 
 The node model is the parametrization x(t) = t/(1 + t^3),
 y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
@@ -64,7 +62,12 @@ class PowerSeries:
     """Power series in t truncated at a fixed order (exclusive).
 
     coeffs[k] is the coefficient of t^k; len(coeffs) is the truncation
-    order.  Mixed-order arithmetic truncates to the shorter operand.
+    order.  A product truncates to the shorter operand.
+
+    No model and no command uses this class.  It keeps `__mul__` and
+    `__rmul__` only because the benchmark's tracer (`perfbench/spans.py`)
+    and `tests/test_perfbench_compat.py` look both up in the class
+    `__dict__` to count series products per op, and every op counts none.
     """
 
     coeffs: tuple[Coeff, ...]
@@ -72,27 +75,6 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls((0,) * order)
-
-    @classmethod
-    def monomial(cls, k: int, order: int, coeff: Coeff = 1) -> "PowerSeries":
-        if not 0 <= k < order:
-            raise ValueError(f"exponent {k} outside truncation order {order}")
-        c = [0] * order
-        c[k] = coeff
-        return cls(tuple(c))
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        return PowerSeries(tuple(map(add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return PowerSeries(tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
@@ -108,68 +90,10 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "PowerSeries":
-        """Square-and-multiply from the lowest set bit of k: bit_length(k) - 1
-        squarings and popcount(k) - 1 products, none of them by the series 1."""
-        if k < 0:
-            raise ValueError(f"negative power {k}; invert explicitly instead")
-        if k == 0:
-            return PowerSeries.monomial(0, self.order)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        acc = base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                acc = acc * base
-            k >>= 1
-        return acc
 
-    def reciprocal(self) -> "PowerSeries":
-        """1 / self, by out[k] = -out[0] * (sum of c[i] * out[k - i] over
-        i in [1, k]).  The sum runs over the nonzero c[i] alone, so the cost
-        is O(order * nnz) for nnz nonzero coefficients past the constant."""
-        c = self.coeffs
-        if not c or c[0] == 0:
-            raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = c[0] if c[0] in (1, -1) else Fraction(1, c[0])
-        terms = [(i, ci) for i, ci in enumerate(c) if i and ci]
-        out = [inv0]
-        reach = 0  # terms[:reach] are the terms with i <= k
-        for k in range(1, self.order):
-            if reach < len(terms) and terms[reach][0] == k:
-                reach += 1
-            out.append(-inv0 * sum([ci * out[k - i] for i, ci in terms[:reach]]))
-        return PowerSeries(tuple(out))
-
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, None for the zero series."""
-        k = _leading_zeros(self.coeffs, self.order)
-        return None if k == self.order else k
-
-
-def _leading_zeros(coeffs: tuple[Coeff, ...], n: int) -> int:
-    """The number of zero coefficients that open coeffs, at most n."""
-    return min(n, len(list(takewhile(not_, coeffs))))
-
-
-def node_parametrization(order: int) -> tuple[PowerSeries, PowerSeries]:
-    """Alternating expansions of t/(1 + t^3) and t^2/(1 + t^3)."""
-    if order < 3:
-        raise ValueError(f"order must be >= 3, got {order}")
-    xs = [0] * order
-    ys = [0] * order
-    sign = 1
-    for k in range(0, order, 3):
-        if k + 1 < order:
-            xs[k + 1] = sign
-        if k + 2 < order:
-            ys[k + 2] = sign
-        sign = -sign
-    return (PowerSeries(tuple(xs)), PowerSeries(tuple(ys)))
+def _leading_zeros(coeffs: list[Coeff]) -> int:
+    """The number of zero coefficients that open coeffs."""
+    return len(list(takewhile(not_, coeffs)))
 
 
 @dataclass(frozen=True)
@@ -347,7 +271,7 @@ def flex_check(d: int, order: int | None = None) -> FlexReport:
     tail = list(map(sub, map(add, x3, x2y), y))
     collapse = not any(tail)
     germ = list(map(add, _flex_y_power(d, order), tail))
-    val = _leading_zeros(germ, order)
+    val = _leading_zeros(germ)
     if val != 3 * d:
         shown = None if val == order else val
         raise RuntimeError(f"flex germ at d={d}: valuation {shown}, expected {3 * d}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, chain
 from math import gcd
 from operator import add, lt
@@ -398,14 +397,3 @@ def _run_ends(starts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]
     index = (*(i for i in range(last) if starts[i + 1] != starts[i] + 1), last)
     return tuple(starts[i] for i in index), index
 
-
-def combined_gap_value(parts: list[GapFunction], m: int) -> int:
-    """Convolve all parts and evaluate at m + (sum of deltas).
-
-    The shift recentres the convolution so that m = 0 lands on the total
-    delta; values vanish for m at or beyond the sum of the deltas.
-    """
-    if m < 0:
-        raise ValueError(f"offset must be >= 0, got {m}")
-    h = reduce(convolve, parts, GapFunction.zero())
-    return h(m + h.delta)

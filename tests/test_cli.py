@@ -130,6 +130,15 @@ def test_check_usage_errors(capsys):
     assert code == 2
 
 
+def test_check_non_integer_pair_named(capsys):
+    # a pair that int() refuses is named in the same words as a pair with
+    # the wrong number of parts, never in Python's own message
+    for text, chunk in (("a,b", "a,b"), ("2,3.5", "2,3.5"), ("2,3;2,x", "2,x"),
+                        ("2", "2"), ("2,3,5", "2,3,5")):
+        expect = (2, "", f"error: malformed pair '{chunk}'; expected 'a,b'\n")
+        assert invoke(capsys, "check", "--genus", "0", "--pairs", text) == expect
+
+
 def test_check_negative_genus(capsys):
     # without -d the degree formula would take the square root of a
     # negative discriminant; the genus is rejected first, as it is with -d

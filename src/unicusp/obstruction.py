@@ -34,7 +34,7 @@ after row (d-3)//2, and the multi-cusp check evaluates the convolution
 of its two operands only at the arguments the scan reads, through
 `semigroup.convolve_at`.  With three or more cusps, one operand is a
 `convolve` fold of all cusps but the largest, computed whole.  A lone
-cusp takes `check_single`'s scan.
+cusp takes `check_single`, through either checker.
 
 Along a row a cell moves by at most 1 from the one before, so after a
 cell holding v the next min(v, g - v) cells hold and are skipped, and
@@ -51,14 +51,14 @@ and genus g with that cusp exists, and the paper's theorem, which is
 this grid, holds on it, so every cell lies in [0, g].  One family with
 b > d is proved whole as well, <a, 4a-1> at degree 2a (genus 0):
 counting the elements below each cell's argument in closed form puts
-every cell of the half grid in [0, g].  The proofs are in `_scan`,
-which returns the full-grid verdict for both before reading a row.
+every cell of the half grid in [0, g].
 
-For one cusp with b > d >= 5 the first-row lemma decides many
+For one cusp with b > d >= 5 the first-row rule decides many
 rejections without reading a cell: every element up to d is then a
 multiple of a, so cell (1, 0) holds d // a - 2, and when that value lies
-outside [0, g] the cell is the witness.  `_scan` proves it, and applies
-it under the same guard as the certificates.
+outside [0, g] the cell is the witness.  `check_single` proves the two
+certificates and the rule, and applies them before it builds a
+`Semigroup`; `_scan` only scans.
 None of this changes a verdict, a witness or `checks_performed`, which
 still counts cells by their position in the full d(g+1)-cell grid.
 """
@@ -70,7 +70,7 @@ from math import gcd
 from operator import attrgetter
 from typing import NamedTuple
 
-from .semigroup import Semigroup, convolve, convolve_at
+from .semigroup import Semigroup, check_generators, convolve, convolve_at
 
 
 class ObstructionWitness(NamedTuple):
@@ -95,9 +95,103 @@ class Verdict(NamedTuple):
 
 
 def check_single(a: int, b: int, genus: int, degree: int) -> Verdict:
-    """Run the full (j, k) grid for a single cusp of type <a, b>."""
+    """Decide the (j, k) grid for a single cusp of type <a, b>.
+
+    Two certificates return the full-grid verdict, and the first-row
+    rule decides some rejections at cell (1, 0), before any `Semigroup`
+    is built; every other input gets `_scan`.  All three rest on the
+    degree-genus identity (d-1)(d-2) = 2(g + delta), which is checked
+    first.  Then R(x) counts the elements of <a, b> below x, every
+    element is u*b + v*a for exactly one pair with 0 <= u < a and v >= 0
+    (the `Semigroup` docstring), and cell (j, k) holds
+    R(j*d + 1 - 2k) + k - T_j with T_j = (j+1)(j+2)/2.
+
+    b <= d: the curve exists.  Every cell of a single cusp <a, b> with
+    b <= d lies in [0, g], because a curve of degree d and genus g with
+    that cusp exists.
+
+    1. For coprime 1 < a < b <= d, let F = y^a z^(d-a) - x^b z^(d-b)
+       plus a general combination of the monomials x^i y^l z^(d-i-l),
+       i + l <= d, with a*i + b*l > a*b.  As b <= d, both fixed terms are
+       monomials of degree d.  In the chart z = 1, F is
+       semi-quasi-homogeneous for the weights (a, b) of (x, y), with
+       principal part y^a - x^b, an isolated singularity; so F's germ at
+       [0:0:1] is topologically that of y^a - x^b, which has one branch
+       as gcd(a, b) = 1.  So [0:0:1] is a cusp with semigroup <a, b>
+       and local delta (a-1)(b-1)/2.
+    2. The system's only base point is [0:0:1].  As b*d > a*b, y^d lies
+       in it, so a base point has y = 0.  There the fixed part is
+       -x^b z^(d-b), and when d > b, x^d also lies in the system; so a
+       base point has x = 0 as well.
+    3. By Bertini's theorem the general F is smooth everywhere else.  A
+       multiple component would make F singular along a curve, and two
+       components would meet (Bezout) at a singular point of F, which
+       can only be [0:0:1]; a point with one branch lies on one
+       component only.  So F is irreducible, with genus
+       (d-1)(d-2)/2 - delta = g by the identity.
+    4. The paper's theorem, which is the grid `_scan` evaluates, holds
+       on every cuspidal curve, so every cell of F's grid lies in [0, g].
+       For a = 1 (a smooth point) R(x) = max(x, 0) and 2g = (d-1)(d-2)
+       bound each cell directly.  A row of the half grid has
+       1 <= j <= (d-3)/2 <= d - j - 3, so j*d + 2 - 2*T_j = j(d-j-3) >= 1
+       and j*d + 1 - T_j = g - (d-j-1)(d-j-2)/2.  If 2k <= j*d + 1 the
+       cell holds j*d + 1 - k - T_j, between (j(d-j-3) - 1)/2 >= 0 and
+       j*d + 1 - T_j <= g; otherwise it holds k - T_j, between
+       j(d-j-3)/2 >= 0 and g - T_j.
+
+    The tests hold this certificate to `_scan` on every valid input
+    with b < 50 and b <= d < b + 30
+    (`test_measured_pattern_cusps_with_b_at_most_d_are_admissible`), to
+    the oracle's element table on every cell of every valid b <= d
+    input with d < 30 (`test_family_certificates_hold_on_every_cell`),
+    and to the oracle's full grid at production scale
+    (`_production_sample`).
+
+    <a, 4a-1> at d = 2a, g = 0 (the identity then gives a = d/2).  Rows
+    -1 and 0 hold, as the `_scan` docstring shows.  Row j,
+    1 <= j <= a - 2, is the one cell k = 0, value R(2aj + 1) - T_j.  For
+    u < a, u*(4a-1) <= 2aj reads 2a*(2u - j) <= u, which holds iff
+    2u <= j; so the elements below 2aj + 1 have u <= U = floor(j/2), and
+    U < a.  The u-th term counts floor((2aj - u*(4a-1))/a) + 1 =
+    2j - 4u + 1 of them (u < a), so
+    R(2aj + 1) = sum_{u=0..U} (2j + 1 - 4u) = (U+1)(2j + 1 - 2U), which
+    is T_j for j = 2U and for j = 2U + 1.  Every cell holds 0.
+
+    The first-row rule decides a cusp with b > d at cell (1, 0), when
+    that cell fails, with no gap count.  Row 1 lies in the half grid
+    exactly when (d-3)//2 >= 1, that is d >= 5, and its first cell reads
+    R(d + 1), the number of elements u*b + v*a <= d.  As b > d, only
+    u = 0 contributes: the elements are the multiples 0, a, ...,
+    (d // a)*a, so R(d + 1) = d // a + 1 and
+    value(1, 0) = d // a + 1 - T_1 = d // a - 2.  Rows -1 and 0 always
+    hold, so when this value lies outside [0, g], cell (1, 0) is the
+    first violated cell in scan order and `_rejected(1, 0, value, g)`
+    gives the witness and count of a scan.  Otherwise `_scan` reads row
+    1.  The tests hold the rule to `_scan` on every single cusp with
+    g < 60 and d < 90 (`test_first_row_rule_matches_the_scan`), and to
+    the oracle's full grid on ten rejections at g = 1000 or with d in
+    1000-2000 (`test_first_row_rejections_match_the_table_oracle`).
+
+    The <a, 4a-1> certificate is checked on every cell of every member
+    with d < 160 against the oracle's element table (the same test),
+    against `_scan` for every member up to d = 2000
+    (`test_family_certificates_match_the_scan`), and at production
+    scale by `_production_sample`'s two members.  Its neighbours,
+    <a, 4a-1> at d = 2a + 1 and 2a + 2, are still scanned
+    (`test_family_neighbours_are_scanned`).
+
+    No certificate or rule hides a violated cell, so the witness and
+    `checks_performed` stay those of a scan of every row.
+    """
+    check_generators(a, b)
+    _require_degree_genus(degree, genus, (a - 1) * (b - 1) // 2, "<{},{}>", a, b)
+    if b <= degree or (genus == 0 and b == 2 * degree - 1):
+        return Verdict(True, None, degree * (genus + 1))
+    if degree >= 5:  # and b > degree
+        value = degree // a - 2
+        if not 0 <= value <= genus:
+            return _rejected(1, 0, value, genus)
     s = Semigroup(a, b)
-    _require_degree_genus(degree, genus, s.delta, "<{},{}>", a, b)
     return _scan(genus, degree, s.gaps_at_least, s.first_pair, s)
 
 
@@ -115,23 +209,20 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     other that grows only as far as those arguments reach.  With three or
     more cusps, all but the one of largest delta are first folded by
     `convolve`; the fold and the remaining cusp are the two operands.  A
-    lone cusp takes `check_single`'s scan.
+    lone cusp takes `check_single`, certificates and all.
     """
     if not pairs:
         raise ValueError("at least one cusp is required")
-    semis = sorted((Semigroup(a, b) for a, b in pairs), key=attrgetter("delta"))
-    _require_degree_genus(degree, genus, sum(s.delta for s in semis), "{}", pairs)
-    *rest, last = semis
-    if not rest:
-        return _scan(genus, degree, last.gaps_at_least, last.first_pair, last)
+    for a, b in pairs:
+        check_generators(a, b)
+    delta = sum((a - 1) * (b - 1) // 2 for a, b in pairs)
+    _require_degree_genus(degree, genus, delta, "{}", pairs)
+    if len(pairs) == 1:
+        return check_single(*pairs[0], genus, degree)
+    *rest, last = sorted((Semigroup(a, b) for a, b in pairs), key=attrgetter("delta"))
     first = reduce(convolve, [s.gap_function() for s in rest])
     return _scan(genus, degree, convolve_at(first, last.gap_function()),
-                 sum(s.first_pair for s in semis))
-
-
-def _last_row(degree: int) -> int:
-    """The last grid row the scan visits: (d-3)//2, half of -1..d-2."""
-    return (degree - 3) // 2
+                 last.first_pair + sum(s.first_pair for s in rest))
 
 
 def _scan(genus: int, degree: int, gap_at, pair_sum: int,
@@ -236,114 +327,15 @@ def _scan(genus: int, degree: int, gap_at, pair_sum: int,
     checked or skipped by the steps above, so that cell is the first
     violated one in scan order, the one a cell-by-cell scan reports.
 
-    For one cusp, two certificates return the full-grid verdict before
-    reading a row, and the first-row rule decides some rejections at
-    cell (1, 0) with no gap count.  They need G to be that cusp's own
-    count and the degree-genus identity to hold, so they apply only when
-    gap_at is `cusp.gaps_at_least` and (d-1)(d-2) = 2(g + delta), as in
-    every call from either checker.  Then R(x) counts the elements of
-    <a, b> below x, every element is u*b + v*a for exactly one pair with
-    0 <= u < a and v >= 0 (the `Semigroup` docstring), and cell (j, k)
-    holds R(j*d + 1 - 2k) + k - T_j with T_j = (j+1)(j+2)/2.
-
-    b <= d: the curve exists.  Every cell of a single cusp <a, b> with
-    b <= d lies in [0, g], because a curve of degree d and genus g with
-    that cusp exists.
-
-    1. For coprime 1 < a < b <= d, let F = y^a z^(d-a) - x^b z^(d-b)
-       plus a general combination of the monomials x^i y^l z^(d-i-l),
-       i + l <= d, with a*i + b*l > a*b.  As b <= d, both fixed terms are
-       monomials of degree d.  In the chart z = 1, F is
-       semi-quasi-homogeneous for the weights (a, b) of (x, y), with
-       principal part y^a - x^b, an isolated singularity; so F's germ at
-       [0:0:1] is topologically that of y^a - x^b, which has one branch
-       as gcd(a, b) = 1.  So [0:0:1] is a cusp with semigroup <a, b>
-       and local delta (a-1)(b-1)/2.
-    2. The system's only base point is [0:0:1].  As b*d > a*b, y^d lies
-       in it, so a base point has y = 0.  There the fixed part is
-       -x^b z^(d-b), and when d > b, x^d also lies in the system; so a
-       base point has x = 0 as well.
-    3. By Bertini's theorem the general F is smooth everywhere else.  A
-       multiple component would make F singular along a curve, and two
-       components would meet (Bezout) at a singular point of F, which
-       can only be [0:0:1]; a point with one branch lies on one
-       component only.  So F is irreducible, with genus
-       (d-1)(d-2)/2 - delta = g by the identity.
-    4. The paper's theorem, which is the grid this scan evaluates, holds
-       on every cuspidal curve, so every cell of F's grid lies in [0, g].
-       For a = 1 (a smooth point) R(x) = max(x, 0) and 2g = (d-1)(d-2)
-       bound each cell directly.  A scanned row has
-       1 <= j <= (d-3)/2 <= d - j - 3, so j*d + 2 - 2*T_j = j(d-j-3) >= 1
-       and j*d + 1 - T_j = g - (d-j-1)(d-j-2)/2.  If 2k <= j*d + 1 the
-       cell holds j*d + 1 - k - T_j, between (j(d-j-3) - 1)/2 >= 0 and
-       j*d + 1 - T_j <= g; otherwise it holds k - T_j, between
-       j(d-j-3)/2 >= 0 and g - T_j.
-
-    The tests hold this certificate to the uncertified scan on every
-    valid input with b < 50 and b <= d < b + 30
-    (`test_measured_pattern_cusps_with_b_at_most_d_are_admissible`), to
-    the oracle's element table on every cell of every valid b <= d
-    input with d < 30 (`test_family_certificates_hold_on_every_cell`),
-    and to the oracle's full grid at production scale
-    (`_production_sample`).
-
-    <a, 4a-1> at d = 2a, g = 0 (the identity then gives a = d/2).  Rows
-    -1 and 0 hold as shown above.  Row j, 1 <= j <= a - 2, is the one
-    cell k = 0, value R(2aj + 1) - T_j.  For u < a, u*(4a-1) <= 2aj
-    reads 2a*(2u - j) <= u, which holds iff 2u <= j; so the elements
-    below 2aj + 1 have u <= U = floor(j/2), and U < a.  The u-th term
-    counts floor((2aj - u*(4a-1))/a) + 1 = 2j - 4u + 1 of them (u < a),
-    so R(2aj + 1) = sum_{u=0..U} (2j + 1 - 4u) = (U+1)(2j + 1 - 2U),
-    which is T_j for j = 2U and for j = 2U + 1.  Every cell holds 0.
-
-    The first-row rule decides a cusp with b > d at cell (1, 0), when
-    that cell fails, with no gap count.  Row 1 lies in the half grid
-    exactly when (d-3)//2 >= 1, that is d >= 5, and its first cell reads
-    R(d + 1), the number of elements u*b + v*a <= d.  As b > d, only
-    u = 0 contributes: the elements are the multiples 0, a, ...,
-    (d // a)*a, so R(d + 1) = d // a + 1 and
-    value(1, 0) = d // a + 1 - T_1 = d // a - 2.  Rows -1 and 0 always
-    hold, so when this value lies outside [0, g], cell (1, 0) is the
-    first violated cell in scan order and `_rejected(1, 0, value, g)`
-    gives the witness and count of a scan.  Otherwise the scan reads row
-    1 as before.  The tests hold the rule to the uncertified scan on
-    every single cusp with g < 60 and d < 90
-    (`test_first_row_rule_matches_the_scan`), and to the oracle's full
-    grid on ten rejections at g = 1000 or with d in 1000-2000
-    (`test_first_row_rejections_match_the_table_oracle`).
-
-    The <a, 4a-1> certificate is checked on every cell of every member
-    with d < 160 against the oracle's element table (the same test),
-    against the uncertified scan for every member up to d = 2000
-    (`test_family_certificates_match_the_scan`), and at production
-    scale by `_production_sample`'s two members.  Its neighbours,
-    <a, 4a-1> at d = 2a + 1 and 2a + 2, are still scanned
-    (`test_family_neighbours_are_scanned`).
-
-    No certificate or rule hides a violated cell, so the witness and
-    `checks_performed` stay those of a scan of every row.
-
     `checks_performed` counts every cell up to the witness by its
     position in the full grid, and all d(g+1) cells when none fails.
     """
     # per = a / gcd(a, 2), and 0 (no rule) for several cusps.  `classes`
     # is the row's P once `exact`, and until then the P of an earlier row,
     # a lower bound; P >= 1 in every cell before the tail.
-    per = 0
-    if cusp is not None:
-        a, b = cusp.a, cusp.b
-        per = a // gcd(a, 2)
-        # the certificates speak only of the cusp's own count on its grid
-        if gap_at == cusp.gaps_at_least and (
-                (degree - 1) * (degree - 2) == 2 * (genus + cusp.delta)):
-            if b <= degree or (genus == 0 and b == 2 * degree - 1):
-                return Verdict(True, None, degree * (genus + 1))
-            if degree >= 5:  # and b > degree
-                value = degree // a - 2
-                if not 0 <= value <= genus:
-                    return _rejected(1, 0, value, genus)
+    per = 0 if cusp is None else cusp.a // gcd(cusp.a, 2)
     classes = 1
-    for j in range(1, _last_row(degree) + 1):
+    for j in range(1, (degree - 3) // 2 + 1):
         base = j * degree + 1
         c = genus - (degree - j - 2) * (degree - j - 1) // 2
         tail = (base - pair_sum) // 2

@@ -284,13 +284,12 @@ def test_measured_pattern_cusps_with_b_at_most_d_are_admissible(monkeypatch):
     # Every valid single cusp <a, b> at a degree d >= b passes the whole
     # grid.  Measured first on all 261,180 valid inputs with
     # 1 <= a < b < 120 and b <= d < b + 60, it is now proved (a curve with
-    # the cusp exists; the proof is in `obstruction._scan`), and
-    # `check_single` answers it by certificate with no gap count.  Here the
-    # uncertified scan, which a wrapper of the cusp's count makes fail the
-    # certificate's guard, still reads the rows and must give the
-    # certificate's verdict on b < 50 and b <= d < b + 30, and the oracle's
-    # full grid agrees on b < 16 and b <= d < b + 6.  Budget 20 s (about
-    # 3 s here).
+    # the cusp exists; the proof is in `obstruction.check_single`), and
+    # `check_single` answers it by certificate with no gap count.  Here
+    # `_scan`, which holds no certificate, still reads the rows and must
+    # give the certificate's verdict on b < 50 and b <= d < b + 30, and
+    # the oracle's full grid agrees on b < 16 and b <= d < b + 6.  Budget
+    # 20 s (about 3 s here).
     start = time.monotonic()
     calls = [0]
     count = Semigroup.gaps_at_least
@@ -312,8 +311,7 @@ def test_measured_pattern_cusps_with_b_at_most_d_are_admissible(monkeypatch):
                 assert check_single(a, b, genus, d) == certified, (a, b, genus, d)
                 assert check_multi([(a, b)], genus, d) == certified, (a, b, genus, d)
                 assert calls[0] == 0, (a, b, genus, d)
-                scanned = obstruction._scan(genus, d, lambda m: s.gaps_at_least(m),
-                                            s.first_pair, s)
+                scanned = obstruction._scan(genus, d, s.gaps_at_least, s.first_pair, s)
                 # below d = 5 the half grid has no row past row 0
                 assert scanned == certified and (calls[0] > 0) == (d >= 5), (a, b, genus, d)
                 calls[0] = 0

@@ -395,6 +395,17 @@ def test_germ_ceilings_refuse_fast(capsys):
         assert err.startswith(f"error: {flag} must be <= ") and "Traceback" not in err
 
 
+def test_germ_and_identities_floors_name_their_flags(capsys):
+    # a value below the floor is refused in the flag's own name, not in
+    # the name of the library parameter it feeds
+    for argv, message in ((["germ", "--node", "0"], "--node must be >= 1, got 0"),
+                          (["germ", "--node", "-4", "--order", "2"],
+                           "--node must be >= 1, got -4"),
+                          (["germ", "--flex", "2"], "--flex must be > 2, got 2"),
+                          (["identities", "--lmax", "1"], "--lmax must be >= 2, got 1")):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
 def test_germ_ceilings_admit_the_benchmark_pool(capsys):
     # every germ pool input lies within the ceilings, and the largest of
     # each model, by (N or d, order), runs

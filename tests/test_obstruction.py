@@ -529,8 +529,8 @@ def _count_gap_calls(monkeypatch):
 
 
 def test_check_single_counts_few_gaps_with_the_pair_class_rule(monkeypatch):
-    # <349, 352> at g = 351, d = 352 through a counting wrapper, which is
-    # not the cusp's own count, so no certificate applies: the
+    # <349, 352> at g = 351, d = 352 through a counting wrapper; `_scan`
+    # holds no certificate, so the
     # min(v, g - v) skip and the row tails make 727 gap counts; the
     # pair-class rule lifts the lower-side skips and leaves 240.
     # `check_single` reads no row at all, as b <= d
@@ -549,9 +549,9 @@ def test_check_single_counts_few_gaps_with_the_pair_class_rule(monkeypatch):
     assert check_single(349, 352, 351, 352) == v and gap_calls[0] == 0
 
 
-# The b <= d certificate: `_scan` returns the verdict of every single
-# cusp <a, b> at a degree d >= b before reading a row, under a guard that
-# only the cusp's own count on its own grid passes.
+# The b <= d certificate: `check_single` returns the verdict of every
+# single cusp <a, b> at a degree d >= b before it builds a `Semigroup`;
+# `_scan` reads the rows whatever count it is given.
 
 def test_certificate_reads_no_row_of_a_cusp_with_b_at_most_d(monkeypatch):
     # at g = 0 a cusp with b <= d is <d-1, d>; <98, 99> at degree 100 has
@@ -565,11 +565,11 @@ def test_certificate_reads_no_row_of_a_cusp_with_b_at_most_d(monkeypatch):
 
 
 def test_certificates_need_the_cusps_own_count():
-    # a count other than the cusp's, or a genus off the degree-genus
-    # identity, gets the plain scan: the pair-class tests above probe the
-    # skip rules that way, on grids the certificate says nothing about.
-    # <7, 9> at d = 9 has g = 4, and on its own count the certificate
-    # answers with no row read
+    # `_scan` scans a count other than the cusp's, or a genus off the
+    # degree-genus identity, as it scans the cusp's own count on its own
+    # grid: the pair-class tests above probe the skip rules that way, on
+    # grids the certificates say nothing about.  <7, 9> at d = 9 has
+    # g = 4, which `check_single` answers by certificate
     s = Semigroup(7, 9)
     steep = _steepest_count(7, 9)
     for genus, degree, count in ((4, 9, steep), (0, 9, s.gaps_at_least),
@@ -578,8 +578,42 @@ def test_certificates_need_the_cusps_own_count():
         assert _scan_witnesses(count, genus, degree, s) == [expect] * 2, (genus, degree)
 
 
-# The family certificates: `_scan` returns the verdict of <p, p+3> at
-# degree p + 3 (b = d, so the b <= d certificate) and of <a, 4a-1> at
+def test_shortcuts_build_no_semigroup_and_scan_only_scans(monkeypatch):
+    # the two certificates and the first-row rule decide a lone cusp
+    # before any `Semigroup` is built, through either checker, and a
+    # scanned cusp builds one.  `_scan` holds no certificate: on a
+    # certified cusp's own count it reads rows wherever the half grid has
+    # one past row 0, that is from d = 5 on
+    built = []
+
+    def counted(a, b):
+        built.append((a, b))
+        return Semigroup(a, b)
+
+    monkeypatch.setattr(obstruction, "Semigroup", counted)
+    certified = [(d - 1, d, 0, d) for d in range(3, 60)]
+    certified += [(a, 4 * a - 1, 0, 2 * a) for a in range(2, 30)]
+    first_row = [(4, 7, 1, 6, "lower"), (2, 31, 0, 7, "upper")]
+    for a, b, g, d in certified:
+        expect = Verdict(True, None, d * (g + 1))
+        assert check_single(a, b, g, d) == check_multi([(a, b)], g, d) == expect, (a, b, d)
+    for a, b, g, d, side in first_row:
+        expect = Verdict(False, ObstructionWitness(1, 0, 3, d // a - 2, side), 2 * g + 3)
+        assert check_single(a, b, g, d) == check_multi([(a, b)], g, d) == expect, (a, b, d)
+    assert built == []
+    # <2, 7> at d = 5 (g = 3): cell (1, 0) holds 0, so the scan runs
+    assert check_single(2, 7, 3, 5).admissible and built == [(2, 7)]
+    assert check_multi([(2, 7)], 3, 5).admissible and built == [(2, 7)] * 2
+    gap_calls = _count_gap_calls(monkeypatch)
+    for a, b, g, d in certified:
+        s = Semigroup(a, b)
+        gap_calls[0] = 0
+        v = obstruction._scan(g, d, s.gaps_at_least, s.first_pair, s)
+        assert v == (True, None, d * (g + 1)) and (gap_calls[0] > 0) == (d >= 5), (a, b, d)
+
+
+# The family certificates: `check_single` returns the verdict of <p, p+3>
+# at degree p + 3 (b = d, so the b <= d certificate) and of <a, 4a-1> at
 # degree 2a (g = 0) before reading a row.  A verdict cannot show a
 # certificate that covers too much when the extra inputs are admissible
 # too, so the neighbours are held to a gap count as well as to their
@@ -625,9 +659,8 @@ def test_family_certificates_hold_on_every_cell():
 
 def test_family_certificates_match_the_scan(monkeypatch):
     # every member up to d = 2000: `check_single` and one-pair
-    # `check_multi` make no gap count and give the verdict of the
-    # uncertified scan (a wrapper of the cusp's count fails the
-    # certificates' guard), which reads the rows.  Budget 15 s (about 3 s)
+    # `check_multi` make no gap count and give the verdict of `_scan`,
+    # which reads the rows.  Budget 15 s (about 3 s)
     start = time.perf_counter()
     calls = _count_gap_calls(monkeypatch)
     for a, b, g, d in _family_members(2000):
@@ -635,14 +668,14 @@ def test_family_certificates_match_the_scan(monkeypatch):
         calls[0] = 0
         single = check_single(a, b, g, d)
         assert check_multi([(a, b)], g, d) == single and calls[0] == 0, (a, b, g, d)
-        scanned = obstruction._scan(g, d, lambda m: s.gaps_at_least(m), s.first_pair, s)
+        scanned = obstruction._scan(g, d, s.gaps_at_least, s.first_pair, s)
         assert scanned == single == Verdict(True, None, d * (g + 1)), (a, b, g, d)
     elapsed = time.perf_counter() - start
     assert elapsed < 15.0, elapsed
 
 
 def test_family_neighbours_are_scanned(monkeypatch):
-    # inputs next to a family member get the uncertified scan's verdict:
+    # inputs next to a family member get `_scan`'s verdict:
     # <p, p+3> at d = p + 2 (g = 1; rejected at (1, 0) from p = 4 on,
     # criterion 02) and at d = p + 4 (g = 2p + 4); <a, a+4> and <a, a+5>
     # at d = a + 3, where a + 3 = d but b != d; and <a, 4a-1> at
@@ -671,7 +704,7 @@ def test_family_neighbours_are_scanned(monkeypatch):
         calls[0] = 0
         v = check_single(a, b, g, d)
         counted = calls[0]
-        assert v == obstruction._scan(g, d, lambda m: s.gaps_at_least(m), s.first_pair, s)
+        assert v == obstruction._scan(g, d, s.gaps_at_least, s.first_pair, s)
         certified = b <= d or v.witness is not None and v.witness[:2] == (1, 0)
         assert (counted == 0) == certified, (a, b, g, d)
         scanned += not certified
@@ -683,12 +716,12 @@ def test_family_neighbours_are_scanned(monkeypatch):
 
 
 # The first-row rule: for b > d >= 5 every element up to d is a multiple
-# of a, so cell (1, 0) holds d // a - 2, and `_scan` rejects there, with
-# no gap count, when that value leaves [0, g].
+# of a, so cell (1, 0) holds d // a - 2, and `check_single` rejects
+# there, with no gap count, when that value leaves [0, g].
 
 def test_first_row_rule_matches_the_scan(monkeypatch):
     # every single cusp with g < 60 and d < 90: `check_single` and
-    # one-pair `check_multi` give the uncertified scan's verdict, witness
+    # one-pair `check_multi` give `_scan`'s verdict, witness
     # and checks_performed, and the b > d rejections at (1, 0) make no
     # gap count and hold d // a - 2.  Budget 20 s (about 4 s)
     start = time.perf_counter()
@@ -703,7 +736,7 @@ def test_first_row_rule_matches_the_scan(monkeypatch):
                 single = check_single(a, b, g, d)
                 multi = check_multi([(a, b)], g, d)
                 counted = calls[0]
-                scanned = obstruction._scan(g, d, lambda m: s.gaps_at_least(m), s.first_pair, s)
+                scanned = obstruction._scan(g, d, s.gaps_at_least, s.first_pair, s)
                 assert single == multi == scanned, (a, b, g, d)
                 w = single.witness
                 if b > d and w is not None and w[:2] == (1, 0):

@@ -92,7 +92,10 @@ IDENTITIES_LMAX_MAX = 4000
 # with b <= d is certified with no row read.  At d = 10^5 the slowest
 # single cusp found among a few hundred sampled shapes with b > d,
 # <11234, 500199> at g = 2,190,487,934, took 0.6-0.7 s, and <d-1, d> and
-# <d-2, d-1> about 0.1 s (whole process, 2-vCPU x86-64, Python 3.11.7).  With
+# <d-2, d-1> about 0.1 s (whole process, 2-vCPU x86-64, Python 3.11.7).
+# <49999, 199997> at g = 49,999 (d = 99,999), admitted with a near d/2,
+# took 1.3-1.5 s at 22 MB peak RSS, 5 MB of it the 2a + 1 residue sums
+# its semigroup tabulates (`Semigroup.gaps_at_least`).  With
 # several cusps the check also holds the run starts and the count tables of
 # its lazy convolution, O(total delta) memory.  At total delta 10^6,
 # <2, 1998001> with <3, 1000> took 0.45-0.53 s at 109 MB, rejected at
@@ -121,9 +124,9 @@ CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
 # g = 1 at 2000 took 1.0-1.7 s.  The degree memo of `enumerate_candidates`
 # saves nothing here, since within one command every degree is new.  At a
 # large genus nearly every candidate is admissible and its scan runs
-# through half the grid: --dmax 2000 took about 17 s at g = 10^4, 20-21 s
-# at 10^6 and 22-27 s at 10^5, and at g = 10^5 --dmax 500 took 0.22-0.32 s
-# and 1000 4.5-5.4 s.  The ceiling keeps g = 0 up to d = 2000 in reach, and
+# through half the grid: --dmax 2000 took 7.7-8.9 s at g = 10^4, 8.4-8.7 s
+# at 10^6 and 11-18 s at 10^5, and at g = 10^5 --dmax 500 took 0.22-0.27 s
+# and 1000 2.7-3.2 s.  The ceiling keeps g = 0 up to d = 2000 in reach, and
 # --dmax 10^8, which ran on with no output, is refused before any work
 # (whole process, same host).
 ENUMERATE_DMAX_MAX = 2000
@@ -525,16 +528,22 @@ def _cmd_germ(args) -> int:
         return _fail(f"--node must be >= 1, got {args.node}")
     if args.flex is not None and args.flex <= 2:
         return _fail(f"--flex must be > 2, got {args.flex}")
+    # both models need order >= 3 * (N or d) + 3, their default
+    flag, size = ("--node", args.node) if args.node is not None else ("--flex", args.flex)
+    order = 3 * size + 3
+    if args.order is not None:
+        if args.order < order:
+            return _fail(f"--order must be >= {order} for {flag} {size}, got {args.order}")
+        order = args.order
     if args.node is not None:
-        records = germ_sequence(args.node, args.order)
-        order = args.order if args.order is not None else 3 * args.node + 3
+        records = germ_sequence(args.node, order)
         sys.stdout.write(_node_json(args.node, order, records) + "\n")
         return 0
-    report = flex_check(args.flex, args.order)
+    report = flex_check(args.flex, order)
     _emit("germ", {
         "model": "flex",
         "d": report.d,
-        "order": args.order if args.order is not None else 3 * args.flex + 3,
+        "order": order,
         "valuation": report.valuation,
         "collapse_exact": report.collapse_exact,
     })

@@ -30,6 +30,14 @@ from math import gcd
 from operator import add, lt
 
 
+# Past 2b a gap count by `_floor_sum` took 1.4-4.6 us against 0.4-0.7 us
+# from the residue-sum table, whose build took 170-280 ns per unit of a,
+# for a from 55 to 10^5 (2-vCPU x86-64, Python 3.11.7): the table pays for
+# itself after a/17 to a/6 counts.  A `Semigroup` builds it after
+# a // TABLE_A_PER_READ of them.
+TABLE_A_PER_READ = 8
+
+
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of floor((a*i + b) / m) over 0 <= i < n, for n, a, b >= 0, m >= 1.
 
@@ -65,10 +73,12 @@ class Semigroup:
 
     Every element has a unique form u*b + v*a with 0 <= u < a and v >= 0,
     and m is an element exactly when its u = m * b^-1 mod a has u*b <= m.
-    Construction is O(1); no element or gap list is stored.
+    Construction is O(1); no element or gap list is stored.  A semigroup
+    read often enough (see `gaps_at_least`) builds one table of 2a + 1
+    residue sums, and keeps it.
     """
 
-    __slots__ = ("_a", "_b", "_delta", "_binv")
+    __slots__ = ("_a", "_b", "_delta", "_binv", "_sums", "_reads_left")
 
     def __init__(self, a: int, b: int):
         check_generators(a, b)
@@ -76,6 +86,8 @@ class Semigroup:
         self._b = b
         self._delta = (a - 1) * (b - 1) // 2
         self._binv = pow(b, -1, a)
+        self._sums = None
+        self._reads_left = a // TABLE_A_PER_READ
 
     @property
     def a(self) -> int:
@@ -179,11 +191,28 @@ class Semigroup:
     def gaps_at_least(self, m: int) -> int:
         """Count of integers >= m outside the semigroup (negatives included).
 
-        This is delta - m plus the number of elements below m.  Summing
-        over u, the elements u*b + v*a < m number (m - 1 - u*b) // a + 1
-        for each u < min(a, (m - 1) // b + 1), a floor sum.  For 0 < m <= b
-        only u = 0 counts, and for b < m <= 2b with a >= 2 only u = 0 and
+        This is delta - m plus R(m), the number of elements below m.  With
+        x = m - 1 and t = min(a, x // b + 1), the elements u*b + v*a <= x
+        number (x - u*b) // a + 1 for each u < t, so R(m) = t + F with
+        F = sum over u < t of floor((x - u*b) / a).  For 0 < m <= b only
+        u = 0 counts, and for b < m <= 2b with a >= 2 only u = 0 and
         u = 1, so both ranges take their terms in closed form.
+
+        Past 2b, F = (t*x - b*t*(t-1)/2 - Z) / a, where
+        Z = sum over u < t of (x - u*b) mod a, since each floor is the
+        quotient of its residue's division.  Let z_i = (-i*b) mod a: as
+        gcd(a, b) = 1, z is periodic with period a.  With
+        p = (-x * b^-1) mod a, x = -p*b mod a, so (x - u*b) mod a = z_{p+u}
+        and Z = S[p + t] - S[p], where S[n] = z_0 + ... + z_{n-1}.  As
+        p < a and t <= a, n never exceeds 2a - 1, so a table of S over
+        two periods, 2a + 1 ints, answers every such read in O(1).
+
+        The table costs O(a) time and memory, so it is built only after
+        a // TABLE_A_PER_READ reads past 2b have each taken the
+        Euclid-like `_floor_sum`, O(log a) steps, on F: a ski-rental
+        rule, which stops paying per read once the reads have cost
+        about what the table does.  A one-off query at a huge a, or a
+        check rejected before its reads pass 2b, never builds it.
         """
         if m <= 0:
             return self._delta - m
@@ -192,12 +221,24 @@ class Semigroup:
             return self._delta - m + (m - 1) // a + 1
         if m <= 2 * b and a > 1:
             return self._delta - m + (m - 1) // a + (m - 1 - b) // a + 2
-        terms = (m - 1) // b + 1
+        x = m - 1
+        terms = x // b + 1
         if terms > a:  # min(a, ...), without the call
             terms = a
-        # reversed order i = terms - 1 - u makes the slope b non-negative
+        sums = self._sums
+        if sums is None:
+            if self._reads_left:
+                self._reads_left -= 1
+                # reversed order i = terms - 1 - u makes the slope b
+                # non-negative
+                return (self._delta - m + terms
+                        + _floor_sum(terms, a, b, x - (terms - 1) * b))
+            # S[n] for 0 <= n <= 2a, over z_i = (-i*b) mod a
+            sums = self._sums = list(accumulate(
+                map(a.__rmod__, range(0, -2 * a * b, -b)), initial=0))
+        p = -x * self._binv % a
         return (self._delta - m + terms
-                + _floor_sum(terms, a, b, m - 1 - (terms - 1) * b))
+                + (terms * x - b * terms * (terms - 1) // 2 - sums[p + terms] + sums[p]) // a)
 
     def gap_function(self) -> GapFunction:
         """The gap function, whose run starts are 0 and each gap + 1: the

@@ -402,6 +402,10 @@ def test_germ_and_identities_floors_name_their_flags(capsys):
                           (["germ", "--node", "-4", "--order", "2"],
                            "--node must be >= 1, got -4"),
                           (["germ", "--flex", "2"], "--flex must be > 2, got 2"),
+                          (["germ", "--node", "3", "--order", "11"],
+                           "--order must be >= 12 for --node 3, got 11"),
+                          (["germ", "--flex", "5", "--order", "-1"],
+                           "--order must be >= 18 for --flex 5, got -1"),
                           (["identities", "--lmax", "1"], "--lmax must be >= 2, got 1")):
         assert invoke(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from bisect import bisect_left
 from functools import reduce
 
 import pytest
 
 from unicusp import GapFunction, Semigroup, convolve
+from unicusp.semigroup import TABLE_A_PER_READ, _floor_sum
 
 import oracles
 
@@ -281,3 +283,74 @@ def test_counting_around_b_matches_oracle():
             else:
                 expect_i = delta - m + r  # gaps below m are m - r for m >= 0
             assert s.gaps_at_least(m) == expect_i, (a, b, m)
+
+
+def test_gap_counts_match_oracle_before_and_after_the_table():
+    # every coprime a < b < 72 at every m in [-5, 2*delta + 5]: a fresh
+    # semigroup answers its first a // TABLE_A_PER_READ reads past 2b (past
+    # b at a = 1) by the floor sum, then builds its residue-sum table for
+    # the rest; a second pass reads the same semigroup, from its table
+    # wherever the first pass built one
+    for b in range(2, 72):
+        for a in range(1, b):
+            if oracles.gcd(a, b) != 1:
+                continue
+            delta = (a - 1) * (b - 1) // 2
+            ms = range(-5, 2 * delta + 6)
+            below = [0] * 5 + oracles.count_below_table(a, b, 2 * delta + 5)
+            s = Semigroup(a, b)
+            assert list(map(s.gaps_at_least, ms)) == [delta - m + r for m, r in zip(ms, below)], (a, b)
+            general = 2 * delta + 5 - (2 * b if a > 1 else b)
+            assert (s._sums is not None) == (general > a // TABLE_A_PER_READ), (a, b)
+            assert list(map(s.elements_below, ms)) == below, (a, b)
+
+
+def _floor_sum_gap_count(a, b, m):
+    """gaps_at_least(m) for m > 2b, by the Euclid-like floor sum alone."""
+    delta = (a - 1) * (b - 1) // 2
+    terms = min(a, (m - 1) // b + 1)
+    return delta - m + terms + _floor_sum(terms, a, b, m - 1 - (terms - 1) * b)
+
+
+def test_table_matches_floor_sum_at_large_generators():
+    # seeded a up to 10^4 and b up to 10^12: the reads up to the threshold
+    # take the floor sum and leave no table, the next one builds it, and
+    # every read before and after agrees with the floor sum
+    rng = random.Random(38)
+    for _ in range(40):
+        a = rng.randrange(4, 10 ** rng.randrange(1, 5))
+        b = rng.randrange(a + 1, a + 10 ** rng.randrange(1, 13))
+        while oracles.gcd(a, b) != 1:
+            b += 1
+        s = Semigroup(a, b)
+        top = (a - 1) * (b - 1) + 5
+        reads = [rng.randrange(2 * b + 1, top + 1) for _ in range(a // TABLE_A_PER_READ)]
+        for m in reads:
+            assert s.gaps_at_least(m) == _floor_sum_gap_count(a, b, m), (a, b, m)
+        assert s._sums is None, (a, b)
+        reads = [2 * b + 1, top, top + 10 ** 6 * b] + [rng.randrange(2 * b + 1, top + 1) for _ in range(300)]
+        for m in reads:
+            assert s.gaps_at_least(m) == _floor_sum_gap_count(a, b, m), (a, b, m)
+        assert len(s._sums) == 2 * a + 1, (a, b)
+
+
+def test_one_off_queries_at_huge_generators_build_no_table():
+    # a table at a = 10^12 would need 2 * 10^12 ints; one gap count, an
+    # element count and a bisection for nth_element stay far below the
+    # a // TABLE_A_PER_READ reads that build it
+    a = 10 ** 12 + 39
+    s = Semigroup(a, a + 1)
+    tracemalloc.start()
+    try:
+        # level k < a holds the k + 1 elements k*a, ..., k*a + k: levels
+        # 0..4999 lie below m, and the 5000th element is the 50th of level
+        # 99, as levels 0..98 hold 4950
+        m = 5 * 10 ** 15
+        assert s.elements_below(m) == 5000 * 5001 // 2
+        assert s.gaps_at_least(m) == s.delta - m + 5000 * 5001 // 2
+        assert s.nth_element(5000) == 99 * a + 49
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s._sums is None
+    assert peak < 10 ** 6

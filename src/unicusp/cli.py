@@ -96,21 +96,25 @@ IDENTITIES_LMAX_MAX = 4000
 # <49999, 199997> at g = 49,999 (d = 99,999), admitted with a near d/2,
 # took 1.3-1.5 s at 22 MB peak RSS, 5 MB of it the 2a + 1 residue sums
 # its semigroup tabulates (`Semigroup.gaps_at_least`).  With
-# several cusps the check also holds the run starts and the count tables of
-# its lazy convolution, O(total delta) memory.  At total delta 10^6,
-# <2, 1998001> with <3, 1000> took 0.45-0.53 s at 109 MB, rejected at
-# d = 1416, and 0.6-0.8 s at 200 MB admitted at d = 2200, where the count
-# table of the larger cusp fills.  The lazy convolution reads about
-# degree * X terms, where X is the total delta less the largest local
-# delta (for two cusps, the smaller local delta), and three or more cusps
-# first fold all but the largest by `convolve`, at most about X^2 / 2
-# additions more; the estimate keeps X^2.  At degree * X = 3 * 10^6,
-# admissible two-cusp inputs took 0.19-0.35 s (97,261;70,417 at d = 240,
-# 94,191;145,526 at d = 312 and 47,481;41,867 at d = 241), and three
-# <40, 43> cusps at d = 72 and 74, with degree * X + X^2 = 2.8 * 10^6, took
-# 0.12-0.19 s; about 0.1 s of each is interpreter start and imports.  A
-# single cusp, from -a/-b or --pairs, holds no run starts and meets only the
-# degree bound.  All three bounds are checked before any work.
+# several cusps the check also holds the cusps' run starts, O(total delta)
+# memory, and for its lazy convolution the larger operand's run ends and
+# the smaller one's count table, at most twice the smaller delta in
+# length.  At total delta 10^6, <2, 1998001> with
+# <3, 1000> took 0.54-0.55 s at 109 MB, rejected at d = 1416, and
+# 0.65-0.67 s at 109 MB admitted at d = 2200; with <2, 3> it took
+# 0.53-0.56 s at 109 MB admitted at d = 2200.  The lazy convolution reads
+# about degree * X terms, where X is the total delta less the largest
+# local delta (for two cusps, the smaller local delta), and three or more
+# cusps first fold all but the largest by `convolve`, at most about
+# X^2 / 2 additions more; the estimate keeps X^2.  At degree * X =
+# 3 * 10^6, admissible two-cusp inputs took 0.14-0.35 s at 19-20 MB
+# (97,261;70,417 at d = 240, 94,191;145,526 at d = 312 and 47,481;41,867
+# at d = 241), and three <40, 43> cusps at d = 72 and 74, with
+# degree * X + X^2 = 2.8 * 10^6, took 0.13-0.14 s at 17 MB (five runs
+# each, on a loaded host); about 0.1 s of each is interpreter start and
+# imports.  A single cusp, from -a/-b or --pairs, holds no run starts and
+# meets only the degree bound.  All three bounds are checked before any
+# work.
 CHECK_DEGREE_MAX = 10 ** 5
 CHECK_PAIRS_DELTA_MAX = 10 ** 6
 CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
@@ -275,6 +279,8 @@ def _fail(message: str) -> int:
 def _cmd_semigroup(args) -> int:
     s = Semigroup(args.a, args.b)
     if args.query is None:
+        if args.arg is not None:
+            return _fail("--arg requires --query")
         if s.delta > SEMIGROUP_DELTA_MAX:
             return _fail(f"listing the gaps needs delta <= {SEMIGROUP_DELTA_MAX}, got "
                          f"delta = {s.delta}; --query R|I|gamma answers at any delta")
@@ -359,6 +365,8 @@ def _cmd_check(args) -> int:
             return _fail(f"--pairs needs a work estimate <= {CHECK_PAIRS_WORK_MAX}, got {work} "
                          f"(degree * X{' + X^2' if len(pairs) > 2 else ''}, X = {x}, the "
                          f"total delta less the largest local delta)")
+    if degree < 1:
+        return _fail(f"-d must be >= 1, got {degree}")
     if single:
         verdict = check_single(args.a, args.b, args.genus, degree)
     else:
@@ -486,6 +494,9 @@ def _cmd_families(args) -> int:
     for flag, value in (("--i", args.i), ("--j", args.j)):
         if value is not None and value > FAMILIES_INDEX_MAX:
             return _fail(f"{flag} must be <= {FAMILIES_INDEX_MAX}, got {value}")
+    for flag, value, floor in (("--k", args.k, 2), ("--i", args.i, 2), ("--j", args.j, 1)):
+        if value is not None and value < floor:
+            return _fail(f"{flag} must be >= {floor}, got {value}")
     if args.i is not None:
         cand = lucas_family(args.k, args.i)
         which = {"i": args.i}
@@ -501,6 +512,8 @@ def _cmd_sectors(args) -> int:
         return _fail("--lmax must be >= 2")
     if args.lmax > SECTORS_LMAX_MAX:
         return _fail(f"--lmax must be <= {SECTORS_LMAX_MAX}, got {args.lmax}")
+    if args.genus < 1:
+        return _fail(f"--genus must be >= 1, got {args.genus}")
     sectors = []
     for sector in islice(walk_sectors(), args.lmax - 1):
         a_max, b_max = sector_bounds(args.genus, sector.l)

@@ -205,11 +205,12 @@ def check_multi(pairs: list[tuple[int, int]], genus: int, degree: int) -> Verdic
     The infimum convolution IC of two operands is never tabulated: `_scan`
     reads it at a few dozen arguments per check (22 on average over the
     stored two-cusp benchmark rows), and `convolve_at` evaluates each on
-    its own, reading one operand's run ends against a count table of the
-    other that grows only as far as those arguments reach.  With three or
-    more cusps, all but the one of largest delta are first folded by
-    `convolve`; the fold and the remaining cusp are the two operands.  A
-    lone cusp takes `check_single`, certificates and all.
+    its own, reading the run ends of the operand of larger delta against
+    a count table of the other, built whole and at most twice its delta
+    in length.  With three or more cusps, all but the one of largest
+    delta are first folded by `convolve`; the fold and the remaining cusp
+    are the two operands.  A lone cusp takes `check_single`, certificates
+    and all.
     """
     if not pairs:
         raise ValueError("at least one cusp is required")

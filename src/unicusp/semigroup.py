@@ -337,72 +337,63 @@ def convolve_at(f: GapFunction, g: GapFunction):
     """The infimum convolution of f and g as a function of s, each value
     computed on its own, with no run starts of the result tabulated.
 
-    By the proof in `convolve`, with run starts a_i of f, b_j of g and
-    Delta = f.delta + g.delta,
+    IC is symmetric in its operands, so they are first ordered, as in
+    `convolve`, with g of the larger delta.  By the proof in `convolve`,
+    with run starts a_i of f, b_j of g and Delta = f.delta + g.delta,
 
-        IC(s) = Delta - max over a_i <= s of (i + max{j : b_j <= s - a_i})
+        IC(s) = Delta - max over b_j <= s of (j + max{i : a_i <= s - b_j})
 
     for s >= 0, and IC(s) = Delta - s below 0.
 
-    Only the ends of runs of consecutive starts need enumerating.  Write
-    J(x) = max{j : b_j <= x} for x >= 0.  The b_j are distinct integers,
-    so b_{J(x)-1} <= x - 1 and J(x - 1) >= J(x) - 1 whenever x >= 1.
-    Within a run a_{i+1} = a_i + 1, stepping i up by 1 lowers s - a_i by
-    1, so i + J(s - a_i) never decreases along the run's starts <= s.
-    The maximum is therefore at the last start <= s of some run: the
-    run's end when that is <= s, and otherwise the last start <= s of
-    all, since only the run holding it can be cut off by s.  The run ends
-    are found once per call of `convolve_at`.
+    Only the ends of runs of consecutive starts of g need enumerating.
+    Write I(x) = max{i : a_i <= x} for x >= 0.  The a_i are distinct
+    integers, so a_{I(x)-1} <= x - 1 and I(x - 1) >= I(x) - 1 whenever
+    x >= 1.  Within a run b_{j+1} = b_j + 1, stepping j up by 1 lowers
+    s - b_j by 1, so j + I(s - b_j) never decreases along the run's
+    starts <= s.  The maximum is therefore at the last start <= s of
+    some run: the run's end when that is <= s, and otherwise the last
+    start <= s of all, since only the run holding it can be cut off by
+    s.  The run ends are found once per call of `convolve_at`.
 
-    J(x) + 1 = #{j : b_j <= x} is read from a count table of g, counts[x]
-    for 0 <= x < b_last, its last start; from b_last on it is the number
-    of starts of g, since no b_j lies above b_last.  So every run end
-    e <= s - b_last gives J(s - e) its largest value, and as the indices
+    I(x) + 1 = #{i : a_i <= x} is read from a count table of f, counts[x]
+    for 0 <= x < a_last, its last start; from a_last on it is the number
+    of starts of f, since no a_i lies above a_last.  So every run end
+    e <= s - a_last gives I(s - e) its largest value, and as the indices
     of the run ends ascend with them, the last of these gives the largest
     term among them: one bisection finds it.  Only the run ends in
-    (s - b_last, s] read the table, all at arguments below b_last, and so
-    does the last start a_i <= s when s - a_i < b_last.  IC is symmetric
-    in its operands, so each value reads whichever operand has fewer run
-    ends in that window against the other's table.  A table is a list
-    that grows in place, to the argument asked or to twice its length,
-    whichever is larger, but never to b_last: it holds only what the
-    arguments asked so far reach, and a check rejected in its first rows
-    builds little of it.
+    (s - a_last, s] read the table, and so does the last start b_j <= s
+    when s - b_j < a_last.
+
+    The table is built whole, once per call: a mark at each start of f
+    below a_last, summed by `accumulate`.  Every gap function has
+    a_last <= 2 * f.delta (a `GapFunction` invariant), so the table holds
+    at most 2 * min(f.delta, g.delta) entries, whatever the larger
+    operand's size.
     """
+    if f.delta > g.delta:
+        f, g = g, f
     total_delta = f.delta + g.delta
-    starts_f, starts_g = f.starts, g.starts
-    ends_f, index_f = _run_ends(starts_f)
-    ends_g, index_g = _run_ends(starts_g)
-    last_f, last_g = starts_f[-1], starts_g[-1]
-    counts_f, counts_g = [], []
-    # per side: the operand whose run ends are read, then the other's
-    # count table, starts, last start and number of starts
-    side_f = (starts_f, ends_f, index_f, counts_g, starts_g, last_g, len(starts_g))
-    side_g = (starts_g, ends_g, index_g, counts_f, starts_f, last_f, len(starts_f))
+    starts = g.starts
+    ends, index = _run_ends(starts)
+    last, full = f.starts[-1], len(f.starts)
+    marks = bytearray(last)
+    for c in f.starts[:-1]:
+        marks[c] = 1
+    counts = list(accumulate(marks))
 
     def gap_at(s: int) -> int:
         if s < 0:
             return total_delta - s
-        # run ends k..n-1 of f lie in (s - last_g, s], likewise for g
-        n = bisect_right(ends_f, s)
-        k = bisect_right(ends_f, s - last_g, 0, n)
-        n_g = bisect_right(ends_g, s)
-        k_g = bisect_right(ends_g, s - last_f, 0, n_g)
-        if n - k <= n_g - k_g:
-            starts, ends, index, counts, other, last, full = side_f
-        else:
-            n, k = n_g, k_g
-            starts, ends, index, counts, other, last, full = side_g
-        i = bisect_right(starts, s) - 1
-        x = s - starts[i]
-        deepest = s - ends[k] if k < n else x
-        if len(counts) <= deepest < last:
-            _grow_counts(counts, other, deepest)
-        top = i + (counts[x] if x < last else full)
+        # run ends k..n-1 lie in (s - last, s]
+        n = bisect_right(ends, s)
+        k = bisect_right(ends, s - last, 0, n)
+        j = bisect_right(starts, s) - 1
+        x = s - starts[j]
+        top = j + (counts[x] if x < last else full)
         if k and index[k - 1] + full > top:
             top = index[k - 1] + full
-        for r in range(k, n):
-            term = index[r] + counts[s - ends[r]]
+        for j, e in zip(index[k:n], ends[k:n]):
+            term = j + counts[s - e]
             if term > top:
                 top = term
         return total_delta + 1 - top
@@ -410,30 +401,10 @@ def convolve_at(f: GapFunction, g: GapFunction):
     return gap_at
 
 
-def _grow_counts(counts: list[int], starts: tuple[int, ...], x: int) -> None:
-    """Extend counts, the table of #{j : starts[j] <= y} for 0 <= y <
-    starts[m], m = counts[-1] (0 while empty), to cover x < starts[-1].
-
-    It grows by whole runs between starts, to the first start above
-    max(x, 2 * len(counts)) or to the last start, which it never covers.
-    The new values are m + 1 at starts[m], plus a running sum of marks
-    at the starts above it.
-    """
-    m = counts[-1] if counts else 0
-    end = bisect_right(starts, max(x, 2 * len(counts)), m)
-    if end >= len(starts):
-        end = len(starts) - 1
-    low = starts[m] + 1
-    marks = bytearray(starts[end] - low)
-    for c in starts[m + 1:end]:
-        marks[c - low] = 1
-    counts += accumulate(marks, initial=m + 1)
-
-
 def _run_ends(starts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The last start of each run of consecutive starts, as (values,
     indices), both ascending: the only starts `convolve_at` reads besides
-    the last start <= s.  The indices are each end's i in i + J(s - a_i)."""
+    the last start <= s.  The indices are each end's j in j + I(s - b_j)."""
     last = len(starts) - 1
     index = (*(i for i in range(last) if starts[i + 1] != starts[i] + 1), last)
     return tuple(starts[i] for i in index), index

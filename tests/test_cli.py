@@ -72,6 +72,8 @@ def test_semigroup_queries(capsys):
 def test_semigroup_usage_errors(capsys):
     code, _, err = invoke(capsys, "semigroup", "-a", "4", "-b", "7", "--query", "R")
     assert code == 2 and "requires --arg" in err
+    assert invoke(capsys, "semigroup", "-a", "2", "-b", "3", "--arg", "5") == (
+        2, "", "error: --arg requires --query\n")
     code, _, err = invoke(capsys, "semigroup", "-a", "4", "-b", "7",
                           "--query", "gamma", "--arg", "0")
     assert code == 2
@@ -407,6 +409,21 @@ def test_germ_and_identities_floors_name_their_flags(capsys):
                           (["germ", "--flex", "5", "--order", "-1"],
                            "--order must be >= 18 for --flex 5, got -1"),
                           (["identities", "--lmax", "1"], "--lmax must be >= 2, got 1")):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_families_sectors_and_check_floors_name_their_flags(capsys):
+    # the same for the library's k, i, j, genus and degree floors
+    for argv, message in ((["families", "--k", "1", "--i", "3"], "--k must be >= 2, got 1"),
+                          (["families", "--k", "1", "--j", "0"], "--k must be >= 2, got 1"),
+                          (["families", "--k", "3", "--i", "1"], "--i must be >= 2, got 1"),
+                          (["families", "--k", "3", "--j", "0"], "--j must be >= 1, got 0"),
+                          (["sectors", "--genus", "0", "--lmax", "3"],
+                           "--genus must be >= 1, got 0"),
+                          (["check", "--genus", "1", "-a", "2", "-b", "5", "-d", "0"],
+                           "-d must be >= 1, got 0"),
+                          (["check", "--genus", "3", "--pairs", "2,3;2,5", "-d", "-2"],
+                           "-d must be >= 1, got -2")):
         assert invoke(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 

@@ -110,7 +110,7 @@ def test_check_pairs_at_the_work_ceiling(capsys):
 def test_check_pairs_at_the_delta_ceiling(capsys):
     # total delta 999,999: the run starts of <2, 1998001> take most of the
     # time and memory (about 0.5 s at 110 MB as a whole process); the
-    # rejection at cell (1, 0) builds almost none of the count tables
+    # count table is the small cusp's, 1,998 entries
     code, out, err, took = invoke(capsys, "check", "--genus", "406",
                                   "--pairs", "2,1998001;3,1000", "-d", "1416")
     assert code == 1, err

@@ -9,7 +9,9 @@ and to the stored two-cusp reference table.
 
 import json
 import random
+import sys
 import time
+import tracemalloc
 from functools import reduce
 from math import gcd
 from pathlib import Path
@@ -100,8 +102,8 @@ def test_convolve_at_matches_the_table_everywhere():
 
 
 def test_convolve_at_in_shuffled_order():
-    # the count tables grow with the arguments asked so far, so a value
-    # must not depend on the order of the calls: every s in
+    # an evaluator keeps its run ends and count table between calls, so a
+    # value must not depend on the order of the calls: every s in
     # [-5, 2 Delta + 5] in a seeded shuffled order, on a fresh evaluator
     # per pair of operands, against the `convolve` run starts.  Operands
     # are cusps and folds of two, and lopsided pairs (delta below 3 against
@@ -126,6 +128,44 @@ def test_convolve_at_in_shuffled_order():
         rng.shuffle(arguments)
         for s in arguments:
             assert lazy(s) == table(s), (f.starts[:8], g.starts[:8], s)
+
+
+def test_count_table_is_bounded_by_the_smaller_operand():
+    # an admitted lopsided pair: <2, 100001> (delta 50,000, every start a
+    # run end) and <3, 1000> (delta 999, last start 1998), where the scan
+    # reads IC up to s = 72,010.  `convolve_at` holds the larger operand's
+    # run ends (a tuple sharing its starts' ints, and a tuple of new index
+    # ints) and the smaller one's count table: about 6.2 times
+    # sys.getsizeof of the larger operand's starts tuple, traced at the
+    # three deepest arguments the scan reads, in either operand order.
+    # Tabulating the larger operand instead, 2 * 50,000 list slots and
+    # ints, reads about 10 times (well under 1 s)
+    start = time.perf_counter()
+    small, large = Semigroup(3, 1000), Semigroup(2, 100001)
+    genus, degree = 21011, 381
+    f, g = small.gap_function(), large.gap_function()
+    asked = []
+    gap_at = convolve_at(f, g)
+    v = obstruction._scan(genus, degree, lambda s: asked.append(s) or gap_at(s),
+                          small.first_pair + large.first_pair)
+    assert v == check_multi([(2, 100001), (3, 1000)], genus, degree)
+    assert (v.admissible, v.checks_performed) == (True, 8005572)
+    deepest = sorted(asked)[-3:]
+    assert deepest[0] > f.starts[-1]
+    # IC(s) = min over 0 <= m <= s of f(m) + g(s - m), by the proof in
+    # `convolve`
+    expected = [min(f(m) + g(s - m) for m in range(s + 1)) for s in deepest]
+    for operands in ((f, g), (g, f)):
+        tracemalloc.start()
+        try:
+            gap_at = convolve_at(*operands)
+            values = [gap_at(s) for s in deepest]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values == expected
+        assert peak < 8 * sys.getsizeof(g.starts), peak
+    assert time.perf_counter() - start < 5.0
 
 
 def test_every_pairs_reference_row():

@@ -40,7 +40,7 @@ from operator import attrgetter, itemgetter
 
 # pair_to_element is unused here, but the benchmark tracer rebinds this name
 from .families import Candidate, fibonacci, pair_to_element  # noqa: F401
-from .obstruction import check_single
+from .obstruction import check_single, degree_for_products
 from .quadring import factorize
 
 
@@ -121,21 +121,6 @@ class EnumerationReport:
 def degree_for(a: int, b: int, genus: int) -> int | None:
     """Degree pairing (a, b) with the genus, or None if none exists."""
     return degree_for_products((a - 1) * (b - 1), genus)
-
-
-def degree_for_products(product_sum: int, genus: int) -> int | None:
-    """Degree d with (d - 1)(d - 2) = product_sum + 2*genus, or None.
-
-    product_sum is the sum of (a - 1)(b - 1) over the cusps.  The
-    discriminant 4*product_sum + 8*genus + 1 is odd, so when it is a
-    perfect square its root is odd and d = (root + 3) / 2 solves the
-    equation exactly.
-    """
-    disc = 4 * product_sum + 8 * genus + 1
-    root = isqrt(disc)
-    if root * root != disc:
-        return None
-    return (root + 3) // 2
 
 
 def _divisor_pairs(m: int) -> list[tuple[int, int]]:

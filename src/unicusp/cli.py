@@ -10,6 +10,13 @@ argv always produces the same bytes.
 Exit codes: 0 success, 1 mathematical rejection (an inadmissible
 candidate in `check`, an identity failure), 2 usage or validation errors,
 reported on standard error.
+
+Loading this module imports only the standard library.  The package names
+a command reads resolve on first use: `run` binds the parsed command's
+names into this module's globals before the command runs (once per
+process), and a read from outside, such as `unicusp.cli.check_single`,
+binds that name.  So a call imports the modules its command runs, and a
+`check` loads neither `classify` nor `germs`.
 """
 
 from __future__ import annotations
@@ -23,19 +30,6 @@ from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
 from operator import not_
 from typing import NamedTuple
-
-from .classify import degree_for_products, enumerate_candidates, sector_bounds, walk_sectors
-from .families import (
-    Candidate,
-    lucas_family,
-    lucas_family_neg,
-    orbit_candidates,
-    verify_fibonacci_identities,
-)
-from .germs import GermRecord, flex_check, germ_sequence
-from .obstruction import check_multi, check_single
-from .quadring import coprime_decompose, generating_set, has_solution
-from .semigroup import Semigroup, check_generators
 
 SCHEMA_VERSION = "1"
 
@@ -107,14 +101,14 @@ IDENTITIES_LMAX_MAX = 4000
 # local delta (for two cusps, the smaller local delta), and three or more
 # cusps first fold all but the largest by `convolve`, at most about
 # X^2 / 2 additions more; the estimate keeps X^2.  At degree * X =
-# 3 * 10^6, admissible two-cusp inputs took 0.14-0.35 s at 19-20 MB
+# 3 * 10^6, admissible two-cusp inputs took 0.10-0.29 s at 19-20 MB
 # (97,261;70,417 at d = 240, 94,191;145,526 at d = 312 and 47,481;41,867
 # at d = 241), and three <40, 43> cusps at d = 72 and 74, with
-# degree * X + X^2 = 2.8 * 10^6, took 0.13-0.14 s at 17 MB (five runs
-# each, on a loaded host); about 0.1 s of each is interpreter start and
-# imports.  A single cusp, from -a/-b or --pairs, holds no run starts and
-# meets only the degree bound.  All three bounds are checked before any
-# work.
+# degree * X + X^2 = 2.8 * 10^6, took 0.08-0.10 s at 17 MB (two sets of
+# five runs each, compiling the sources at each start); about 0.06 s of
+# each is interpreter start and imports.  A single cusp, from -a/-b or
+# --pairs, holds no run starts and meets only the degree bound.  All
+# three bounds are checked before any work.
 CHECK_DEGREE_MAX = 10 ** 5
 CHECK_PAIRS_DELTA_MAX = 10 ** 6
 CHECK_PAIRS_WORK_MAX = 3 * 10 ** 6
@@ -166,6 +160,9 @@ def _candidate_texts(cands, indent: str) -> tuple[list[str], list[str]]:
     None exactly off the line, and is read through `Candidate.element`
     only on it.
     """
+    # imported here, not bound by `run`: the writer has callers besides it
+    from .families import Candidate
+
     if not {*map(type, cands)} <= {Candidate}:
         raise TypeError("a candidate list holds Candidates only")
     i = indent + "  "
@@ -277,6 +274,10 @@ def _fail(message: str) -> int:
 
 
 def _cmd_semigroup(args) -> int:
+    try:
+        check_generators(args.a, args.b)
+    except ValueError as exc:
+        return _fail(f"invalid pair ({args.a}, {args.b}): {exc}")
     s = Semigroup(args.a, args.b)
     if args.query is None:
         if args.arg is not None:
@@ -423,9 +424,9 @@ def _cmd_enumerate(args) -> int:
     if args.genus < 0:
         return _fail(f"genus must be >= 0, got {args.genus}")
     if args.dmax < 1:
-        return _fail(f"d_max must be >= 1, got {args.dmax}")
+        return _fail(f"--dmax must be >= 1, got {args.dmax}")
     if args.jobs < 1:
-        return _fail(f"jobs must be >= 1, got {args.jobs}")
+        return _fail(f"--jobs must be >= 1, got {args.jobs}")
     report = enumerate_candidates(args.genus, args.dmax, allow_smooth=args.allow_smooth)
     if args.format == "tsv":
         sys.stdout.write(_enumerate_tsv(report))
@@ -790,6 +791,60 @@ def _table_parse(argv: list[str]) -> argparse.Namespace | None:
     return args
 
 
+# The package names each command reads, by command, and the module of
+# each.  They stay globals of this module, looked up at call time, so a
+# caller that rebinds one here (the benchmark's tracer does) is seen by
+# the commands.
+_COMMAND_NAMES = {
+    "semigroup": ("Semigroup", "check_generators"),
+    "check": ("check_generators", "check_multi", "check_single", "degree_for_products"),
+    "enumerate": ("enumerate_candidates",),
+    "pell": ("coprime_decompose", "generating_set", "has_solution", "orbit_candidates"),
+    "families": ("lucas_family", "lucas_family_neg"),
+    "sectors": ("sector_bounds", "walk_sectors"),
+    "germ": ("flex_check", "germ_sequence"),
+    "identities": ("verify_fibonacci_identities",),
+}
+_HOMES = {
+    name: module
+    for module, names in (
+        ("semigroup", ("Semigroup", "check_generators")),
+        ("obstruction", ("check_multi", "check_single", "degree_for_products")),
+        ("classify", ("enumerate_candidates", "sector_bounds", "walk_sectors")),
+        ("families", ("lucas_family", "lucas_family_neg", "orbit_candidates",
+                      "verify_fibonacci_identities")),
+        ("germs", ("flex_check", "germ_sequence")),
+        ("quadring", ("coprime_decompose", "generating_set", "has_solution")),
+    )
+    for name in names
+}
+# the commands whose names are bound
+_BOUND: set[str] = set()
+
+
+def __getattr__(name: str):
+    """Bind package name `name` into this module's globals, importing its
+    module, and return it; a name already bound never comes here."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ rather than importlib.import_module, which -X importtime
+    # does not report
+    module = __import__(f"{__package__}.{home}", fromlist=(name,))
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def _bind(command: str) -> None:
+    """Bind every name `command` reads; one bound already, perhaps
+    rebound by a caller, stays as it is."""
+    bound = globals()
+    for name in _COMMAND_NAMES[command]:
+        if name not in bound:
+            __getattr__(name)
+    _BOUND.add(command)
+
+
 def run(argv: list[str]) -> int:
     # Python's int-str digit limit is lifted, for arguments as well as
     # output, and the caller's setting restored; Pythons without the
@@ -802,6 +857,8 @@ def run(argv: list[str]) -> int:
             args = _parse(_attach_negative_windows(argv))
         except SystemExit as exc:
             return int(exc.code or 0)
+        if args.command not in _BOUND:
+            _bind(args.command)
         try:
             return args.func(args)
         except ValueError as exc:

@@ -66,7 +66,7 @@ still counts cells by their position in the full d(g+1)-cell grid.
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd
+from math import gcd, isqrt
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -402,6 +402,22 @@ def triangle_upper(s: Semigroup, degree: int, genus: int, j: int) -> bool:
         raise ValueError(f"genus must be >= 0, got {genus}")
     tri = (j + 1) * (j + 2) // 2
     return s.nth_element(tri + 1) > j * degree - 2 * genus
+
+
+def degree_for_products(product_sum: int, genus: int) -> int | None:
+    """Degree d with (d - 1)(d - 2) = product_sum + 2*genus, or None: the
+    degree-genus identity `_require_degree_genus` checks, solved for d.
+
+    product_sum is the sum of (a - 1)(b - 1) over the cusps.  The
+    discriminant 4*product_sum + 8*genus + 1 is odd, so when it is a
+    perfect square its root is odd and d = (root + 3) / 2 solves the
+    equation exactly.
+    """
+    disc = 4 * product_sum + 8 * genus + 1
+    root = isqrt(disc)
+    if root * root != disc:
+        return None
+    return (root + 3) // 2
 
 
 def _require_degree_genus(degree: int, genus: int, delta: int, label: str, *fields) -> None:

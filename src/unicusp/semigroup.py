@@ -24,7 +24,6 @@ time without tabulating it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import gcd
 from operator import add, lt
@@ -259,7 +258,6 @@ class Semigroup:
         return f"Semigroup({self._a}, {self._b})"
 
 
-@dataclass(frozen=True)
 class GapFunction:
     """Non-increasing step function given by its run starts.
 
@@ -270,21 +268,46 @@ class GapFunction:
     are 0 and each gap + 1.  Semigroup gap counting functions have this
     shape and the shape is closed under infimum convolution, so the run
     starts are all the state any convolution result needs.
+
+    Immutable, and equal to (and hashed like) another gap function exactly
+    when their run starts are equal.
     """
 
+    __slots__ = ("starts",)
     starts: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, starts):
         # any sequence is stored as a tuple: hashable, equal to the tuple
         # form, and unchanged when the caller's list changes
-        s = tuple(self.starts)
-        object.__setattr__(self, "starts", s)
+        s = tuple(starts)
         if not s or s[0] != 0:
             raise ValueError("starts must begin with 0")
         if not all(map(lt, s, s[1:])):
             raise ValueError("starts must be strictly increasing")
         if s[-1] > 2 * (len(s) - 1):
             raise ValueError("last start must be <= 2*delta")
+        object.__setattr__(self, "starts", s)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return GapFunction, (self.starts,)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GapFunction):
+            return NotImplemented
+        return self.starts == other.starts
+
+    def __hash__(self) -> int:
+        return hash(self.starts)
+
+    def __repr__(self) -> str:
+        return f"GapFunction(starts={self.starts!r})"
 
     @property
     def delta(self) -> int:

@@ -77,8 +77,11 @@ def test_semigroup_usage_errors(capsys):
     code, _, err = invoke(capsys, "semigroup", "-a", "4", "-b", "7",
                           "--query", "gamma", "--arg", "0")
     assert code == 2
-    code, _, err = invoke(capsys, "semigroup", "-a", "0", "-b", "7")
-    assert code == 2 and err.startswith("error:")
+    # a bad pair is named as `check` names it
+    for (a, b), reason in (((0, 7), "generator a must be >= 1, got 0"),
+                           ((4, 6), "generators must be coprime, got gcd(4, 6) = 2")):
+        assert invoke(capsys, "semigroup", "-a", str(a), "-b", str(b)) == (
+            2, "", f"error: invalid pair ({a}, {b}): {reason}\n")
 
 
 def test_check_accepts_admissible_candidate(capsys):
@@ -222,7 +225,7 @@ def test_enumerate_output_is_deterministic(capsys):
     assert first == second == parallel
     # --jobs changes nothing, but below 1 it is refused as a usage error
     assert invoke(capsys, "enumerate", "--genus", "1", "--dmax", "30", "--jobs", "0") == (
-        2, "", "error: jobs must be >= 1, got 0\n")
+        2, "", "error: --jobs must be >= 1, got 0\n")
 
 
 def test_json_round_trip(capsys):
@@ -423,7 +426,9 @@ def test_families_sectors_and_check_floors_name_their_flags(capsys):
                           (["check", "--genus", "1", "-a", "2", "-b", "5", "-d", "0"],
                            "-d must be >= 1, got 0"),
                           (["check", "--genus", "3", "--pairs", "2,3;2,5", "-d", "-2"],
-                           "-d must be >= 1, got -2")):
+                           "-d must be >= 1, got -2"),
+                          (["enumerate", "--genus", "1", "--dmax", "0"],
+                           "--dmax must be >= 1, got 0")):
         assert invoke(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 

@@ -22,10 +22,15 @@ import spans  # noqa: E402
 
 
 def _bindings():
-    """Every (owner, attribute) the tracer rebinds, with its current value."""
+    """Every (owner, attribute) the tracer rebinds, with its current value.
+
+    Each function name is resolved as `Tracer.install` resolves it: read
+    through getattr, which binds a name `unicusp.cli` resolves lazily,
+    then taken from the module's own namespace."""
     out = {}
     for module, attr, _, _ in spans.FUNCTION_PATCHES:
         mod = importlib.import_module(module)
+        getattr(mod, attr)
         out[(module, attr)] = mod.__dict__[attr]
     for module, cls_name, attr, _ in spans.METHOD_PATCHES:
         cls = getattr(importlib.import_module(module), cls_name)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -138,6 +140,10 @@ def test_gap_function_validation():
     assert f == GapFunction((0, 2)) and hash(f) == hash(GapFunction((0, 2)))
     starts.append(5)
     assert f.starts == (0, 2) and f.delta == 1
+    assert f != GapFunction((0,)) and f != (0, 2)
+    assert repr(f) == "GapFunction(starts=(0, 2))"
+    # copies and pickles rebuild an equal gap function
+    assert copy.copy(f) == pickle.loads(pickle.dumps(f)) == f
 
 
 def test_convolve_identity_and_symmetry():

@@ -31,21 +31,22 @@ can live.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, isqrt
 from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 # pair_to_element is unused here, but the benchmark tracer rebinds this name
 from .families import Candidate, fibonacci, pair_to_element  # noqa: F401
 from .obstruction import check_single, degree_for_products
 from .quadring import factorize
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class Sector:
+
+class Sector(NamedTuple):
     """Open slope interval between consecutive sector walls, with puncture."""
 
     l: int
@@ -54,8 +55,7 @@ class Sector:
     puncture: tuple[int, int]  # the wall pair (F_{2l-1}, F_{2l+3}) beneath the sector
 
 
-@dataclass(frozen=True)
-class SlopePair:
+class SlopePair(NamedTuple):
     """Pair of asymptotic slopes r - c*sqrt(D) and r + c*sqrt(D).
 
     `vertical` marks the degenerate case of a single finite slope paired
@@ -96,8 +96,7 @@ def _tags_for(c: Candidate) -> tuple[str, ...]:
     return tuple(tag for tag, step, member in _FAMILIES if member(a // step) == (g, a, b, d))
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Full outcome of an enumeration sweep at one genus."""
 
     g: int
@@ -262,6 +261,8 @@ def walk_sectors() -> Iterator[Sector]:
     F_k^2 - F_{k-2} F_{k+2} = (-1)^k at k = 2l + 1 gives q^2 = pr - 1, so
     q^2/p^2 < r/p < r^2/q^2 (both inequalities read q^2 < pr).
     """
+    from fractions import Fraction
+
     f_lo, f_mid, f_hi = 2, 5, 13
     low = Fraction(f_mid * f_mid, f_lo * f_lo)
     l = 2
@@ -282,6 +283,8 @@ def sector_of(a: int, b: int) -> Sector | None:
     or below the first wall 25/4, nor one sitting exactly on any wall.
     Any other slope lies below some wall, so the walk stops.
     """
+    from fractions import Fraction
+
     if a < 1 or b <= a:
         raise ValueError(f"need 1 <= a < b, got ({a}, {b})")
     t = 2 * b - 7 * a
@@ -321,6 +324,8 @@ def mediant_bound(m1: int, n1: int, m2: int, n2: int) -> tuple[Fraction, Fractio
     a >= (n1 + n2)/P where P = m2*n1 - m1*n2; the mediant attains both
     when P = 1.
     """
+    from fractions import Fraction
+
     if n1 < 1 or n2 < 1 or m1 < 1 or m2 < 1:
         raise ValueError("all of m1, n1, m2, n2 must be positive")
     if gcd(m1, n1) != 1 or gcd(m2, n2) != 1:
@@ -348,6 +353,8 @@ def asymptote_slopes(p, q) -> SlopePair:
     quadratic degenerates and the single finite slope is q^2, flagged
     vertical.
     """
+    from fractions import Fraction
+
     p, q = Fraction(p), Fraction(q)
     if p == 0:
         return SlopePair(

@@ -368,6 +368,13 @@ def _cmd_check(args) -> int:
                          f"total delta less the largest local delta)")
     if degree < 1:
         return _fail(f"-d must be >= 1, got {degree}")
+    # a derived degree meets the identity; an explicit -d is tested here,
+    # so that the library's mismatch text is never what a caller reads
+    # (each (a - 1)(b - 1) is even, so product_sum is 2 * delta)
+    lhs, rhs = (degree - 1) * (degree - 2), product_sum + 2 * args.genus
+    if lhs != rhs:
+        return _fail(f"-d {degree} does not pair genus {args.genus} with {pairs}: "
+                     f"(d-1)(d-2) = {lhs} but 2*(g + delta) = {rhs}")
     if single:
         verdict = check_single(args.a, args.b, args.genus, degree)
     else:

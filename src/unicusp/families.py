@@ -23,13 +23,14 @@ phi^-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .quadring import QuadInt, phi_power
 from .semigroup import check_generators
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def fibonacci(n: int) -> int:
@@ -253,8 +254,7 @@ def cremona_step(a: int, b: int, variant: str) -> tuple[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of the exact Fibonacci identity sweep plus two limit probes."""
 
     l_max: int
@@ -269,6 +269,8 @@ class IdentityReport:
 
 
 def _sqrt5_rational(digits: int) -> Fraction:
+    from fractions import Fraction
+
     scale = 10 ** digits
     return Fraction(isqrt(5 * scale * scale), scale)
 
@@ -290,6 +292,8 @@ def verify_fibonacci_identities(l_max: int) -> IdentityReport:
     then reported as floats; a failed identity lands in `failures`, never
     raises.
     """
+    from fractions import Fraction
+
     if l_max < 2:
         raise ValueError(f"l_max must be >= 2, got {l_max}")
     fails: list[str] = []

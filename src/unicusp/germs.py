@@ -49,20 +49,23 @@ off these computed lists, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, takewhile
 from operator import add, mul, not_, sub
+from typing import TYPE_CHECKING, NamedTuple
 
-Coeff = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Coeff = int | Fraction
 
 
-@dataclass(frozen=True)
 class PowerSeries:
     """Power series in t truncated at a fixed order (exclusive).
 
     coeffs[k] is the coefficient of t^k; len(coeffs) is the truncation
-    order.  A product truncates to the shorter operand.
+    order.  A product truncates to the shorter operand.  Immutable, and
+    equal to (and hashed like) another series exactly when their coeffs
+    are equal.
 
     No model and no command uses this class.  It keeps `__mul__` and
     `__rmul__` only because the benchmark's tracer (`perfbench/spans.py`)
@@ -70,7 +73,32 @@ class PowerSeries:
     `__dict__` to count series products per op, and every op counts none.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Coeff, ...]
+
+    def __init__(self, coeffs: tuple[Coeff, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return PowerSeries, (self.coeffs,)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:
@@ -84,6 +112,8 @@ class PowerSeries:
             rb = other.coeffs[:n][::-1]
             return PowerSeries(tuple([sum(map(mul, a[:k + 1], rb[n - 1 - k:]))
                                       for k in range(n)]))
+        from fractions import Fraction
+
         if isinstance(other, (int, Fraction)):
             return PowerSeries(tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -96,8 +126,7 @@ def _leading_zeros(coeffs: list[Coeff]) -> int:
     return len(list(takewhile(not_, coeffs)))
 
 
-@dataclass(frozen=True)
-class GermRecord:
+class GermRecord(NamedTuple):
     """One step of the node recursion: the polynomial and its local data."""
 
     n: int
@@ -225,8 +254,7 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class FlexReport:
+class FlexReport(NamedTuple):
     """Outcome of the flex-model collapse check for one exponent d."""
 
     d: int

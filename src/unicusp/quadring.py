@@ -20,20 +20,48 @@ anything the candidate searches need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
 class QuadInt:
-    """(u + v*sqrt5)/2 with u == v (mod 2)."""
+    """(u + v*sqrt5)/2 with u == v (mod 2).
 
+    Immutable, and equal to (and hashed like) another element exactly when
+    u and v are equal.  A `__slots__` class, not a tuple, so that `+`, `*`
+    and comparisons are the ring's and not a tuple's.
+    """
+
+    __slots__ = ("u", "v")
     u: int
     v: int
 
-    def __post_init__(self):
-        if (self.u - self.v) % 2 != 0:
-            raise ValueError(f"u and v must share parity, got ({self.u}, {self.v})")
+    def __init__(self, u: int, v: int):
+        if (u - v) % 2 != 0:
+            raise ValueError(f"u and v must share parity, got ({u}, {v})")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return QuadInt, (self.u, self.v)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadInt):
+            return NotImplemented
+        return self.u == other.u and self.v == other.v
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v))
+
+    def __repr__(self) -> str:
+        return f"QuadInt(u={self.u!r}, v={self.v!r})"
 
     @classmethod
     def from_int(cls, n: int) -> QuadInt:
@@ -151,8 +179,7 @@ def fundamental_prime(p: int) -> QuadInt:
     raise RuntimeError(f"no fundamental solution found for p={p} with y <= {p}")
 
 
-@dataclass(frozen=True)
-class PellDecomposition:
+class PellDecomposition(NamedTuple):
     """Shape certificate n = a_part * n_prime for coprime solvability."""
 
     n: int

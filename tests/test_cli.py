@@ -153,6 +153,18 @@ def test_check_negative_genus(capsys):
     assert invoke(capsys, "check", "--genus", "-9", "--pairs", "3,5;2,3") == with_d
 
 
+def test_check_degree_mismatch_names_the_flag(capsys):
+    # an explicit -d off the degree-genus identity is a usage error named
+    # by its flag, for one cusp given either way and for several
+    single = (2, "", "error: -d 3 does not pair genus 1 with [(2, 3)]: "
+                     "(d-1)(d-2) = 2 but 2*(g + delta) = 4\n")
+    assert invoke(capsys, "check", "--genus", "1", "-a", "2", "-b", "3", "-d", "3") == single
+    assert invoke(capsys, "check", "--genus", "1", "--pairs", "2,3", "-d", "3") == single
+    assert invoke(capsys, "check", "--genus", "3", "--pairs", "2,3;2,5", "-d", "6") == (
+        2, "", "error: -d 6 does not pair genus 3 with [(2, 3), (2, 5)]: "
+               "(d-1)(d-2) = 20 but 2*(g + delta) = 12\n")
+
+
 def test_check_bad_pair_named(capsys):
     # a bad pair is reported as such, never as "no integer degree", with
     # or without -d, alone or beside a good pair

@@ -2,14 +2,23 @@
 
 `import unicusp` loads no submodule, and `unicusp.cli` binds a command's
 package names only when that command runs, so a `check` never loads the
-enumeration, family, ring or germ code, nor `dataclasses`, and a `germ`
-never loads the obstruction or semigroup code.  Each case runs in a fresh
-interpreter, since a module once imported stays in `sys.modules`.
+enumeration, family, ring or germ code, and a `germ` never loads the
+obstruction or semigroup code.  No command loads `dataclasses`: the
+package's records are named tuples, and `QuadInt`, `PowerSeries` and
+`GapFunction` small `__slots__` classes.  `fractions` is imported only
+inside the functions that build a `Fraction`, so neither `enumerate` nor
+`germ` loads it, and `sectors` loads it when it runs.  Each case runs in
+a fresh interpreter, since a module once imported stays in `sys.modules`.
+The last tests pin what the records and slotted classes keep of the
+frozen dataclasses they replaced: no assignment, and equal copies.
 """
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +27,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHECK_SKIPS = {"unicusp.germs", "unicusp.classify", "unicusp.families", "unicusp.quadring",
                "dataclasses"}
-GERM_SKIPS = {"unicusp.obstruction", "unicusp.semigroup", "unicusp.classify"}
+GERM_SKIPS = {"unicusp.obstruction", "unicusp.semigroup", "unicusp.classify", "dataclasses",
+              "fractions"}
 
 
 def _fresh(code: str) -> list[str]:
@@ -44,12 +54,13 @@ def test_import_loads_no_submodule():
     (["germ", "--node", "5", "--order", "18"], GERM_SKIPS),
     (["germ", "--flex", "10"], GERM_SKIPS),
     # every other command runs on the names it binds alone
-    (["semigroup", "-a", "3", "-b", "5"], {"unicusp.classify", "unicusp.germs"}),
-    (["enumerate", "--genus", "1", "--dmax", "12"], {"unicusp.germs"}),
-    (["pell", "--genus", "3", "--orbit", "0:1"], {"unicusp.germs", "unicusp.classify"}),
-    (["families", "--k", "3", "--i", "4"], {"unicusp.germs", "unicusp.classify"}),
-    (["sectors", "--genus", "1", "--lmax", "4"], {"unicusp.germs"}),
-    (["identities", "--lmax", "5"], {"unicusp.germs", "unicusp.classify"}),
+    (["semigroup", "-a", "3", "-b", "5"], {"unicusp.classify", "unicusp.germs", "dataclasses"}),
+    (["enumerate", "--genus", "1", "--dmax", "12"], {"unicusp.germs", "dataclasses", "fractions"}),
+    (["pell", "--genus", "3", "--orbit", "0:1"],
+     {"unicusp.germs", "unicusp.classify", "dataclasses"}),
+    (["families", "--k", "3", "--i", "4"], {"unicusp.germs", "unicusp.classify", "dataclasses"}),
+    (["sectors", "--genus", "1", "--lmax", "4"], {"unicusp.germs", "dataclasses"}),
+    (["identities", "--lmax", "5"], {"unicusp.germs", "unicusp.classify", "dataclasses"}),
 ])
 def test_command_loads_only_its_modules(argv, skipped):
     code, *loaded = _fresh(
@@ -85,3 +96,69 @@ def test_gap_function_is_immutable():
     with pytest.raises(AttributeError):
         f.other = 1
     assert f.starts == (0, 2)
+
+
+def test_sectors_loads_fractions_on_demand():
+    # the walls are Fractions, built by a module imported inside the walk
+    before, code, after, first = _fresh(
+        "import io, json, sys, unicusp.cli\n"
+        "before = 'fractions' in sys.modules\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = unicusp.cli.run(['sectors', '--genus', '1', '--lmax', '3'])\n"
+        "text, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+        "sector = json.loads(text)['payload']['sectors'][0]\n"
+        "print(before, code, 'fractions' in sys.modules, sector['low'] + ',' + sector['high'])")
+    assert (before, code, after, first) == ("False", "0", "True", "25/4,169/25")
+
+
+@pytest.mark.parametrize("name, args", [
+    ("QuadInt", (3, 1)),
+    ("PowerSeries", ((1, Fraction(1, 2), 0),)),
+])
+def test_slotted_value_is_immutable_and_copies_equal(name, args):
+    import unicusp
+
+    cls = getattr(unicusp, name)
+    x = cls(*args)
+    for field in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(x, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.other = 1
+    assert [getattr(x, field) for field in cls.__slots__] == list(args)
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)), cls(*args)):
+        assert type(twin) is cls and twin == x and hash(twin) == hash(x)
+    assert x != args
+
+
+def test_slotted_values_print_as_before():
+    from unicusp import PowerSeries, QuadInt
+
+    assert repr(QuadInt(3, -1)) == "QuadInt(u=3, v=-1)"
+    assert str(QuadInt(3, 1)) == "(3+1*sqrt5)/2"
+    assert repr(PowerSeries((1, Fraction(1, 2)))) == (
+        "PowerSeries(coeffs=(1, Fraction(1, 2)))")
+    with pytest.raises(ValueError, match="u and v must share parity, got \\(1, 2\\)"):
+        QuadInt(1, 2)
+
+
+def test_named_tuple_records_refuse_assignment():
+    from unicusp import (EnumerationReport, FlexReport, GermRecord, IdentityReport,
+                         PellDecomposition, Sector, SlopePair)
+
+    records = [
+        GermRecord(n=1, polynomial=(((0, 1), 1),), c=1, valuation=2),
+        FlexReport(d=3, valuation=9, collapse_exact=True),
+        EnumerationReport(0, 1, False, (), (), (), ()),
+        Sector(l=2, low=Fraction(25, 4), high=Fraction(169, 25), puncture=(2, 13)),
+        SlopePair(Fraction(7, 2), Fraction(3, 2), 5),
+        IdentityReport(l_max=2, checks=16, failures=(), lim_gap_lower=0.0, lim_gap_upper=0.0),
+        PellDecomposition(n=20, a_part=20, n_prime=1, distinct_primes=0, class_count=1),
+    ]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 0)
+        assert record == tuple(record)
+    assert records[4].vertical is False

@@ -11,12 +11,19 @@ Exit codes: 0 success, 1 mathematical rejection (an inadmissible
 candidate in `check`, an identity failure), 2 usage or validation errors,
 reported on standard error.
 
-Loading this module imports only the standard library.  The package names
-a command reads resolve on first use: `run` binds the parsed command's
-names into this module's globals before the command runs (once per
-process), and a read from outside, such as `unicusp.cli.check_single`,
-binds that name.  So a call imports the modules its command runs, and a
-`check` loads neither `classify` nor `germs`.
+Loading this module imports only the standard library.  The commands read
+package names through this module (`_cli.check_single`): the first read
+of a name goes through the module `__getattr__`, which imports the name's
+module and binds the name into this module's globals.  So a call imports
+only what its command runs (a `check` loads neither `classify` nor
+`germs`), and a name a caller rebinds here, as the benchmark's tracer
+does, stays rebound.
+
+Each command is declared once, in `_COMMAND_ROWS`, and one loop builds,
+from its `add_argument` calls, both its subparser and the table that
+well-formed argvs are read off.  An option the table does not model (an
+action but store_true, such as append, store_const or count; any nargs;
+a typed string default) raises TypeError when the parser is built.
 """
 
 from __future__ import annotations
@@ -29,9 +36,11 @@ from functools import partial
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
 from operator import not_
-from typing import NamedTuple
 
 SCHEMA_VERSION = "1"
+
+# the module object, whose attributes the commands read (see above)
+_cli = sys.modules[__name__]
 
 # Germ input ceilings.  The cost of a germ grows with both its exponent and
 # the order, and a node germ prints about N^2 / 2 polynomial terms (1.9 MB
@@ -160,10 +169,7 @@ def _candidate_texts(cands, indent: str) -> tuple[list[str], list[str]]:
     None exactly off the line, and is read through `Candidate.element`
     only on it.
     """
-    # imported here, not bound by `run`: the writer has callers besides it
-    from .families import Candidate
-
-    if not {*map(type, cands)} <= {Candidate}:
+    if not {*map(type, cands)} <= {_cli.Candidate}:
         raise TypeError("a candidate list holds Candidates only")
     i = indent + "  "
     head = f'{{\n{i}"a": '
@@ -275,10 +281,9 @@ def _fail(message: str) -> int:
 
 def _cmd_semigroup(args) -> int:
     try:
-        check_generators(args.a, args.b)
+        s = _cli.Semigroup(args.a, args.b)
     except ValueError as exc:
         return _fail(f"invalid pair ({args.a}, {args.b}): {exc}")
-    s = Semigroup(args.a, args.b)
     if args.query is None:
         if args.arg is not None:
             return _fail("--arg requires --query")
@@ -335,20 +340,20 @@ def _cmd_check(args) -> int:
     if not single and args.pairs is None:
         return _fail("one of -a/-b or --pairs is required")
     if args.genus < 0:
-        return _fail(f"genus must be >= 0, got {args.genus}")
+        return _fail(f"--genus must be >= 0, got {args.genus}")
 
     pairs = [(args.a, args.b)] if single else _parse_pairs(args.pairs)
     # a bad pair can still yield an integer degree, or hide behind "no
     # integer degree", so every pair is validated before the degree
     for a, b in pairs:
         try:
-            check_generators(a, b)
+            _cli.check_generators(a, b)
         except ValueError as exc:
             return _fail(f"invalid pair ({a}, {b}): {exc}")
     product_sum = sum((a - 1) * (b - 1) for a, b in pairs)
     degree = args.d
     if degree is None:
-        degree = degree_for_products(product_sum, args.genus)
+        degree = _cli.degree_for_products(product_sum, args.genus)
         if degree is None:
             return _fail(
                 f"no integer degree pairs genus {args.genus} with {pairs}; pass -d explicitly"
@@ -376,9 +381,9 @@ def _cmd_check(args) -> int:
         return _fail(f"-d {degree} does not pair genus {args.genus} with {pairs}: "
                      f"(d-1)(d-2) = {lhs} but 2*(g + delta) = {rhs}")
     if single:
-        verdict = check_single(args.a, args.b, args.genus, degree)
+        verdict = _cli.check_single(args.a, args.b, args.genus, degree)
     else:
-        verdict = check_multi(pairs, args.genus, degree)
+        verdict = _cli.check_multi(pairs, args.genus, degree)
     sys.stdout.write(_check_json(pairs, args.genus, degree, verdict) + "\n")
     return 0 if verdict.admissible else 1
 
@@ -429,12 +434,12 @@ def _cmd_enumerate(args) -> int:
     if args.dmax > ENUMERATE_DMAX_MAX:
         return _fail(f"--dmax must be <= {ENUMERATE_DMAX_MAX}, got {args.dmax}")
     if args.genus < 0:
-        return _fail(f"genus must be >= 0, got {args.genus}")
+        return _fail(f"--genus must be >= 0, got {args.genus}")
     if args.dmax < 1:
         return _fail(f"--dmax must be >= 1, got {args.dmax}")
     if args.jobs < 1:
         return _fail(f"--jobs must be >= 1, got {args.jobs}")
-    report = enumerate_candidates(args.genus, args.dmax, allow_smooth=args.allow_smooth)
+    report = _cli.enumerate_candidates(args.genus, args.dmax, allow_smooth=args.allow_smooth)
     if args.format == "tsv":
         sys.stdout.write(_enumerate_tsv(report))
         return 0
@@ -446,7 +451,7 @@ def _cmd_pell(args) -> int:
     if (args.n is None) == (args.genus is None):
         return _fail("exactly one of --n or --genus is required")
     if args.genus is not None and args.genus < 0:
-        return _fail(f"genus must be >= 0, got {args.genus}")
+        return _fail(f"--genus must be >= 0, got {args.genus}")
     if args.genus is not None:
         n = 4 * (2 * args.genus - 1)
     else:
@@ -465,12 +470,12 @@ def _cmd_pell(args) -> int:
                          f"got {h_min}:{h_max}")
         if h_min > h_max:
             return _fail(f"empty exponent window [{h_min}, {h_max}]")
-    payload: dict = {"n": n, "genus": args.genus, "solvable": has_solution(n)}
-    dec = coprime_decompose(n) if n >= 1 else None
+    payload: dict = {"n": n, "genus": args.genus, "solvable": _cli.has_solution(n)}
+    dec = _cli.coprime_decompose(n) if n >= 1 else None
     gens = []
     payload["coprime"] = None
     if dec is not None:
-        gens = generating_set(n)
+        gens = _cli.generating_set(n)
         payload["coprime"] = {
             "a_part": dec.a_part,
             "n_prime": dec.n_prime,
@@ -488,7 +493,7 @@ def _cmd_pell(args) -> int:
             {
                 "generator": str(z),
                 "candidates": [_candidate_object(c)
-                               for c in orbit_candidates(z, args.genus, h_min, h_max)],
+                               for c in _cli.orbit_candidates(z, args.genus, h_min, h_max)],
             }
             for z in gens
         ]
@@ -506,10 +511,10 @@ def _cmd_families(args) -> int:
         if value is not None and value < floor:
             return _fail(f"{flag} must be >= {floor}, got {value}")
     if args.i is not None:
-        cand = lucas_family(args.k, args.i)
+        cand = _cli.lucas_family(args.k, args.i)
         which = {"i": args.i}
     else:
-        cand = lucas_family_neg(args.k, args.j)
+        cand = _cli.lucas_family_neg(args.k, args.j)
         which = {"j": args.j}
     _emit("families", {"k": args.k, **which, "candidate": _candidate_object(cand)})
     return 0
@@ -517,14 +522,14 @@ def _cmd_families(args) -> int:
 
 def _cmd_sectors(args) -> int:
     if args.lmax < 2:
-        return _fail("--lmax must be >= 2")
+        return _fail(f"--lmax must be >= 2, got {args.lmax}")
     if args.lmax > SECTORS_LMAX_MAX:
         return _fail(f"--lmax must be <= {SECTORS_LMAX_MAX}, got {args.lmax}")
     if args.genus < 1:
         return _fail(f"--genus must be >= 1, got {args.genus}")
     sectors = []
-    for sector in islice(walk_sectors(), args.lmax - 1):
-        a_max, b_max = sector_bounds(args.genus, sector.l)
+    for sector in islice(_cli.walk_sectors(), args.lmax - 1):
+        a_max, b_max = _cli.sector_bounds(args.genus, sector.l)
         sectors.append({
             "l": sector.l,
             "low": str(sector.low),
@@ -557,10 +562,10 @@ def _cmd_germ(args) -> int:
             return _fail(f"--order must be >= {order} for {flag} {size}, got {args.order}")
         order = args.order
     if args.node is not None:
-        records = germ_sequence(args.node, order)
+        records = _cli.germ_sequence(args.node, order)
         sys.stdout.write(_node_json(args.node, order, records) + "\n")
         return 0
-    report = flex_check(args.flex, order)
+    report = _cli.flex_check(args.flex, order)
     _emit("germ", {
         "model": "flex",
         "d": report.d,
@@ -576,7 +581,7 @@ def _cmd_identities(args) -> int:
         return _fail(f"--lmax must be <= {IDENTITIES_LMAX_MAX}, got {args.lmax}")
     if args.lmax < 2:
         return _fail(f"--lmax must be >= 2, got {args.lmax}")
-    report = verify_fibonacci_identities(args.lmax)
+    report = _cli.verify_fibonacci_identities(args.lmax)
     _emit("identities", {
         "l_max": report.l_max,
         "checks": report.checks,
@@ -601,121 +606,89 @@ def _orbit_window(text: str) -> tuple[int, int]:
 HELP_WIDTH = 78
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that wraps its text at HELP_WIDTH.  Subparsers are
-    made from the parent's class, so they wrap at the same width."""
+# Each command once: its name, its help line, its handler and its options,
+# each option the flag and keyword arguments of one `add_argument` call.
+_COMMAND_ROWS = (
+    ("semigroup", "gaps and counting functions of <a,b>", _cmd_semigroup, (
+        ("-a", {"type": int, "required": True}),
+        ("-b", {"type": int, "required": True}),
+        ("--query", {"choices": ["R", "I", "gamma"]}),
+        ("--arg", {"type": int}))),
+    ("check", "admissibility of a candidate at a degree", _cmd_check, (
+        ("--genus", {"type": int, "required": True}),
+        ("-a", {"type": int}),
+        ("-b", {"type": int}),
+        ("-d", {"type": int}),
+        ("--pairs", {"help": 'multi-cusp pair list "a1,b1;a2,b2"'}))),
+    ("enumerate", "sweep all candidate pairs up to a degree", _cmd_enumerate, (
+        ("--genus", {"type": int, "required": True}),
+        ("--dmax", {"type": int, "required": True}),
+        ("--allow-smooth", {"action": "store_true"}),
+        ("--format", {"choices": ["json", "tsv"], "default": "json"}),
+        ("--jobs", {"type": int, "default": 1}))),
+    ("pell", "solvability and generators of x^2 - 5y^2 = n", _cmd_pell, (
+        ("--n", {"type": int}),
+        ("--genus", {"type": int}),
+        ("--orbit", {"type": _orbit_window, "metavar": "HMIN:HMAX"}))),
+    ("families", "Lucas ladder candidates", _cmd_families, (
+        ("--k", {"type": int, "required": True}),
+        ("--i", {"type": int}),
+        ("--j", {"type": int}))),
+    ("sectors", "Fibonacci sector walls and search boxes", _cmd_sectors, (
+        ("--genus", {"type": int, "required": True}),
+        ("--lmax", {"type": int, "required": True}))),
+    ("germ", "local germ valuations on the two models", _cmd_germ, (
+        ("--node", {"type": int}),
+        ("--flex", {"type": int}),
+        ("--order", {"type": int}))),
+    ("identities", "exact Fibonacci identity sweep", _cmd_identities, (
+        ("--lmax", {"type": int, "required": True}),)),
+)
 
-    def __init__(self, **kwargs):
-        super().__init__(
-            formatter_class=partial(argparse.HelpFormatter, width=HELP_WIDTH), **kwargs)
+# The keyword arguments an option may pass: the parse table models an
+# option that stores one value, and store_true.
+_MODELLED = {"type", "choices", "default", "required", "help", "metavar", "action"}
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser, and its subparsers by command name."""
-    parser = _Parser(
-        prog="unicusp",
-        description="Exact arithmetic for cuspidal plane-curve candidates.",
-    )
+def _build_parser(rows) -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The parser of the command rows, and each command's parse table: the
+    namespace argparse starts it from (`command`, each option's default,
+    then `func`), each option string's (dest, type, choices), with type
+    None for store_true, and the option strings it requires.
+
+    An option the table does not model raises TypeError: a positional
+    one, a keyword argument outside _MODELLED (nargs, const, ...), an
+    action other than store_true, or a string default that its type
+    would convert.  So an option added later cannot be parsed wrong
+    unnoticed."""
+    formatter = partial(argparse.HelpFormatter, width=HELP_WIDTH)
+    parser = argparse.ArgumentParser(
+        prog="unicusp", description="Exact arithmetic for cuspidal plane-curve candidates.",
+        formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("semigroup", help="gaps and counting functions of <a,b>")
-    p.add_argument("-a", type=int, required=True)
-    p.add_argument("-b", type=int, required=True)
-    p.add_argument("--query", choices=["R", "I", "gamma"])
-    p.add_argument("--arg", type=int)
-    p.set_defaults(func=_cmd_semigroup)
-
-    p = sub.add_parser("check", help="admissibility of a candidate at a degree")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("-a", type=int)
-    p.add_argument("-b", type=int)
-    p.add_argument("-d", type=int)
-    p.add_argument("--pairs", help='multi-cusp pair list "a1,b1;a2,b2"')
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("enumerate", help="sweep all candidate pairs up to a degree")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--allow-smooth", action="store_true")
-    p.add_argument("--format", choices=["json", "tsv"], default="json")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("pell", help="solvability and generators of x^2 - 5y^2 = n")
-    p.add_argument("--n", type=int)
-    p.add_argument("--genus", type=int)
-    p.add_argument("--orbit", type=_orbit_window, metavar="HMIN:HMAX")
-    p.set_defaults(func=_cmd_pell)
-
-    p = sub.add_parser("families", help="Lucas ladder candidates")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--i", type=int)
-    p.add_argument("--j", type=int)
-    p.set_defaults(func=_cmd_families)
-
-    p = sub.add_parser("sectors", help="Fibonacci sector walls and search boxes")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--lmax", type=int, required=True)
-    p.set_defaults(func=_cmd_sectors)
-
-    p = sub.add_parser("germ", help="local germ valuations on the two models")
-    p.add_argument("--node", type=int)
-    p.add_argument("--flex", type=int)
-    p.add_argument("--order", type=int)
-    p.set_defaults(func=_cmd_germ)
-
-    p = sub.add_parser("identities", help="exact Fibonacci identity sweep")
-    p.add_argument("--lmax", type=int, required=True)
-    p.set_defaults(func=_cmd_identities)
-
-    return parser, sub.choices
-
-
-class _Table(NamedTuple):
-    """What a command's subparser does with a well-formed argv: the
-    namespace it starts from (`command` first, then its actions' defaults
-    and its set_defaults), each option string's (action, dest, type,
-    choices), with type None for store_true, and its required actions."""
-
-    namespace: dict
-    options: dict
-    required: frozenset
-
-
-def _build_table(name: str, sub: argparse.ArgumentParser) -> _Table:
-    """Command `name`'s table, read off its subparser's own actions and
-    set_defaults.  It models the kinds the commands use: a store taking
-    one value (nargs None), store_true and help.  Any other kind, a
-    mutually exclusive group or a typed string default raises TypeError,
-    so an option added later cannot be parsed wrong unnoticed."""
-    if sub._mutually_exclusive_groups:
-        raise TypeError(f"{name}: the parse table models no mutually exclusive group")
-    namespace, options, required = {}, {}, set()
-    for action in sub._actions:
-        kind = type(action)
-        if kind is argparse._HelpAction:
-            continue
-        if not (action.option_strings and not getattr(action, "deprecated", False)
-                and (kind is argparse._StoreAction and action.nargs is None
-                     or kind is argparse._StoreTrueAction)
-                and not (isinstance(action.default, str) and action.type is not None)):
-            raise TypeError(f"{name}: the parse table does not model {kind.__name__} "
-                            f"{action.option_strings or action.dest}")
-        if action.default is not argparse.SUPPRESS:
-            namespace.setdefault(action.dest, action.default)
-        entry = ((action, action.dest, None, None) if kind is argparse._StoreTrueAction
-                 else (action, action.dest, action.type or str, action.choices))
-        options.update(dict.fromkeys(action.option_strings, entry))
-        if action.required:
-            required.add(action)
-    for dest, value in sub._defaults.items():
-        namespace.setdefault(dest, value)
-    return _Table({"command": name, **namespace}, options, frozenset(required))
+    tables = {}
+    for name, help_line, func, options in rows:
+        p = sub.add_parser(name, help=help_line, formatter_class=formatter)
+        namespace, entries, required = {"command": name}, {}, set()
+        for flag, kwargs in options:
+            store_true = kwargs.get("action") == "store_true"
+            if (flag[:1] != "-" or kwargs.keys() - _MODELLED
+                    or "action" in kwargs and not store_true
+                    or "type" in kwargs and isinstance(kwargs.get("default"), str)):
+                raise TypeError(f"{name}: the parse table does not model {flag} {kwargs}")
+            action = p.add_argument(flag, **kwargs)
+            namespace[action.dest] = action.default
+            entries[flag] = ((action.dest, None, None) if store_true
+                             else (action.dest, action.type or str, action.choices))
+            if action.required:
+                required.add(flag)
+        p.set_defaults(func=func)
+        tables[name] = ({**namespace, "func": func}, entries, frozenset(required))
+    return parser, tables
 
 
 # parse_args leaves the parser as it was, so every call shares one
-_PARSER, _COMMANDS = _build_parser()
-_TABLES = {name: _build_table(name, sub) for name, sub in _COMMANDS.items()}
+_PARSER, _TABLES = _build_parser(_COMMAND_ROWS)
 
 _NEGATIVE_START = re.compile(r"-\d")
 
@@ -767,17 +740,18 @@ def _table_parse(argv: list[str]) -> argparse.Namespace | None:
     table = _TABLES.get(argv[0]) if argv else None
     if table is None:
         return None
-    values = table.namespace.copy()
+    namespace, options, required = table
+    values = namespace.copy()
     seen = set()
     tokens = iter(argv)
     next(tokens)
     for flag in tokens:
-        entry = table.options.get(flag)
+        entry = options.get(flag)
         if entry is None:
             return None
-        action, dest, convert, choices = entry
+        dest, convert, choices = entry
         if convert is None:
-            values[dest] = action.const
+            values[dest] = True
         else:
             # a missing value reads as one starting with "-"
             token = next(tokens, "-")
@@ -790,49 +764,25 @@ def _table_parse(argv: list[str]) -> argparse.Namespace | None:
             if choices is not None and value not in choices:
                 return None
             values[dest] = value
-        seen.add(action)
-    if not table.required <= seen:
+        seen.add(flag)
+    if not required <= seen:
         return None
     args = argparse.Namespace()
     vars(args).update(values)
     return args
 
 
-# The package names each command reads, by command, and the module of
-# each.  They stay globals of this module, looked up at call time, so a
-# caller that rebinds one here (the benchmark's tracer does) is seen by
-# the commands.
-_COMMAND_NAMES = {
-    "semigroup": ("Semigroup", "check_generators"),
-    "check": ("check_generators", "check_multi", "check_single", "degree_for_products"),
-    "enumerate": ("enumerate_candidates",),
-    "pell": ("coprime_decompose", "generating_set", "has_solution", "orbit_candidates"),
-    "families": ("lucas_family", "lucas_family_neg"),
-    "sectors": ("sector_bounds", "walk_sectors"),
-    "germ": ("flex_check", "germ_sequence"),
-    "identities": ("verify_fibonacci_identities",),
-}
-_HOMES = {
-    name: module
-    for module, names in (
-        ("semigroup", ("Semigroup", "check_generators")),
-        ("obstruction", ("check_multi", "check_single", "degree_for_products")),
-        ("classify", ("enumerate_candidates", "sector_bounds", "walk_sectors")),
-        ("families", ("lucas_family", "lucas_family_neg", "orbit_candidates",
-                      "verify_fibonacci_identities")),
-        ("germs", ("flex_check", "germ_sequence")),
-        ("quadring", ("coprime_decompose", "generating_set", "has_solution")),
-    )
-    for name in names
-}
-# the commands whose names are bound
-_BOUND: set[str] = set()
+# The package names the commands read that the package does not export;
+# every other name's module is in the package's own `_HOMES`.
+_PRIVATE_HOMES = {"check_generators": "semigroup", "degree_for_products": "obstruction"}
 
 
 def __getattr__(name: str):
     """Bind package name `name` into this module's globals, importing its
     module, and return it; a name already bound never comes here."""
-    home = _HOMES.get(name)
+    from . import _HOMES
+
+    home = _HOMES.get(name) or _PRIVATE_HOMES.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__ rather than importlib.import_module, which -X importtime
@@ -840,16 +790,6 @@ def __getattr__(name: str):
     module = __import__(f"{__package__}.{home}", fromlist=(name,))
     value = globals()[name] = getattr(module, name)
     return value
-
-
-def _bind(command: str) -> None:
-    """Bind every name `command` reads; one bound already, perhaps
-    rebound by a caller, stays as it is."""
-    bound = globals()
-    for name in _COMMAND_NAMES[command]:
-        if name not in bound:
-            __getattr__(name)
-    _BOUND.add(command)
 
 
 def run(argv: list[str]) -> int:
@@ -864,8 +804,6 @@ def run(argv: list[str]) -> int:
             args = _parse(_attach_negative_windows(argv))
         except SystemExit as exc:
             return int(exc.code or 0)
-        if args.command not in _BOUND:
-            _bind(args.command)
         try:
             return args.func(args)
         except ValueError as exc:

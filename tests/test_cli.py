@@ -1,4 +1,5 @@
 import ast
+import dis
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import types
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -148,7 +150,7 @@ def test_check_negative_genus(capsys):
     # without -d the degree formula would take the square root of a
     # negative discriminant; the genus is rejected first, as it is with -d
     with_d = invoke(capsys, "check", "--genus", "-9", "-a", "3", "-b", "5", "-d", "3")
-    assert with_d == (2, "", "error: genus must be >= 0, got -9\n")
+    assert with_d == (2, "", "error: --genus must be >= 0, got -9\n")
     assert invoke(capsys, "check", "--genus", "-9", "-a", "3", "-b", "5") == with_d
     assert invoke(capsys, "check", "--genus", "-9", "--pairs", "3,5;2,3") == with_d
 
@@ -321,7 +323,7 @@ def test_pell_usage_errors(capsys):
     assert invoke(capsys, "pell", "--genus", "1", "--orbit", "nonsense")[0] == 2
     # a negative genus is refused as `check` and `enumerate` refuse it; n may be negative
     assert invoke(capsys, "pell", "--genus", "-5") == (
-        2, "", "error: genus must be >= 0, got -5\n")
+        2, "", "error: --genus must be >= 0, got -5\n")
     assert invoke(capsys, "pell", "--n", "-44")[0] == 0
 
 
@@ -435,6 +437,10 @@ def test_families_sectors_and_check_floors_name_their_flags(capsys):
                           (["families", "--k", "3", "--j", "0"], "--j must be >= 1, got 0"),
                           (["sectors", "--genus", "0", "--lmax", "3"],
                            "--genus must be >= 1, got 0"),
+                          (["sectors", "--genus", "1", "--lmax", "1"],
+                           "--lmax must be >= 2, got 1"),
+                          (["enumerate", "--genus", "-1", "--dmax", "5"],
+                           "--genus must be >= 0, got -1"),
                           (["check", "--genus", "1", "-a", "2", "-b", "5", "-d", "0"],
                            "-d must be >= 1, got 0"),
                           (["check", "--genus", "3", "--pairs", "2,3;2,5", "-d", "-2"],
@@ -573,6 +579,32 @@ def test_unknown_subcommand(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
 
 
+def _code_objects(code):
+    """code and every code object nested in it (comprehensions, lambdas)."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def test_commands_read_package_names_through_the_module():
+    # a package name reaches `cli`'s globals only through the module
+    # `__getattr__`, so a bare global read of one would raise NameError on
+    # the first run of its branch; every function of `cli`, each command
+    # handler among them, reads them as attributes of the module instead
+    import unicusp
+
+    lazy = unicusp._HOMES.keys() | cli._PRIVATE_HOMES.keys()
+    functions = [f for f in vars(cli).values()
+                 if isinstance(f, types.FunctionType) and f.__module__ == cli.__name__]
+    handlers = {f.__name__ for f in functions if f.__name__.startswith("_cmd_")}
+    assert handlers == {row[2].__name__ for row in cli._COMMAND_ROWS} and len(handlers) == 8
+    bare = {(f.__name__, ins.argval) for f in functions for code in _code_objects(f.__code__)
+            for ins in dis.get_instructions(code)
+            if ins.opname == "LOAD_GLOBAL" and ins.argval in lazy}
+    assert not bare, bare
+
+
 def test_usage_and_help_ignore_the_terminal_width():
     # argparse reads COLUMNS when it wraps; each run is a fresh process, so
     # nothing computed at import time escapes the comparison
@@ -684,7 +716,7 @@ def test_pell_bound_refuses_before_factoring(capsys):
     # a negative genus, however large, is refused before the bound
     start = time.perf_counter()
     assert invoke(capsys, "pell", "--genus", "-125000000000") == (
-        2, "", "error: genus must be >= 0, got -125000000000\n")
+        2, "", "error: --genus must be >= 0, got -125000000000\n")
     assert time.perf_counter() - start < 1.0
     for argv in (["--n", str(PELL_N_MAX)], ["--n", str(-PELL_N_MAX)],
                  ["--genus", str(PELL_N_MAX // 8)]):

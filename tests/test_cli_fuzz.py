@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from unicusp.cli import _PARSER, _attach_negative_windows, _build_table, _parse, run
+from unicusp.cli import _PARSER, _attach_negative_windows, _build_parser, _parse, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -259,7 +259,5 @@ def test_benchmark_argvs_parse_without_argparse(monkeypatch):
     {"action": "count"}, {"type": int, "default": "3"},
 ])
 def test_parse_table_refuses_what_it_does_not_model(kwargs):
-    sub = argparse.ArgumentParser().add_subparsers().add_parser("x")
-    sub.add_argument("--y", **kwargs)
     with pytest.raises(TypeError, match="does not model"):
-        _build_table("x", sub)
+        _build_parser([("x", "", run, [("--y", kwargs)])])

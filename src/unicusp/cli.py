@@ -324,10 +324,10 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             a, b = map(int, chunk.split(","))
         except ValueError:
             # a wrong count of parts or a part int() refuses
-            raise ValueError(f"malformed pair {chunk!r}; expected 'a,b'") from None
+            raise ValueError(f"--pairs has a malformed pair {chunk!r}; expected 'a,b'") from None
         pairs.append((a, b))
     if not pairs:
-        raise ValueError("empty pair list")
+        raise ValueError(f"--pairs lists no pair, got {text!r}")
     return pairs
 
 
@@ -342,7 +342,10 @@ def _cmd_check(args) -> int:
     if args.genus < 0:
         return _fail(f"--genus must be >= 0, got {args.genus}")
 
-    pairs = [(args.a, args.b)] if single else _parse_pairs(args.pairs)
+    try:
+        pairs = [(args.a, args.b)] if single else _parse_pairs(args.pairs)
+    except ValueError as exc:
+        return _fail(str(exc))
     # a bad pair can still yield an integer degree, or hide behind "no
     # integer degree", so every pair is validated before the degree
     for a, b in pairs:
@@ -470,8 +473,10 @@ def _cmd_pell(args) -> int:
                          f"got {h_min}:{h_max}")
         if h_min > h_max:
             return _fail(f"empty exponent window [{h_min}, {h_max}]")
-    payload: dict = {"n": n, "genus": args.genus, "solvable": _cli.has_solution(n)}
     dec = _cli.coprime_decompose(n) if n >= 1 else None
+    # a coprime solution is a solution, so n is factored again only without one
+    payload: dict = {"n": n, "genus": args.genus,
+                     "solvable": dec is not None or _cli.has_solution(n)}
     gens = []
     payload["coprime"] = None
     if dec is not None:

@@ -53,19 +53,19 @@ from itertools import accumulate, takewhile
 from operator import add, mul, not_, sub
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import _Value
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
     Coeff = int | Fraction
 
 
-class PowerSeries:
+class PowerSeries(_Value):
     """Power series in t truncated at a fixed order (exclusive).
 
     coeffs[k] is the coefficient of t^k; len(coeffs) is the truncation
-    order.  A product truncates to the shorter operand.  Immutable, and
-    equal to (and hashed like) another series exactly when their coeffs
-    are equal.
+    order.  A product truncates to the shorter operand.
 
     No model and no command uses this class.  It keeps `__mul__` and
     `__rmul__` only because the benchmark's tracer (`perfbench/spans.py`)
@@ -78,27 +78,6 @@ class PowerSeries:
 
     def __init__(self, coeffs: tuple[Coeff, ...]):
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return PowerSeries, (self.coeffs,)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"PowerSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

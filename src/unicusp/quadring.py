@@ -23,13 +23,13 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import NamedTuple
 
+from . import _Value
 
-class QuadInt:
+
+class QuadInt(_Value):
     """(u + v*sqrt5)/2 with u == v (mod 2).
 
-    Immutable, and equal to (and hashed like) another element exactly when
-    u and v are equal.  A `__slots__` class, not a tuple, so that `+`, `*`
-    and comparisons are the ring's and not a tuple's.
+    Not a tuple, so that `+`, `*` and comparisons are the ring's.
     """
 
     __slots__ = ("u", "v")
@@ -41,27 +41,6 @@ class QuadInt:
             raise ValueError(f"u and v must share parity, got ({u}, {v})")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return QuadInt, (self.u, self.v)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuadInt):
-            return NotImplemented
-        return self.u == other.u and self.v == other.v
-
-    def __hash__(self) -> int:
-        return hash((self.u, self.v))
-
-    def __repr__(self) -> str:
-        return f"QuadInt(u={self.u!r}, v={self.v!r})"
 
     @classmethod
     def from_int(cls, n: int) -> QuadInt:
@@ -171,6 +150,11 @@ def fundamental_prime(p: int) -> QuadInt:
         raise ValueError(f"{p} is not prime")
     if p != 5 and p % 5 in (2, 3):
         raise ValueError(f"{p} is congruent to +-2 mod 5; no solution exists")
+    return _least_solution(p)
+
+
+def _least_solution(p: int) -> QuadInt:
+    """`fundamental_prime(p)` for a p known to be a prime with a solution."""
     for y in range(p + 1):
         x2 = p + 5 * y * y
         x = isqrt(x2)
@@ -194,15 +178,19 @@ def coprime_decompose(n: int) -> PellDecomposition | None:
 
     Absent exactly when 8 | n, 25 | n, or some prime +-2 mod 5 divides n.
     """
+    return _decompose(n)[0]
+
+
+def _decompose(n: int) -> tuple[PellDecomposition | None, dict[int, int]]:
+    """`coprime_decompose(n)`, and the factorisation of n less its powers
+    of 2 and 5, which is n_prime's when n has coprime solutions."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     fac = factorize(n)
     e2, e5 = fac.get(2, 0), fac.get(5, 0)
-    if e2 not in (0, 2) or e5 > 1:
-        return None
     rest = {p: e for p, e in fac.items() if p not in (2, 5)}
-    if any(p % 5 in (2, 3) for p in rest):
-        return None
+    if e2 not in (0, 2) or e5 > 1 or any(p % 5 in (2, 3) for p in rest):
+        return None, rest
     a_part = (4 if e2 else 1) * (5 if e5 else 1)
     omega = len(rest)
     return PellDecomposition(
@@ -211,7 +199,7 @@ def coprime_decompose(n: int) -> PellDecomposition | None:
         n_prime=n // a_part,
         distinct_primes=omega,
         class_count=1 if omega == 0 else 2 ** (omega - 1),
-    )
+    ), rest
 
 
 _A_PART_ELEMENT = {
@@ -231,13 +219,12 @@ def generating_set(n: int) -> list[QuadInt]:
     element has norm n: the norm is multiplicative, and `canonical` moves
     only by units of norm 1, negation and conjugation, which all keep it.
     """
-    dec = coprime_decompose(n)
+    dec, fac = _decompose(n)
     if dec is None:
         raise ValueError(f"n={n} admits no coprime solutions")
     acc = [_A_PART_ELEMENT[dec.a_part]]
-    fac = factorize(dec.n_prime) if dec.n_prime > 1 else {}
     for idx, p in enumerate(sorted(fac)):
-        alpha = fundamental_prime(p) ** fac[p]
+        alpha = _least_solution(p) ** fac[p]
         if idx == 0:
             acc = [z * alpha for z in acc]
         else:

@@ -28,6 +28,8 @@ from itertools import accumulate, chain
 from math import gcd
 from operator import add, lt
 
+from . import _Value
+
 
 # Past 2b a gap count by `_floor_sum` took 1.4-4.6 us against 0.4-0.7 us
 # from the residue-sum table, whose build took 170-280 ns per unit of a,
@@ -258,7 +260,7 @@ class Semigroup:
         return f"Semigroup({self._a}, {self._b})"
 
 
-class GapFunction:
+class GapFunction(_Value):
     """Non-increasing step function given by its run starts.
 
     starts = (c_0, ..., c_delta) with 0 = c_0 < c_1 < ... < c_delta <=
@@ -268,9 +270,6 @@ class GapFunction:
     are 0 and each gap + 1.  Semigroup gap counting functions have this
     shape and the shape is closed under infimum convolution, so the run
     starts are all the state any convolution result needs.
-
-    Immutable, and equal to (and hashed like) another gap function exactly
-    when their run starts are equal.
     """
 
     __slots__ = ("starts",)
@@ -287,27 +286,6 @@ class GapFunction:
         if s[-1] > 2 * (len(s) - 1):
             raise ValueError("last start must be <= 2*delta")
         object.__setattr__(self, "starts", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return GapFunction, (self.starts,)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GapFunction):
-            return NotImplemented
-        return self.starts == other.starts
-
-    def __hash__(self) -> int:
-        return hash(self.starts)
-
-    def __repr__(self) -> str:
-        return f"GapFunction(starts={self.starts!r})"
 
     @property
     def delta(self) -> int:

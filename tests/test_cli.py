@@ -142,8 +142,14 @@ def test_check_non_integer_pair_named(capsys):
     # the wrong number of parts, never in Python's own message
     for text, chunk in (("a,b", "a,b"), ("2,3.5", "2,3.5"), ("2,3;2,x", "2,x"),
                         ("2", "2"), ("2,3,5", "2,3,5")):
-        expect = (2, "", f"error: malformed pair '{chunk}'; expected 'a,b'\n")
+        expect = (2, "", f"error: --pairs has a malformed pair '{chunk}'; expected 'a,b'\n")
         assert invoke(capsys, "check", "--genus", "0", "--pairs", text) == expect
+    # a bare negative number is taken as a malformed pair, and a list of
+    # separators as no pair at all, both named by the flag
+    assert invoke(capsys, "check", "--genus", "13", "--pairs", "-411175") == (
+        2, "", "error: --pairs has a malformed pair '-411175'; expected 'a,b'\n")
+    assert invoke(capsys, "check", "--genus", "3", "--pairs", " ; ") == (
+        2, "", "error: --pairs lists no pair, got ' ; '\n")
 
 
 def test_check_negative_genus(capsys):
@@ -304,14 +310,26 @@ def test_pell_orbit_negative_window(capsys):
         assert "-2:4" in err or "expected one argument" in err, argv
 
 
-def test_pell_orbit_reuses_generators(capsys, monkeypatch):
-    # one factorisation each for has_solution, coprime_decompose and the
-    # generating set, which --orbit reuses
+def _factorized(capsys, monkeypatch, *argv) -> list[int]:
+    """The numbers `quadring.factorize` is called on while argv runs."""
     calls = []
     factorize = quadring.factorize
     monkeypatch.setattr(quadring, "factorize", lambda n: calls.append(n) or factorize(n))
-    assert invoke(capsys, "pell", "--genus", "1", "--orbit", "0:50")[0] == 0
-    assert len(calls) == 3
+    assert invoke(capsys, *argv)[0] == 0
+    return calls
+
+
+def test_pell_orbit_reuses_generators(capsys, monkeypatch):
+    # one factorisation each for coprime_decompose, whose certificate makes
+    # has_solution's unnecessary, and the generating set, which --orbit
+    # reuses
+    assert _factorized(capsys, monkeypatch, "pell", "--genus", "1", "--orbit", "0:50") == [4, 4]
+
+
+def test_pell_prime_n_is_factored_twice(capsys, monkeypatch):
+    # a prime +-1 mod 5 is its own n_prime: the generating set reads its
+    # primes off n's factorisation and re-checks none of them for primality
+    assert _factorized(capsys, monkeypatch, "pell", "--n", "1000039") == [1000039] * 2
 
 
 def test_pell_usage_errors(capsys):

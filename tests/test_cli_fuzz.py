@@ -6,7 +6,8 @@ a flag or its value dropped, a value replaced by zero, a negative number
 or a malformed token, a flag repeated, an unknown or foreign flag or
 --help appended, the flags shuffled.  Whatever the argv, `run` must
 return 0, 1 or 2, never raise, never print a traceback, and return
-within a per-argv budget.  On every argv, `cli._parse` must also give
+within a per-argv budget, and no `ValueError` or `RuntimeError` may
+escape the command's own handler.  On every argv, `cli._parse` must also give
 what `_PARSER.parse_args` gives, and on the benchmark's well-formed argvs
 it must give it without running argparse.
 """
@@ -193,6 +194,23 @@ def test_fuzzed_argvs_exit_cleanly(capsys):
     assert codes.keys() == VALID.keys()
     assert all({0, 2} <= seen for seen in codes.values()), codes
     assert 1 in codes["check"]
+
+
+def test_fuzzed_argvs_fail_inside_their_handlers(capsys):
+    # each command reports its own errors, named by the flag: none reaches
+    # `run`'s catch-all, which prints the library's text as it is
+    escaped = []
+    for argv in _fuzzed_argvs():
+        try:
+            args = _parse(_attach_negative_windows(argv))
+        except SystemExit:
+            continue
+        try:
+            args.func(args)
+        except (ValueError, RuntimeError) as exc:
+            escaped.append((argv, exc))
+    capsys.readouterr()
+    assert escaped == []
 
 
 def _parsed(parse, argv, capsys):

@@ -9,8 +9,10 @@ package's records are named tuples, and `QuadInt`, `PowerSeries` and
 inside the functions that build a `Fraction`, so neither `enumerate` nor
 `germ` loads it, and `sectors` loads it when it runs.  Each case runs in
 a fresh interpreter, since a module once imported stays in `sys.modules`.
-The last tests pin what the records and slotted classes keep of the
-frozen dataclasses they replaced: no assignment, and equal copies.
+The last tests pin what the records keep of the frozen dataclasses they
+replaced, and the protocol of `unicusp._Value`, the one frozen-value base
+of the slotted classes: no assignment, equality and hashing by class and
+fields, equal copies and pickles, and the reprs the dataclasses printed.
 """
 
 import copy
@@ -85,19 +87,6 @@ def test_names_resolve_to_their_modules():
     assert out == ["True"] * 4
 
 
-def test_gap_function_is_immutable():
-    from unicusp import GapFunction
-
-    f = GapFunction((0, 2))
-    with pytest.raises(AttributeError):
-        f.starts = (0,)
-    with pytest.raises(AttributeError):
-        del f.starts
-    with pytest.raises(AttributeError):
-        f.other = 1
-    assert f.starts == (0, 2)
-
-
 def test_sectors_loads_fractions_on_demand():
     # the walls are Fractions, built by a module imported inside the walk
     before, code, after, first = _fresh(
@@ -111,14 +100,29 @@ def test_sectors_loads_fractions_on_demand():
     assert (before, code, after, first) == ("False", "0", "True", "25/4,169/25")
 
 
-@pytest.mark.parametrize("name, args", [
-    ("QuadInt", (3, 1)),
-    ("PowerSeries", ((1, Fraction(1, 2), 0),)),
-])
-def test_slotted_value_is_immutable_and_copies_equal(name, args):
+# one value of each class on the frozen-value base, by its constructor's
+# arguments, which are its fields
+VALUES = {
+    "GapFunction": ((0, 1, 3, 4, 7),),
+    "QuadInt": (3, -1),
+    "PowerSeries": ((1, Fraction(1, 2), 0),),
+}
+
+
+@pytest.mark.parametrize("name, text, pickled", [
+    ("GapFunction", "GapFunction(starts=(0, 1, 3, 4, 7))",
+     b"\x80\x02cunicusp.semigroup\nGapFunction\nq\x00(K\x00K\x01K\x03K\x04K\x07tq\x01"
+     b"\x85q\x02Rq\x03."),
+    ("QuadInt", "QuadInt(u=3, v=-1)",
+     b"\x80\x02cunicusp.quadring\nQuadInt\nq\x00K\x03J\xff\xff\xff\xff\x86q\x01Rq\x02."),
+    ("PowerSeries", "PowerSeries(coeffs=(1, Fraction(1, 2), 0))",
+     b"\x80\x02cunicusp.germs\nPowerSeries\nq\x00K\x01cfractions\nFraction\nq\x01K\x01K"
+     b"\x02\x86q\x02Rq\x03K\x00\x87q\x04\x85q\x05Rq\x06."),
+], ids=VALUES)
+def test_frozen_value_protocol(name, text, pickled):
     import unicusp
 
-    cls = getattr(unicusp, name)
+    cls, args = getattr(unicusp, name), VALUES[name]
     x = cls(*args)
     for field in cls.__slots__:
         with pytest.raises(AttributeError):
@@ -128,9 +132,19 @@ def test_slotted_value_is_immutable_and_copies_equal(name, args):
     with pytest.raises(AttributeError):
         x.other = 1
     assert [getattr(x, field) for field in cls.__slots__] == list(args)
-    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)), cls(*args)):
+    # pickled is what the hand-written protocol each class had before the
+    # shared base wrote, at protocol 2
+    twins = (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)),
+             pickle.loads(pickled), cls(*args))
+    for twin in twins:
         assert type(twin) is cls and twin == x and hash(twin) == hash(x)
     assert x != args
+    assert repr(x) == text
+    others = [getattr(unicusp, other)(*a) for other, a in VALUES.items() if other != name]
+    assert all(x != y and y != x for y in others)
+    # the constructor still takes every field
+    with pytest.raises(TypeError):
+        cls(*args[:-1])
 
 
 def test_slotted_values_print_as_before():

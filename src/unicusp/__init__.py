@@ -30,7 +30,7 @@ _HOMES = {
         ("classify", ("EnumerationReport", "Sector", "SlopePair", "asymptote_slopes",
                       "degree_for", "enumerate_candidates", "exceptional_family",
                       "mediant_bound", "sector_bounds", "sector_of", "walk_sectors")),
-        ("germs", ("FlexReport", "GermRecord", "PowerSeries", "flex_check", "germ_sequence")),
+        ("germs", ("FlexReport", "GermRecord", "flex_check", "germ_sequence")),
     )
     for name in names
 }

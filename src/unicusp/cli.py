@@ -473,7 +473,7 @@ def _cmd_pell(args) -> int:
                          f"got {h_min}:{h_max}")
         if h_min > h_max:
             return _fail(f"empty exponent window [{h_min}, {h_max}]")
-    dec = _cli.coprime_decompose(n) if n >= 1 else None
+    dec = _cli.coprime_decompose(n)
     # a coprime solution is a solution, so n is factored again only without one
     payload: dict = {"n": n, "genus": args.genus,
                      "solvable": dec is not None or _cli.has_solution(n)}

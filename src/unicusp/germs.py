@@ -5,7 +5,7 @@ denominator, so every result stays exact.
 
 Neither model below multiplies two series: both run on plain int lists
 or sparse maps, where multiplying by a monomial is a shift.  `PowerSeries`
-keeps only a truncated product, which no model calls (see its docstring).
+is a placeholder with no fields and no product (see its docstring).
 
 The node model is the parametrization x(t) = t/(1 + t^3),
 y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
@@ -50,10 +50,8 @@ off these computed lists, not assumed.
 from __future__ import annotations
 
 from itertools import accumulate, takewhile
-from operator import add, mul, not_, sub
+from operator import add, not_, sub
 from typing import TYPE_CHECKING, NamedTuple
-
-from . import _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -61,40 +59,14 @@ if TYPE_CHECKING:
     Coeff = int | Fraction
 
 
-class PowerSeries(_Value):
-    """Power series in t truncated at a fixed order (exclusive).
-
-    coeffs[k] is the coefficient of t^k; len(coeffs) is the truncation
-    order.  A product truncates to the shorter operand.
-
-    No model and no command uses this class.  It keeps `__mul__` and
-    `__rmul__` only because the benchmark's tracer (`perfbench/spans.py`)
-    and `tests/test_perfbench_compat.py` look both up in the class
-    `__dict__` to count series products per op, and every op counts none.
-    """
-
-    __slots__ = ("coeffs",)
-    coeffs: tuple[Coeff, ...]
-
-    def __init__(self, coeffs: tuple[Coeff, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
+class PowerSeries:
+    """A placeholder kept only for the benchmark's tracer, which rebinds
+    `__mul__` and `__rmul__` from this class's own `__dict__` to count
+    series products per op (`perfbench/spans.py`); no model multiplies two
+    series, so every op counts none.  It goes when the tracer stops looking
+    it up (ROADMAP item 3)."""
 
     def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            # coefficient k is a[0] b[k] + a[1] b[k-1] + ... + a[k] b[0]
-            n = min(self.order, other.order)
-            a = self.coeffs
-            rb = other.coeffs[:n][::-1]
-            return PowerSeries(tuple([sum(map(mul, a[:k + 1], rb[n - 1 - k:]))
-                                      for k in range(n)]))
-        from fractions import Fraction
-
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries(tuple(c * other for c in self.coeffs))
         return NotImplemented
 
     __rmul__ = __mul__

@@ -12,7 +12,9 @@ solutions (gcd(x, y) = 1) are rarer: they exist iff n = a * n' with
 a in {1, 4, 5, 20} and n' a product of primes congruent to +-1 mod 5; the
 solutions then fall into exactly 2^(omega(n') - 1) orbits (one when n' = 1),
 generated by fixing one fundamental solution per a-part and per prime and
-flipping independent conjugation choices.
+flipping independent conjugation choices.  A negative n has n' < 0: phi
+has norm -1, so multiplying by phi maps the orbits of -n one to one onto
+those of n.
 
 Factorisation is plain trial division; fine up to roughly 10^12, far above
 anything the candidate searches need.
@@ -177,15 +179,18 @@ def coprime_decompose(n: int) -> PellDecomposition | None:
     """Certificate that x^2 - 5y^2 = n admits coprime solutions, else None.
 
     Absent exactly when 8 | n, 25 | n, or some prime +-2 mod 5 divides n.
+    A negative n has the certificate of -n with n and n_prime negated, so
+    n = a_part * n_prime still holds: -n and n have coprime solutions
+    together, in as many orbits (see `generating_set`).
     """
     return _decompose(n)[0]
 
 
 def _decompose(n: int) -> tuple[PellDecomposition | None, dict[int, int]]:
-    """`coprime_decompose(n)`, and the factorisation of n less its powers
+    """`coprime_decompose(n)`, and the factorisation of |n| less its powers
     of 2 and 5, which is n_prime's when n has coprime solutions."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if n == 0:
+        raise ValueError("n must be nonzero")
     fac = factorize(n)
     e2, e5 = fac.get(2, 0), fac.get(5, 0)
     rest = {p: e for p, e in fac.items() if p not in (2, 5)}
@@ -218,7 +223,17 @@ def generating_set(n: int) -> list[QuadInt]:
     prime's choice is fixed to kill the global conjugation symmetry.  Every
     element has norm n: the norm is multiplicative, and `canonical` moves
     only by units of norm 1, negation and conjugation, which all keep it.
+
+    A negative n takes phi times each generator of -n.  phi^3 = 2 + sqrt5
+    has norm -1 and sends x + y*sqrt5 to (2x + 5y) + (x + 2y)*sqrt5, a
+    change of coordinates of determinant -1, so it maps the coprime
+    solutions of -n one to one onto those of n.  It maps orbits to orbits,
+    as phi^3 * conj(z) = -phi^6 * conj(phi^3 * z), and phi * z lies in the
+    orbit of phi^3 * z.  So the images are one per orbit of n.
     """
+    if n < 0:
+        return sorted((canonical(PHI * z) for z in generating_set(-n)),
+                      key=lambda z: (z.u, z.v))
     dec, fac = _decompose(n)
     if dec is None:
         raise ValueError(f"n={n} admits no coprime solutions")

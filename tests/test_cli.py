@@ -277,6 +277,37 @@ def test_pell_by_n(capsys):
     }
 
 
+def test_pell_negative_n(capsys):
+    # phi has norm -1, so -4 carries 4's certificate, negated, and phi
+    # times its generator: (1, 1) is a coprime solution of x^2 - 5y^2 = -4
+    code, out, _ = invoke(capsys, "pell", "--n", "-4")
+    assert code == 0
+    _, payload = payload_of(out)
+    assert payload["solvable"] is True
+    assert payload["coprime"] == {
+        "a_part": 4,
+        "n_prime": -1,
+        "distinct_primes": 0,
+        "class_count": 1,
+        "generators": ["1+1*sqrt5"],
+    }
+
+
+def test_pell_orbit_at_genus_zero(capsys):
+    # genus 0 (n = -4) puts the Fibonacci pairs on the 3d line, as
+    # `enumerate --genus 0` does
+    code, out, _ = invoke(capsys, "pell", "--genus", "0", "--orbit=-6:6")
+    assert code == 0
+    _, payload = payload_of(out)
+    assert payload["n"] == -4
+    [orbit] = payload["orbits"]
+    assert orbit["generator"] == "1+1*sqrt5"
+    triples = [(c["a"], c["b"], c["d"]) for c in orbit["candidates"]]
+    assert triples == [(1, 2, 1), (1, 5, 2), (2, 13, 5), (5, 34, 13), (13, 89, 34),
+                       (34, 233, 89)]
+    assert all(c["g"] == 0 and c["on_3d_line"] for c in orbit["candidates"])
+
+
 def test_pell_orbit(capsys):
     code, out, _ = invoke(capsys, "pell", "--genus", "1", "--orbit", "0:3")
     assert code == 0
@@ -346,8 +377,8 @@ def test_pell_usage_errors(capsys):
 
 
 def test_pell_reversed_orbit_window(capsys):
-    # the window is checked before the generators are known, so genus 0
-    # (n = -4) and genus 2 (n = 12), which have none, reject it too
+    # the window is checked before the generators are known, so genus 2
+    # (n = 12), which has none, rejects it too
     results = [invoke(capsys, "pell", "--genus", genus, "--orbit", "3:1")
                for genus in ("0", "1", "2")]
     assert results == [(2, "", "error: empty exponent window [3, 1]\n")] * 3

@@ -50,6 +50,9 @@ EXTRA_ARGVS = [
     ["semigroup", "-a", "7", "-b", "9"],
     ["semigroup", "-a", "7", "-b", "9", "--query", "gamma", "--arg", "5"],
     ["pell", "--n", "-20"],
+    # a negative n takes phi times the generators of -n
+    ["pell", "--n", "-4"],
+    ["pell", "--genus", "0", "--orbit=-6:6"],
     ["identities", "--lmax", "50"],
     ["germ", "--flex", "7"],
     # node steps render from their own template

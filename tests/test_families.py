@@ -202,7 +202,7 @@ def test_orbit_candidates_step_matches_powers():
 def test_genus_mod_three_trichotomy():
     # 2g-1 = 0 mod 3 (i.e. g = 2 mod 3) makes 3 divide every solution pair,
     # so no coprime solutions and no candidate pairs at all
-    for g in range(1, 31):
+    for g in range(31):
         n = 4 * (2 * g - 1)
         if g % 3 == 2:
             assert not oracles.has_coprime_solution(n, 300), g
@@ -219,6 +219,20 @@ def test_genus_mod_three_trichotomy():
                     parities.add(h % 2)
             if g % 3 == 1:
                 assert len(parities) <= 1, (g, parities)
+
+
+def test_orbits_and_enumeration_agree_on_the_3d_line():
+    # the two roads to the 3d line: the degree walk's on-line candidates
+    # are exactly the pairs in the phi^2-orbits of the coprime generators of
+    # 4(2g - 1), at every genus, g = 0 (n = -4) included
+    for g in range(41):
+        n = 4 * (2 * g - 1)
+        gens = generating_set(n) if coprime_decompose(n) is not None else []
+        from_orbits = sorted({(c.a, c.b, c.d) for z in gens
+                              for c in orbit_candidates(z, g, -12, 12) if c.d <= 400})
+        walked = sorted((c.a, c.b, c.d)
+                        for c in enumerate_candidates(g, 400, allow_smooth=True).on_3d_line)
+        assert walked == from_orbits, g
 
 
 def test_trichotomy_both_parities_at_genus_three():

@@ -4,15 +4,16 @@
 package names only when that command runs, so a `check` never loads the
 enumeration, family, ring or germ code, and a `germ` never loads the
 obstruction or semigroup code.  No command loads `dataclasses`: the
-package's records are named tuples, and `QuadInt`, `PowerSeries` and
-`GapFunction` small `__slots__` classes.  `fractions` is imported only
+package's records are named tuples, and `QuadInt` and `GapFunction`
+small `__slots__` classes.  `fractions` is imported only
 inside the functions that build a `Fraction`, so neither `enumerate` nor
 `germ` loads it, and `sectors` loads it when it runs.  Each case runs in
 a fresh interpreter, since a module once imported stays in `sys.modules`.
 The last tests pin what the records keep of the frozen dataclasses they
 replaced, and the protocol of `unicusp._Value`, the one frozen-value base
-of the slotted classes: no assignment, equality and hashing by class and
-fields, equal copies and pickles, and the reprs the dataclasses printed.
+of the two slotted classes: no assignment, equality and hashing by class
+and fields, equal copies and pickles, and the reprs the dataclasses
+printed.
 """
 
 import copy
@@ -105,7 +106,6 @@ def test_sectors_loads_fractions_on_demand():
 VALUES = {
     "GapFunction": ((0, 1, 3, 4, 7),),
     "QuadInt": (3, -1),
-    "PowerSeries": ((1, Fraction(1, 2), 0),),
 }
 
 
@@ -115,9 +115,6 @@ VALUES = {
      b"\x85q\x02Rq\x03."),
     ("QuadInt", "QuadInt(u=3, v=-1)",
      b"\x80\x02cunicusp.quadring\nQuadInt\nq\x00K\x03J\xff\xff\xff\xff\x86q\x01Rq\x02."),
-    ("PowerSeries", "PowerSeries(coeffs=(1, Fraction(1, 2), 0))",
-     b"\x80\x02cunicusp.germs\nPowerSeries\nq\x00K\x01cfractions\nFraction\nq\x01K\x01K"
-     b"\x02\x86q\x02Rq\x03K\x00\x87q\x04\x85q\x05Rq\x06."),
 ], ids=VALUES)
 def test_frozen_value_protocol(name, text, pickled):
     import unicusp
@@ -147,13 +144,19 @@ def test_frozen_value_protocol(name, text, pickled):
         cls(*args[:-1])
 
 
+def test_frozen_values_are_the_two_slotted_classes():
+    import unicusp
+
+    for name in unicusp.__all__:
+        getattr(unicusp, name)
+    assert sorted(cls.__name__ for cls in unicusp._Value.__subclasses__()) == sorted(VALUES)
+
+
 def test_slotted_values_print_as_before():
-    from unicusp import PowerSeries, QuadInt
+    from unicusp import QuadInt
 
     assert repr(QuadInt(3, -1)) == "QuadInt(u=3, v=-1)"
     assert str(QuadInt(3, 1)) == "(3+1*sqrt5)/2"
-    assert repr(PowerSeries((1, Fraction(1, 2)))) == (
-        "PowerSeries(coeffs=(1, Fraction(1, 2)))")
     with pytest.raises(ValueError, match="u and v must share parity, got \\(1, 2\\)"):
         QuadInt(1, 2)
 

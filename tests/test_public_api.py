@@ -9,8 +9,9 @@ def test_all_resolves_and_is_sorted():
 
 
 def test_retired_names_are_gone():
-    # the general series arithmetic and the whole-fold wrapper were removed
-    # from the library; no command used them
-    for name in ("node_parametrization", "combined_gap_value"):
+    # the general series arithmetic, the whole-fold wrapper and the
+    # truncated series product were removed from the library; no command
+    # used them
+    for name in ("node_parametrization", "combined_gap_value", "PowerSeries"):
         assert name not in unicusp.__all__
         assert not hasattr(unicusp, name)

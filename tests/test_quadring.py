@@ -189,6 +189,24 @@ def test_generating_sets():
         generating_set(12)
 
 
+def test_negative_n_mirrors_its_negation():
+    # phi has norm -1, so -n has coprime solutions exactly when n has: its
+    # certificate is n's with n and n_prime negated, and its generators,
+    # one per orbit, cover every coprime solution the scan finds
+    for n in range(1, 400):
+        dec, positive = coprime_decompose(-n), coprime_decompose(n)
+        assert (dec is not None) == oracles.has_coprime_solution(-n, 500), n
+        if dec is None:
+            assert positive is None, n
+            continue
+        assert dec == positive._replace(n=-n, n_prime=-positive.n_prime), n
+        gens = generating_set(-n)
+        assert len(set(gens)) == dec.class_count and all(z.norm() == -n for z in gens), n
+        for x, y in oracles.pell_solutions(-n, 400):
+            if oracles.gcd(x, y) == 1:
+                assert canonical(QuadInt.from_sqrt5(x, y)) in gens, (n, x, y)
+
+
 def test_generating_set_covers_scan():
     # every coprime scan solution must be equivalent to a generator under
     # units and conjugation

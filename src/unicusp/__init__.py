@@ -23,7 +23,7 @@ _HOMES = {
                          "triangle_lower", "triangle_upper")),
         ("quadring", ("PellDecomposition", "QuadInt", "canonical", "coprime_decompose",
                       "fundamental_prime", "generating_set", "has_solution", "phi_power")),
-        ("families", ("Candidate", "IdentityReport", "LucasSeq", "cremona_step",
+        ("families", ("Candidate", "IdentityReport", "cremona_step",
                       "element_to_pair", "fibonacci", "lucas", "lucas_family",
                       "lucas_family_neg", "orbit_candidates", "pair_to_element",
                       "verify_fibonacci_identities")),

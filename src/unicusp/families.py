@@ -24,13 +24,10 @@ phi^-12.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .quadring import QuadInt, phi_power
-from .semigroup import check_generators
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .semigroup import _require_degree_genus, check_generators
 
 
 def fibonacci(n: int) -> int:
@@ -55,25 +52,16 @@ def _fib_signed(n: int) -> int:
     return -f if n < 0 and n % 2 == 0 else f
 
 
-class LucasSeq:
-    """L_0 = k-1, L_1 = 1, L_{n+1} = L_n + L_{n-1}, indexed by all of Z.
+def lucas(k: int, n: int) -> int:
+    """L_n of L_0 = k-1, L_1 = 1, L_{n+1} = L_n + L_{n-1}, for every integer n.
 
     Both sides of L_n = (k-1) F_{n-1} + F_n follow the Fibonacci
     recurrence and agree at n = 0 and n = 1, so each value comes from two
     Fibonacci numbers in O(log |n|) steps.
     """
-
-    def __init__(self, k: int):
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        self.k = k
-
-    def __call__(self, n: int) -> int:
-        return (self.k - 1) * _fib_signed(n - 1) + _fib_signed(n)
-
-
-def lucas(k: int, n: int) -> int:
-    return LucasSeq(k)(n)
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    return (k - 1) * _fib_signed(n - 1) + _fib_signed(n)
 
 
 class _CandidateFields(NamedTuple):
@@ -90,20 +78,16 @@ class Candidate(_CandidateFields):
     """A (genus, a, b, degree) tuple satisfying the degree-genus identity.
 
     A named tuple, so it compares equal to the plain tuple of its fields.
-    `Candidate(...)` and `_replace` validate; `Candidate._make` does not,
-    and serves callers that have already proved what validation checks.
+    `Candidate(...)` and `_replace` validate as `check_single` does, with
+    its checks and error texts; `Candidate._make` does not, and serves
+    callers that have already proved what validation checks.
     """
 
     __slots__ = ()
 
     def __new__(cls, g: int, a: int, b: int, d: int, admissible: bool | None = None):
         check_generators(a, b)
-        if g < 0 or d < 1:
-            raise ValueError(f"bad genus/degree ({g}, {d})")
-        lhs = (d - 1) * (d - 2)
-        rhs = (a - 1) * (b - 1) + 2 * g
-        if lhs != rhs:
-            raise ValueError(f"degree-genus violated for {(a, b, d, g)}: {lhs} != {rhs}")
+        _require_degree_genus(d, g, (a - 1) * (b - 1) // 2, "<{},{}>", a, b)
         return super().__new__(cls, g, a, b, d, admissible)
 
     def _replace(self, **changes) -> Candidate:
@@ -268,13 +252,6 @@ class IdentityReport(NamedTuple):
         return not self.failures
 
 
-def _sqrt5_rational(digits: int) -> Fraction:
-    from fractions import Fraction
-
-    scale = 10 ** digits
-    return Fraction(isqrt(5 * scale * scale), scale)
-
-
 def verify_fibonacci_identities(l_max: int) -> IdentityReport:
     """Exact checks of the five Fibonacci identities behind the sector walls.
 
@@ -287,13 +264,11 @@ def verify_fibonacci_identities(l_max: int) -> IdentityReport:
         F_{2l+3}^2 F_{2l-1}^2 - F_{2l+1}^2 (F_{2l+1}^2 + 2) = 1
         F_{2l+3}^2 + F_{2l+1}^2 - 3 F_{2l+1} F_{2l+3} = -1
 
-    The two limit gaps are evaluated at l = l_max in exact rational
-    arithmetic against a rational sqrt5 whose precision grows with l_max,
-    then reported as floats; a failed identity lands in `failures`, never
-    raises.
+    The two limit gaps are evaluated at l = l_max in integers, against
+    sqrt5 rounded down to a precision that grows with l_max, and reported
+    as floats, each correctly rounded by one int / int division; a failed
+    identity lands in `failures`, never raises.
     """
-    from fractions import Fraction
-
     if l_max < 2:
         raise ValueError(f"l_max must be >= 2, got {l_max}")
     fails: list[str] = []
@@ -319,21 +294,19 @@ def verify_fibonacci_identities(l_max: int) -> IdentityReport:
     # The gaps shrink like phi^(-4 l) while the sqrt5 error is multiplied by
     # F^2 ~ phi^(4 l), so sqrt5 needs 8 log10(phi) l ~ 1.672 l digits before
     # any digit of a gap is right; 20 more leave the gap's relative error
-    # near 1e-20, below the float's own rounding.
-    s5 = _sqrt5_rational(1672 * l_max // 1000 + 20)
+    # near 1e-20, below the float's own rounding.  With sqrt5 read as
+    # root / scale, 10 * scale times a gap clears its halves and fifths.
+    scale = 10 ** (1672 * l_max // 1000 + 20)
+    root = isqrt(5 * scale * scale)
     f1, f2 = fib[2 * l_max - 1], fib[2 * l_max + 1]
     # F^2 * phi^4 - F'^2 -> (2/5)(phi^4 - 1) = 1 + (3/5) sqrt5
-    gap_lower = abs(
-        (Fraction(7, 2) * f1 * f1 - f2 * f2 - 1) + (Fraction(3, 2) * f1 * f1 - Fraction(3, 5)) * s5
-    )
+    gap_lower = abs((35 * f1 * f1 - 10 * f2 * f2 - 10) * scale + (15 * f1 * f1 - 6) * root)
     # F^2 - F'^2 * phi^-4 -> (2/5)(1 - phi^-4) = -1 + (3/5) sqrt5
-    gap_upper = abs(
-        (f1 * f1 - Fraction(7, 2) * f2 * f2 + 1) + (Fraction(3, 2) * f2 * f2 - Fraction(3, 5)) * s5
-    )
+    gap_upper = abs((10 * f1 * f1 - 35 * f2 * f2 + 10) * scale + (15 * f2 * f2 - 6) * root)
     return IdentityReport(
         l_max=l_max,
         checks=checks,
         failures=tuple(fails),
-        lim_gap_lower=float(gap_lower),
-        lim_gap_upper=float(gap_upper),
+        lim_gap_lower=gap_lower / (10 * scale),
+        lim_gap_upper=gap_upper / (10 * scale),
     )

@@ -70,7 +70,7 @@ from math import gcd, isqrt
 from operator import attrgetter
 from typing import NamedTuple
 
-from .semigroup import Semigroup, check_generators, convolve, convolve_at
+from .semigroup import Semigroup, _require_degree_genus, check_generators, convolve, convolve_at
 
 
 class ObstructionWitness(NamedTuple):
@@ -418,19 +418,4 @@ def degree_for_products(product_sum: int, genus: int) -> int | None:
     if root * root != disc:
         return None
     return (root + 3) // 2
-
-
-def _require_degree_genus(degree: int, genus: int, delta: int, label: str, *fields) -> None:
-    """Raise ValueError unless the degree and genus fit the total delta;
-    the mismatch text names the cusps by label.format(*fields), which is
-    built only then."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if genus < 0:
-        raise ValueError(f"genus must be >= 0, got {genus}")
-    if (degree - 1) * (degree - 2) != 2 * (genus + delta):
-        raise ValueError(
-            f"degree-genus mismatch for {label.format(*fields)}: (d-1)(d-2) = "
-            f"{(degree - 1) * (degree - 2)} but 2*(g + delta) = {2 * (genus + delta)}"
-        )
 

@@ -3,8 +3,12 @@ equation x^2 - 5y^2 = n.
 
 Elements are stored as (u + v*sqrt5)/2 with u and v of equal parity.  The
 golden ratio phi = (1 + sqrt5)/2 is a fundamental unit of norm -1, so the
-units of norm +1 are exactly +-phi^(2h); orbits under that action are what
-`canonical` collapses.
+units of norm +1 are exactly +-phi^(2h); orbits under that action and
+conjugation are what `canonical` collapses.  phi^2 is not in Z[sqrt5], so
+an orbit of coprime solutions also holds half-integral elements, and
+integral ones with gcd 2 when n = 4 (mod 8); `canonical` may pick one of
+those, so `generating_set` names each orbit by its coprime solution
+x + y*sqrt5 with x, y >= 0 of least y instead.
 
 Solvability of x^2 - 5y^2 = n is a local condition: it holds iff every
 prime factor of n congruent to +-2 mod 5 occurs to an even power.  Coprime
@@ -216,7 +220,18 @@ _A_PART_ELEMENT = {
 
 
 def generating_set(n: int) -> list[QuadInt]:
-    """One canonical element per orbit of coprime solutions of x^2 - 5y^2 = n.
+    """One coprime solution x + y*sqrt5 of x^2 - 5y^2 = n per orbit, the
+    one with x, y >= 0 of least y in its orbit, sorted by (x, y).
+
+    The orbits are told apart by `canonical`, which `_orbits` dedupes by;
+    `_least_coprime` then picks each orbit's generator.
+    """
+    return sorted(map(_least_coprime, _orbits(n)), key=lambda z: (z.u, z.v))
+
+
+def _orbits(n: int) -> set[QuadInt]:
+    """The `canonical` form of each orbit of coprime solutions of
+    x^2 - 5y^2 = n.
 
     Built as a_part element times alpha_p^e for each prime power of n_prime,
     with a free conjugation choice on every prime after the first; the first
@@ -224,7 +239,7 @@ def generating_set(n: int) -> list[QuadInt]:
     element has norm n: the norm is multiplicative, and `canonical` moves
     only by units of norm 1, negation and conjugation, which all keep it.
 
-    A negative n takes phi times each generator of -n.  phi^3 = 2 + sqrt5
+    A negative n takes phi times each orbit of -n.  phi^3 = 2 + sqrt5
     has norm -1 and sends x + y*sqrt5 to (2x + 5y) + (x + 2y)*sqrt5, a
     change of coordinates of determinant -1, so it maps the coprime
     solutions of -n one to one onto those of n.  It maps orbits to orbits,
@@ -232,8 +247,7 @@ def generating_set(n: int) -> list[QuadInt]:
     orbit of phi^3 * z.  So the images are one per orbit of n.
     """
     if n < 0:
-        return sorted((canonical(PHI * z) for z in generating_set(-n)),
-                      key=lambda z: (z.u, z.v))
+        return {canonical(PHI * z) for z in _orbits(-n)}
     dec, fac = _decompose(n)
     if dec is None:
         raise ValueError(f"n={n} admits no coprime solutions")
@@ -244,12 +258,32 @@ def generating_set(n: int) -> list[QuadInt]:
             acc = [z * alpha for z in acc]
         else:
             acc = [z * alpha for z in acc] + [z * alpha.conjugate() for z in acc]
-    out = sorted({canonical(z) for z in acc}, key=lambda z: (z.u, z.v))
+    out = {canonical(z) for z in acc}
     if len(out) != dec.class_count:
         raise RuntimeError(
             f"built {len(out)} distinct orbits for n={n}, expected {dec.class_count}"
         )
     return out
+
+
+def _least_coprime(z: QuadInt) -> QuadInt:
+    """The coprime solution x + y*sqrt5 with x, y >= 0 of least y in the
+    orbit whose `canonical` representative is z; the orbit must hold a
+    coprime solution.
+
+    Every orbit element is +-w_h or its conjugate, w_h = z * phi^(2h), and
+    negation and conjugation keep |y| and gcd(x, y), so only the w_h need
+    searching.  phi^6 = 9 + 4*sqrt5
+    and its inverse have integer matrices of determinant 1 on (x, y), so
+    whether w_h is an integer coprime solution depends on h mod 3 only.
+    |v| along the orbit is unimodal with its minimum at h = 0 (`canonical`),
+    so within each class mod 3 the least |v| is at the member nearest 0 on
+    one side or the other: h in [-2, 2] holds them all.
+    """
+    window = (z * phi_power(2 * h) for h in range(-2, 3))
+    w = min((w for w in window if (xy := w.as_sqrt5()) is not None and gcd(*xy) == 1),
+            key=lambda w: abs(w.v))
+    return QuadInt(abs(w.u), abs(w.v))
 
 
 def canonical(z: QuadInt) -> QuadInt:

@@ -69,6 +69,21 @@ def check_generators(a: int, b: int) -> None:
         raise ValueError(f"generators must be coprime, got gcd({a}, {b}) = {gcd(a, b)}")
 
 
+def _require_degree_genus(degree: int, genus: int, delta: int, label: str, *fields) -> None:
+    """Raise ValueError unless the degree and genus fit the total delta by
+    the degree-genus identity (d-1)(d-2) = 2(g + delta); the mismatch text
+    names the cusps by label.format(*fields), which is built only then."""
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    if genus < 0:
+        raise ValueError(f"genus must be >= 0, got {genus}")
+    if (degree - 1) * (degree - 2) != 2 * (genus + delta):
+        raise ValueError(
+            f"degree-genus mismatch for {label.format(*fields)}: (d-1)(d-2) = "
+            f"{(degree - 1) * (degree - 2)} but 2*(g + delta) = {2 * (genus + delta)}"
+        )
+
+
 class Semigroup:
     """The numerical semigroup <a, b>, counted in closed form.
 
@@ -112,9 +127,7 @@ class Semigroup:
         ascending range of step a, from u*b mod a up to u*b - a; sorting
         the a - 1 concatenated runs merges them.
         """
-        a, b = self._a, self._b
-        return tuple(sorted(chain.from_iterable(
-            range(u * b % a, u * b, a) for u in range(1, a))))
+        return tuple(sorted(self._gap_runs(0)))
 
     @property
     def frobenius(self) -> int:
@@ -244,9 +257,13 @@ class Semigroup:
     def gap_function(self) -> GapFunction:
         """The gap function, whose run starts are 0 and each gap + 1: the
         ranges of `gaps` moved up by 1, merged."""
+        return GapFunction((0, *sorted(self._gap_runs(1))))
+
+    def _gap_runs(self, shift: int):
+        """The a - 1 ascending runs of `gaps`, each moved up by shift."""
         a, b = self._a, self._b
-        return GapFunction((0, *sorted(chain.from_iterable(
-            range(u * b % a + 1, u * b + 1, a) for u in range(1, a)))))
+        return chain.from_iterable(range(u * b % a + shift, u * b + shift, a)
+                                   for u in range(1, a))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Semigroup):

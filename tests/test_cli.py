@@ -273,7 +273,7 @@ def test_pell_by_n(capsys):
         "n_prime": 209,
         "distinct_primes": 2,
         "class_count": 2,
-        "generators": ["(29+1*sqrt5)/2", "(31+5*sqrt5)/2"],
+        "generators": ["17+4*sqrt5", "23+8*sqrt5"],
     }
 
 
@@ -314,7 +314,7 @@ def test_pell_orbit(capsys):
     _, payload = payload_of(out)
     assert len(payload["orbits"]) == 1
     orbit = payload["orbits"][0]
-    assert orbit["generator"] == "2+0*sqrt5"
+    assert orbit["generator"] == "3+1*sqrt5"
     triples = [(c["a"], c["b"], c["d"]) for c in orbit["candidates"]]
     assert triples == [(1, 8, 3)]
     assert orbit["candidates"][0]["element"] == "18+8*sqrt5"
@@ -331,7 +331,7 @@ def test_pell_orbit_negative_window(capsys):
     code, out, _ = invoke(capsys, "pell", "--genus", "1", "--orbit", "-2:4")
     assert code == 0
     triples = [(c["a"], c["b"], c["d"]) for c in payload_of(out)[1]["orbits"][0]["candidates"]]
-    assert triples == [(1, 8, 3)]
+    assert triples == [(1, 8, 3), (8, 55, 21)]
     # a negative window anywhere but after --orbit is still a usage error
     for argv in (["pell", "--genus", "-2:4"], ["pell", "--genus", "1", "-2:4"],
                  ["pell", "--genus", "1", "--", "--orbit", "-2:4"],

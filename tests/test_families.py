@@ -20,7 +20,7 @@ from unicusp import (
     phi_power,
     verify_fibonacci_identities,
 )
-from unicusp.families import LucasSeq, _pair_from_coords
+from unicusp.families import _pair_from_coords
 
 import oracles
 
@@ -42,14 +42,8 @@ def test_lucas_bidirectional():
     for k in (2, 3, 4, 7):
         for n in range(-10, 10):
             assert lucas(k, n + 1) == lucas(k, n) + lucas(k, n - 1), (k, n)
-    with pytest.raises(ValueError):
-        LucasSeq(1)
-
-
-def test_lucas_seq_caching():
-    seq = LucasSeq(3)
-    assert seq(10) == seq(10)
-    assert seq(-5) + seq(-4) == seq(-3)
+    with pytest.raises(ValueError, match=r"k must be >= 2, got 1"):
+        lucas(1, 0)
 
 
 def test_candidate_validation():

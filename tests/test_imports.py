@@ -6,8 +6,9 @@ enumeration, family, ring or germ code, and a `germ` never loads the
 obstruction or semigroup code.  No command loads `dataclasses`: the
 package's records are named tuples, and `QuadInt` and `GapFunction`
 small `__slots__` classes.  `fractions` is imported only
-inside the functions that build a `Fraction`, so neither `enumerate` nor
-`germ` loads it, and `sectors` loads it when it runs.  Each case runs in
+inside the functions that build a `Fraction`, so neither `enumerate`,
+`germ` nor `identities` loads it, and `sectors` loads it when it runs.
+`pell`, `families` and `identities` never load the obstruction code.  Each case runs in
 a fresh interpreter, since a module once imported stays in `sys.modules`.
 The last tests pin what the records keep of the frozen dataclasses they
 replaced, and the protocol of `unicusp._Value`, the one frozen-value base
@@ -60,10 +61,12 @@ def test_import_loads_no_submodule():
     (["semigroup", "-a", "3", "-b", "5"], {"unicusp.classify", "unicusp.germs", "dataclasses"}),
     (["enumerate", "--genus", "1", "--dmax", "12"], {"unicusp.germs", "dataclasses", "fractions"}),
     (["pell", "--genus", "3", "--orbit", "0:1"],
-     {"unicusp.germs", "unicusp.classify", "dataclasses"}),
-    (["families", "--k", "3", "--i", "4"], {"unicusp.germs", "unicusp.classify", "dataclasses"}),
+     {"unicusp.germs", "unicusp.classify", "unicusp.obstruction", "dataclasses"}),
+    (["families", "--k", "3", "--i", "4"],
+     {"unicusp.germs", "unicusp.classify", "unicusp.obstruction", "dataclasses"}),
     (["sectors", "--genus", "1", "--lmax", "4"], {"unicusp.germs", "dataclasses"}),
-    (["identities", "--lmax", "5"], {"unicusp.germs", "unicusp.classify", "dataclasses"}),
+    (["identities", "--lmax", "5"], {"unicusp.germs", "unicusp.classify", "unicusp.obstruction",
+                                     "dataclasses", "fractions", "decimal"}),
 ])
 def test_command_loads_only_its_modules(argv, skipped):
     code, *loaded = _fresh(

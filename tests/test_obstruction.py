@@ -7,6 +7,7 @@ import time
 import pytest
 
 from unicusp import (
+    Candidate,
     Semigroup,
     check_multi,
     check_single,
@@ -57,6 +58,7 @@ def test_verdict_records_keep_their_surface(capsys):
         assert capsys.readouterr().out == json.dumps(record, sort_keys=True, indent=2) + "\n"
     mismatch = "degree-genus mismatch for {}: (d-1)(d-2) = 20 but 2*(g + delta) = 30"
     for call, label in ((lambda g, d: check_single(4, 7, g, d), "<4,7>"),
+                        (lambda g, d: Candidate(g, 4, 7, d), "<4,7>"),
                         (lambda g, d: check_multi([(4, 7)], g, d), "[(4, 7)]"),
                         (lambda g, d: check_multi([(2, 3), (2, 17)], g, d),
                          "[(2, 3), (2, 17)]")):

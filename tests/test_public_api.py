@@ -12,6 +12,6 @@ def test_retired_names_are_gone():
     # the general series arithmetic, the whole-fold wrapper and the
     # truncated series product were removed from the library; no command
     # used them
-    for name in ("node_parametrization", "combined_gap_value", "PowerSeries"):
+    for name in ("node_parametrization", "combined_gap_value", "PowerSeries", "LucasSeq"):
         assert name not in unicusp.__all__
         assert not hasattr(unicusp, name)

@@ -177,14 +177,14 @@ def test_fundamental_prime_rejects_exactly_the_non_primes():
 
 def test_generating_sets():
     gens = generating_set(209)
-    assert [(z.u, z.v) for z in gens] == [(29, 1), (31, 5)]
+    assert [(z.u, z.v) for z in gens] == [(34, 8), (46, 16)]
     for z in gens:
         assert z.norm() == 209
     gens44 = generating_set(44)
     assert [(z.u, z.v) for z in gens44] == [(14, 2)]
     assert generating_set(44)[0].norm() == 44
     gens4 = generating_set(4)
-    assert [(z.u, z.v) for z in gens4] == [(4, 0)]
+    assert [(z.u, z.v) for z in gens4] == [(6, 2)]
     with pytest.raises(ValueError):
         generating_set(12)
 
@@ -204,7 +204,7 @@ def test_negative_n_mirrors_its_negation():
         assert len(set(gens)) == dec.class_count and all(z.norm() == -n for z in gens), n
         for x, y in oracles.pell_solutions(-n, 400):
             if oracles.gcd(x, y) == 1:
-                assert canonical(QuadInt.from_sqrt5(x, y)) in gens, (n, x, y)
+                assert canonical(QuadInt.from_sqrt5(x, y)) in map(canonical, gens), (n, x, y)
 
 
 def test_generating_set_covers_scan():
@@ -224,6 +224,25 @@ def test_generating_set_covers_scan():
             if z.norm() != n:
                 continue
             assert canonical(z) in gens, (n, x, y)
+
+
+def test_generators_are_least_coprime_solutions():
+    # each generator is a coprime solution with x, y >= 0, one per orbit,
+    # and the least y among them is the least y of any coprime solution
+    ns = [*range(-2000, 0), *range(1, 2001), *(4 * (2 * g - 1) for g in range(301))]
+    for n in ns:
+        dec = coprime_decompose(n)
+        if dec is None:
+            continue
+        gens = [z.as_sqrt5() for z in generating_set(n)]
+        y_limit = max(y for _, y in gens)
+        scanned = oracles.pell_solutions(n, y_limit)
+        for x, y in gens:
+            assert (x, y) in scanned and oracles.gcd(x, y) == 1, (n, x, y)
+        orbits = {canonical(QuadInt.from_sqrt5(x, y)) for x, y in gens}
+        assert len(orbits) == len(gens) == dec.class_count, n
+        least = min(y for x, y in scanned if oracles.gcd(x, y) == 1)
+        assert min(y for _, y in gens) == least, n
 
 
 def test_canonical_properties():

@@ -19,8 +19,7 @@ _HOMES = {
     name: module
     for module, names in (
         ("semigroup", ("GapFunction", "Semigroup", "convolve")),
-        ("obstruction", ("ObstructionWitness", "Verdict", "check_multi", "check_single",
-                         "triangle_lower", "triangle_upper")),
+        ("obstruction", ("ObstructionWitness", "Verdict", "check_multi", "check_single")),
         ("quadring", ("PellDecomposition", "QuadInt", "canonical", "coprime_decompose",
                       "fundamental_prime", "generating_set", "has_solution", "phi_power")),
         ("families", ("Candidate", "IdentityReport", "cremona_step",

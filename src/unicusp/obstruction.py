@@ -46,17 +46,18 @@ one class only once every per = a / gcd(a, 2) cells.  So the next
 (v // P) * per cells fall at most P * (v // P) <= v times and stay
 >= 0.  `_scan` proves all three rules.
 
-For one cusp with b <= d the check reads no row: a curve of degree d
-and genus g with that cusp exists, and the paper's theorem, which is
-this grid, holds on it, so every cell lies in [0, g].  One family with
-b > d is proved whole as well, <a, 4a-1> at degree 2a (genus 0):
-counting the elements below each cell's argument in closed form puts
-every cell of the half grid in [0, g].
+Three certificates let the check read no row of a single cusp.  With
+b <= d a curve of degree d and genus g with that cusp exists, and the
+paper's theorem, which is this grid, holds on it, so every cell lies in
+[0, g].  Two families with b > d are proved whole as well, <a, 4a-1> at
+degree 2a (genus 0) and <3n, 21n+1> at degree 8n (genus
+(n-1)(n-2)/2): counting the elements below each cell's argument in
+closed form puts every cell of the half grid in [0, g].
 
 For one cusp with b > d >= 5 the first-row rule decides many
 rejections without reading a cell: every element up to d is then a
 multiple of a, so cell (1, 0) holds d // a - 2, and when that value lies
-outside [0, g] the cell is the witness.  `check_single` proves the two
+outside [0, g] the cell is the witness.  `check_single` proves the three
 certificates and the rule, and applies them before it builds a
 `Semigroup`; `_scan` only scans.
 None of this changes a verdict, a witness or `checks_performed`, which
@@ -97,9 +98,9 @@ class Verdict(NamedTuple):
 def check_single(a: int, b: int, genus: int, degree: int) -> Verdict:
     """Decide the (j, k) grid for a single cusp of type <a, b>.
 
-    Two certificates return the full-grid verdict, and the first-row
+    Three certificates return the full-grid verdict, and the first-row
     rule decides some rejections at cell (1, 0), before any `Semigroup`
-    is built; every other input gets `_scan`.  All three rest on the
+    is built; every other input gets `_scan`.  All four rest on the
     degree-genus identity (d-1)(d-2) = 2(g + delta), which is checked
     first.  Then R(x) counts the elements of <a, b> below x, every
     element is u*b + v*a for exactly one pair with 0 <= u < a and v >= 0
@@ -157,6 +158,81 @@ def check_single(a: int, b: int, genus: int, degree: int) -> Verdict:
     R(2aj + 1) = sum_{u=0..U} (2j + 1 - 4u) = (U+1)(2j + 1 - 2U), which
     is T_j for j = 2U and for j = 2U + 1.  Every cell holds 0.
 
+    <3n, 21n+1> at d = 8n, g = (n-1)(n-2)/2.  b = 7a + 1 and 3d = 8a
+    give a = 3n and d = 8n with n >= 1, and the identity then gives
+    2g = (8n-1)(8n-2) - 7a(a-1) = (n-1)(n-2).  Rows -1 and 0 hold and
+    the mirror covers the rest, so take 1 <= j <= (d-3)//2 = 4n - 2.
+    As u*b + v*a = (7u + v)*a + u, x = q*a + r (0 <= r < a) is an
+    element iff q >= 7r: block q holds the run q*a, ..., q*a + q//7 and
+    then gaps, while q < 7a.  So for m >= 1, with m - 1 = Q*a + rho
+    (0 <= rho < a), s = Q // 7 and t = Q % 7,
+    R(m) = F(Q) + min(s, rho) + 1 when Q < 7a, where
+    F(Q) = sum_{q<Q} (q//7 + 1) counts the blocks below Q and
+    14F(Q) = Q^2 + 7Q + t(7-t).  On the half grid
+    m - 1 <= 8n(4n-2) < 11n*a, so Q < 11n < 7a; and R(m) = 0 for m <= 0.
+
+    Cell (j, k) holds phi(m) - L_j, with m = M - 2k, M = 8nj + 1,
+    phi(m) = R(m) - m/2 and L_j = T_j - M/2.  Across block Q, phi rises
+    by 1/2 per step from mu(Q) + 1/2 at rho = 0, where
+    mu(Q) = F(Q) - Q*a/2 = phi(Q*a), to nu(Q) = mu(Q) + (s+1)/2 at
+    rho = s, then falls by 1/2 per step to mu(Q + 1) at rho = a - 1.
+    For m <= 0, phi(m) = -m/2 >= 0 = mu(0).  Cell values are integers.
+
+    Lower side.  A falling stretch of phi ends at M or at some Q*a, so
+    phi(m) >= min(phi(M), mu(Q) for 0 <= Q <= Q_M) for every m <= M,
+    with Q_M = 8j // 3 the block of M.  So row j holds if cell (j, 0)
+    does and every mu(Q) - L_j > -1, that is (2F(Q) is an integer)
+    2F(Q) + n(8j - 3Q) >= j^2 + 3j for 3Q <= 8j.  For fixed Q the
+    difference is concave in j, so it is least at j = 4n - 2 or at
+    j = ceil(3Q/8).
+    (a) j = 4n - 2: the difference is 2F(Q) - 3nQ + (4n-2)(4n-1),
+        14F(Q) >= Q^2 + 7Q gives 2F(Q) - 3nQ >= -7(3n-1)^2/4, and
+        4(4n-2)(4n-1) - 7(3n-1)^2 = n^2 - 6n + 1 > 0 for n >= 6.
+    (b) j = ceil(3Q/8), e = 8j - 3Q in [0, 7]: 63 times the difference
+        is D = (j - 8e)^2 + 63e(n - e) - 21(j + e) + 9t(7-t).  At e = 0,
+        j = 3i and t = i % 7, and with i = 7u + t,
+        D = 63u(7u + 2t - 7) >= 0.  At e >= 1,
+        (j - 8e)^2 - 21j >= -168e - 441/4, so
+        D >= 63e(n - e - 3) - 441/4 > 0 for n >= 11.
+    (c) Cell (j, 0): M - 1 = Q_M*a + rho with rho = n*(8j % 3).  If
+        rho <= s, it holds mu(Q_M) - L_j + (rho + 1)/2 > -1/2, so >= 0.
+        Otherwise it holds F(Q_M + 1) - T_j, Q_M + 1 >= (8j + 1)/3, and
+        14(F(Q_M + 1) - T_j) >= (j^2 - 5j - 104)/9 >= 0 for j >= 13;
+        at j = 1, 2, 4, 5, 7, 8, 10, 11 it reads 0, 0, 0, 0, 0, 1, 0, 2.
+
+    Upper side.  Cells with m <= 0 hold k - T_j <= g - 3.  A cell with
+    m >= 1 in block Q holds at most nu(Q) - L_j, which is below g + 1
+    when U(Q): 2F(Q) + s + n(8j - 3Q) - j^2 - 3j <= 2g + 1.  nu is
+    convex in Q: 2nu(Q) = 2F(Q) + s + 1 - 3nQ has the non-decreasing
+    steps 2s + 2 + [7 divides Q + 1] - 3n.  So over the blocks
+    Q_lo..Q_M that a row meets, nu is greatest at an end, and it
+    suffices to bound blocks Q_M, Q_lo and Q_lo + 1.
+    (d) Block Q_M, e = 8j - 3Q_M in {0, 1, 2}: 63 times U's left side is
+        D + 63s, with D <= j^2 - 21j + 126n + 112 and 63s <= 9Q_M <= 24j.
+        As j <= 4n - 2 this is at most 16n^2 + 122n + 110, which is
+        <= 63(2g + 1) = 63(n^2 - 3n + 3) for n >= 7.
+    (e) m_lo = M - 2g <= 0: the lowest block is 0, and U(0) reads
+        8nj - j^2 - 3j <= 2g + 1, true as 8nj < 2g.
+    (f) m_lo >= 1, m_lo - 1 = Q_lo*a + rho_lo, so
+        n(8j - 3Q_lo) = 2g + rho_lo; let Q' = Q_lo + 1 and s' = Q' // 7.
+        U(Q') reads 2F(Q') + s' + rho_lo - a <= j^2 + 3j + 1.  Block
+        Q_lo meets the row at rho >= rho_lo: when rho_lo <= s_lo, U(Q_lo)
+        reads 2F(Q_lo) + s_lo + rho_lo <= j^2 + 3j + 1, and
+        2F(Q_lo) + 2s_lo = 2F(Q') - 2; otherwise phi falls from m_lo on,
+        and cell (j, g) holds F(Q') + g - T_j.  All three follow from
+        2F(Q') + s' <= 2T_j.  As 2g >= n^2 - 3n,
+        Q' <= (8j - n + 6)/3, and 14F(Q') + 7s' <= (Q' + 2)(Q' + 6), so
+        it suffices that (8j - n + 12)(8j - n + 24) <= 63(j+1)(j+2).  The
+        left side falls as n grows (Q' >= 1 keeps 8j - n + 12 > 0), and
+        n >= 12 and n >= (j+2)/4.  At n = 12 the right side exceeds it by
+        -j^2 + 93j + 126 > 0, for j <= 46; at n = (j+2)/4, 16 times the
+        excess is 47j^2 - 1316j - 2308 > 0, for j >= 46.
+
+    So every cell of every member with n >= 12 lies in [0, g].  The
+    members with n <= 11 (d <= 88) rest on
+    `test_family_certificates_hold_on_every_cell`, which reads every
+    cell of every member with d < 160 off the oracle's element table.
+
     The first-row rule decides a cusp with b > d at cell (1, 0), when
     that cell fails, with no gap count.  Row 1 lies in the half grid
     exactly when (d-3)//2 >= 1, that is d >= 5, and its first cell reads
@@ -172,20 +248,23 @@ def check_single(a: int, b: int, genus: int, degree: int) -> Verdict:
     the oracle's full grid on ten rejections at g = 1000 or with d in
     1000-2000 (`test_first_row_rejections_match_the_table_oracle`).
 
-    The <a, 4a-1> certificate is checked on every cell of every member
-    with d < 160 against the oracle's element table (the same test),
-    against `_scan` for every member up to d = 2000
+    The two family certificates are checked on every cell of every
+    member with d < 160 against the oracle's element table (the same
+    test), against `_scan` for every member up to d = 2000
     (`test_family_certificates_match_the_scan`), and at production
-    scale by `_production_sample`'s two members.  Its neighbours,
-    <a, 4a-1> at d = 2a + 1 and 2a + 2, are still scanned
-    (`test_family_neighbours_are_scanned`).
+    scale by `_production_sample`'s members: two of <a, 4a-1> and
+    <375, 2626> at d = 1000.  Their neighbours are still scanned
+    (`test_family_neighbours_are_scanned`): <a, 4a-1> at d = 2a + 1 and
+    2a + 2, <3n, 21n+1> at d = 8n - 1, 8n + 1 and 8n + 2, and
+    <a, 7a+1> with 3 not dividing a at every valid d < 4a.
 
     No certificate or rule hides a violated cell, so the witness and
     `checks_performed` stay those of a scan of every row.
     """
     check_generators(a, b)
     _require_degree_genus(degree, genus, (a - 1) * (b - 1) // 2, "<{},{}>", a, b)
-    if b <= degree or (genus == 0 and b == 2 * degree - 1):
+    if (b <= degree or (genus == 0 and b == 2 * degree - 1)
+            or (b == 7 * a + 1 and 3 * degree == 8 * a)):
         return Verdict(True, None, degree * (genus + 1))
     if degree >= 5:  # and b > degree
         value = degree // a - 2
@@ -381,27 +460,6 @@ def _rejected(j: int, k: int, value: int, genus: int) -> Verdict:
     side = "lower" if value < 0 else "upper"
     witness = ObstructionWitness(j, k, (j + 1) * (j + 2) // 2, value, side)
     return Verdict(False, witness, (j + 1) * (genus + 1) + k + 1)
-
-
-def triangle_lower(s: Semigroup, degree: int, j: int) -> bool:
-    """k = 0 specialisation: the (j+1)(j+2)/2-th element must be <= j*d.
-
-    Vacuous (True) for j <= 0 since the first element is 0.
-    """
-    if not 0 <= j <= degree - 2:
-        raise ValueError(f"j must lie in [0, degree-2], got j={j}, degree={degree}")
-    tri = (j + 1) * (j + 2) // 2
-    return s.nth_element(tri) <= j * degree
-
-
-def triangle_upper(s: Semigroup, degree: int, genus: int, j: int) -> bool:
-    """k = g specialisation: the next element must exceed j*d - 2g."""
-    if not 0 <= j <= degree - 2:
-        raise ValueError(f"j must lie in [0, degree-2], got j={j}, degree={degree}")
-    if genus < 0:
-        raise ValueError(f"genus must be >= 0, got {genus}")
-    tri = (j + 1) * (j + 2) // 2
-    return s.nth_element(tri + 1) > j * degree - 2 * genus
 
 
 def degree_for_products(product_sum: int, genus: int) -> int | None:

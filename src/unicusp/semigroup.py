@@ -177,9 +177,6 @@ class Semigroup:
             count += t1 if t1 < end - a else end - a
         return count
 
-    def contains(self, m: int) -> bool:
-        return (m * self._binv % self._a) * self._b <= m
-
     def nth_element(self, n: int) -> int:
         """The n-th smallest element, 1-indexed: nth_element(1) = 0."""
         if n < 1:

@@ -2,7 +2,9 @@ import inspect
 import itertools
 import json
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,14 +14,15 @@ from unicusp import (
     check_multi,
     check_single,
     lucas_family,
-    triangle_lower,
-    triangle_upper,
 )
 from unicusp import obstruction
 from unicusp.cli import run
 from unicusp.obstruction import ObstructionWitness, Verdict
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def test_degree_genus_precondition():
@@ -136,48 +139,6 @@ def test_matches_brute_force():
         if checked > 120:
             break
     assert checked > 60
-
-
-def test_triangle_specializations():
-    # k=0 row and k=g row of the full grid, as standalone predicates
-    s = Semigroup(4, 7)
-    g, d = 1, 6
-    v = check_single(4, 7, g, d)
-    lower_all = all(triangle_lower(s, d, j) for j in range(0, d - 1))
-    upper_all = all(triangle_upper(s, d, g, j) for j in range(0, d - 1))
-    assert not (lower_all and upper_all) or v.admissible is True
-    # the known failure at j=1: Gamma(3) = 7 > 6 = j*d
-    assert not triangle_lower(s, d, 1)
-    with pytest.raises(ValueError):
-        triangle_lower(s, d, -1)
-    with pytest.raises(ValueError):
-        triangle_lower(s, d, d - 1)
-
-
-def test_triangle_consistency_with_grid():
-    rng = random.Random(23)
-    for _ in range(40):
-        a = rng.randrange(2, 7)
-        b = rng.randrange(a + 1, 25)
-        if oracles.gcd(a, b) != 1:
-            continue
-        delta = (a - 1) * (b - 1) // 2
-        for g in range(0, 4):
-            disc = 8 * delta + 8 * g + 1
-            root = oracles.isqrt(disc)
-            if root * root != disc or (root + 3) % 2:
-                continue
-            d = (root + 3) // 2
-            if (d - 1) * (d - 2) != 2 * (g + delta):
-                continue
-            s = Semigroup(a, b)
-            ok = check_single(a, b, g, d).admissible
-            rows = all(
-                triangle_lower(s, d, j) and triangle_upper(s, d, g, j)
-                for j in range(0, d - 1)
-            )
-            if ok:
-                assert rows, (a, b, g, d)
 
 
 def test_multi_cusp_examples():
@@ -581,7 +542,7 @@ def test_certificates_need_the_cusps_own_count():
 
 
 def test_shortcuts_build_no_semigroup_and_scan_only_scans(monkeypatch):
-    # the two certificates and the first-row rule decide a lone cusp
+    # the three certificates and the first-row rule decide a lone cusp
     # before any `Semigroup` is built, through either checker, and a
     # scanned cusp builds one.  `_scan` holds no certificate: on a
     # certified cusp's own count it reads rows wherever the half grid has
@@ -595,6 +556,7 @@ def test_shortcuts_build_no_semigroup_and_scan_only_scans(monkeypatch):
     monkeypatch.setattr(obstruction, "Semigroup", counted)
     certified = [(d - 1, d, 0, d) for d in range(3, 60)]
     certified += [(a, 4 * a - 1, 0, 2 * a) for a in range(2, 30)]
+    certified += [(3 * n, 21 * n + 1, (n - 1) * (n - 2) // 2, 8 * n) for n in range(1, 30)]
     first_row = [(4, 7, 1, 6, "lower"), (2, 31, 0, 7, "upper")]
     for a, b, g, d in certified:
         expect = Verdict(True, None, d * (g + 1))
@@ -615,17 +577,21 @@ def test_shortcuts_build_no_semigroup_and_scan_only_scans(monkeypatch):
 
 
 # The family certificates: `check_single` returns the verdict of <p, p+3>
-# at degree p + 3 (b = d, so the b <= d certificate) and of <a, 4a-1> at
-# degree 2a (g = 0) before reading a row.  A verdict cannot show a
+# at degree p + 3 (b = d, so the b <= d certificate), of <a, 4a-1> at
+# degree 2a (g = 0) and of <3n, 21n+1> at degree 8n (g = (n-1)(n-2)/2)
+# before reading a row.  A verdict cannot show a
 # certificate that covers too much when the extra inputs are admissible
 # too, so the neighbours are held to a gap count as well as to their
 # verdict.
 
 def _family_members(d_max):
     """Every member (a, b, g, d) with d <= d_max of the (p,p+3) family at
-    degree p + 3 and of the (d/2, 2d-1) family."""
+    degree p + 3, of the (d/2, 2d-1) family and of the (3n,21n+1) family
+    at degree 8n."""
     members = [(p, p + 3, p + 2, p + 3) for p in range(1, d_max - 2) if p % 3]
     members += [(a, 4 * a - 1, 0, 2 * a) for a in range(1, d_max // 2 + 1)]
+    members += [(3 * n, 21 * n + 1, (n - 1) * (n - 2) // 2, 8 * n)
+                for n in range(1, d_max // 8 + 1)]
     return members
 
 
@@ -640,9 +606,11 @@ def _valid_inputs(b_max, d_above):
 
 def test_family_certificates_hold_on_every_cell():
     # every cell of the full grid lies in [0, g], read off the sieve's
-    # element table, for every family member with d < 160 and for every
-    # valid b <= d input with d < 30 (2,710 inputs, 11 million cells).
-    # Budget 15 s (about 3 s)
+    # element table, for every family member with d < 160 (<3n, 21n+1>
+    # with n <= 19 among them, 117,800 cells, which covers the n <= 11
+    # that `check_single`'s proof leaves to this test) and for every valid
+    # b <= d input with d < 30 (2,710 inputs, 11 million cells).
+    # Budget 15 s (about 2.5 s)
     start = time.perf_counter()
     inputs = [(a, b, g, d) for a, b, g, d in _valid_inputs(30, 30) if b <= d < 30]
     assert len(inputs) == 2710, len(inputs)
@@ -660,9 +628,10 @@ def test_family_certificates_hold_on_every_cell():
 
 
 def test_family_certificates_match_the_scan(monkeypatch):
-    # every member up to d = 2000: `check_single` and one-pair
-    # `check_multi` make no gap count and give the verdict of `_scan`,
-    # which reads the rows.  Budget 15 s (about 3 s)
+    # every member up to d = 2000, the 250 <3n, 21n+1> with n <= 250
+    # among them: `check_single` and one-pair `check_multi` make no gap
+    # count and give the verdict of `_scan`, which reads the rows.
+    # Budget 15 s (about 2 s)
     start = time.perf_counter()
     calls = _count_gap_calls(monkeypatch)
     for a, b, g, d in _family_members(2000):
@@ -680,11 +649,14 @@ def test_family_neighbours_are_scanned(monkeypatch):
     # inputs next to a family member get `_scan`'s verdict:
     # <p, p+3> at d = p + 2 (g = 1; rejected at (1, 0) from p = 4 on,
     # criterion 02) and at d = p + 4 (g = 2p + 4); <a, a+4> and <a, a+5>
-    # at d = a + 3, where a + 3 = d but b != d; and <a, 4a-1> at
-    # d = 2a + 1 and 2a + 2, off g = 0.  They read rows, except <p, p+3>
-    # at d = p + 4, which has b <= d, and the b > d rejections at (1, 0),
-    # which the first-row rule decides with no gap count.  Budget 10 s
-    # (about 1 s)
+    # at d = a + 3, where a + 3 = d but b != d; <a, 4a-1> at
+    # d = 2a + 1 and 2a + 2, off g = 0; and <3n, 21n+1> at d = 8n - 1,
+    # wherever the identity leaves g >= 0 (all 101 with n < 120 are
+    # rejected, <60, 421> at d = 159 at (3, 0) on the lower side), and at
+    # d = 8n + 1 and 8n + 2 (all admissible).  They read rows, except
+    # <p, p+3> at d = p + 4, which has b <= d, and the b > d rejections at
+    # (1, 0), which the first-row rule decides with no gap count.
+    # Budget 10 s (about 1.5 s)
     start = time.perf_counter()
     calls = _count_gap_calls(monkeypatch)
     neighbours = []
@@ -700,7 +672,12 @@ def test_family_neighbours_are_scanned(monkeypatch):
         if p < 200:
             neighbours += [(p, 4 * p - 1, 2 * p - 1, 2 * p + 1),
                            (p, 4 * p - 1, 4 * p - 1, 2 * p + 2)]
-    rejected = scanned = 0
+    for n in range(1, 120):
+        for d in (8 * n - 1, 8 * n + 1, 8 * n + 2):
+            twice_genus = (d - 1) * (d - 2) - (3 * n - 1) * 21 * n
+            if twice_genus >= 0:
+                neighbours.append((3 * n, 21 * n + 1, twice_genus // 2, d))
+    rejected = scanned = family = 0
     for a, b, g, d in neighbours:
         s = Semigroup(a, b)
         calls[0] = 0
@@ -712,9 +689,85 @@ def test_family_neighbours_are_scanned(monkeypatch):
         scanned += not certified
         if b == a + 3 and d == a + 2 and a >= 4:
             assert v.witness[:2] == (1, 0), (a, b, g, d)
+        if b == 7 * a + 1:
+            assert v.admissible == (3 * d > 8 * a), (a, b, g, d)
+            family += 1
         rejected += not v.admissible
-    assert rejected > 3800 and scanned > 350, (rejected, scanned)
+    assert family == 339, family
+    assert check_single(60, 421, 13, 159).witness == (3, 0, 10, -1, "lower")
+    assert rejected > 3900 and scanned > 700, (rejected, scanned)
     assert time.perf_counter() - start < 10.0
+
+
+def _cusps_7a_plus_1(a_max):
+    """<a, 7a+1> with 3 not dividing a < a_max, at every valid degree
+    below 4a, as (a, g, d): all off the <3n, 21n+1> guard's 3d = 8a."""
+    for a in range(2, a_max):
+        if a % 3:
+            for d in range(1, 4 * a):
+                twice_genus = (d - 1) * (d - 2) - (a - 1) * 7 * a
+                if twice_genus >= 0:
+                    yield a, twice_genus // 2, d
+
+
+class _Scanned(Exception):
+    """The first gap count of a check, which `_scan` alone makes."""
+
+
+def test_cusps_7a_plus_1_off_the_family_are_scanned(monkeypatch):
+    # each of the 17,878 inputs with a < 200 starts a scan (none fails
+    # the first-row rule, as d // a - 2 is 0 or 1 and g >= 1 where it
+    # is 1); a gap count that raises stops each scan at its first read.
+    # With a < 100 (4,380 inputs, 58 rejected) each check runs to its end
+    # and gives `_scan`'s verdict, witness and count; the 256 rejections
+    # up to a < 200 take about 10 s of scanning.  Budget 15 s (about 3 s)
+    start = time.perf_counter()
+    rejected = 0
+    for a, g, d in _cusps_7a_plus_1(100):
+        s = Semigroup(a, 7 * a + 1)
+        v = check_single(a, 7 * a + 1, g, d)
+        assert v == obstruction._scan(g, d, s.gaps_at_least, s.first_pair, s), (a, g, d)
+        rejected += not v.admissible
+    assert rejected == 58, rejected
+
+    def scanned(self, m):
+        raise _Scanned
+
+    monkeypatch.setattr(Semigroup, "gaps_at_least", scanned)
+    checked = 0
+    for a, g, d in _cusps_7a_plus_1(200):
+        with pytest.raises(_Scanned):
+            check_single(a, 7 * a + 1, g, d)
+        checked += 1
+    assert checked == 17878, checked
+    assert time.perf_counter() - start < 15.0
+
+
+def test_certify_pool_reads_rows_only_for_lucas_rungs(monkeypatch):
+    # the benchmark's single-cusp certify inputs: each (p,p+3),
+    # (p,2p-1) and (3n,21n+1) op is decided by a certificate, with no gap
+    # count and no `Semigroup` built, and each Lucas rung builds one
+    # `Semigroup` and scans
+    built = []
+
+    def counted(a, b):
+        built.append((a, b))
+        return Semigroup(a, b)
+
+    calls = _count_gap_calls(monkeypatch)
+    monkeypatch.setattr(obstruction, "Semigroup", counted)
+    families = {}
+    for family, a, b, d, g in workloads.single_cusps():
+        built.clear()
+        calls[0] = 0
+        v = check_single(a, b, g, d)
+        assert v.admissible, (family, a, b, d)
+        if family == "lucas":
+            assert built == [(a, b)] and calls[0] > 0, (a, b, d)
+        else:
+            assert built == [] and calls[0] == 0, (family, a, b, d)
+        families[family] = families.get(family, 0) + 1
+    assert families == {"p,p+3": 267, "p,2p-1": 38, "3n,21n+1": 33, "lucas": 8}, families
 
 
 # The first-row rule: for b > d >= 5 every element up to d is a multiple
@@ -872,11 +925,12 @@ def test_table_oracle_matches_brute_force():
 
 
 def _production_sample():
-    """46 candidates: seeded ones at g = 0, 1 (d 1000-2000) and g = 1000
+    """47 candidates: seeded ones at g = 0, 1 (d 1000-2000) and g = 1000
     (d 400-800), two g = 1 rejections at cell (4, 1), and members of each
     admissible family: <d-1, d>, (d/2, 2d-1), the Fibonacci pairs, every
     `_FAMILIES` row (at its own genus where it has no member at g = 0, 1
-    or 1000) and a Lucas rung.  The (p,p+3) family has a second member,
+    or 1000; for (3n,21n+1) also <375, 2626> at d = 1000, g = 7,626) and
+    a Lucas rung.  The (p,p+3) family has a second member,
     at g = 1000, and two of its neighbours, <p, p+3> at d = p + 2
     (g = 1), rejected at cell (1, 0).  The b <= d certificate has four
     more inputs with b != a + 1 or g > 0: <496, 501> at d = 501 and
@@ -923,6 +977,7 @@ def _production_sample():
     sample.append((d - 2, d - 1, d - 2, d))
     d = 2 * rng.randrange(500, 1000) + 1
     sample.append((d - 2, d, (d - 1) // 2, d))
+    sample.append((375, 2626, 7626, 1000))
     return sample
 
 
@@ -931,10 +986,10 @@ def test_checks_match_the_table_oracle_at_production_scale():
     # full grid: verdict, witness cell and checks_performed.  The oracle
     # reads all d(g+1) cells of an admissible candidate, with no shortcut
     # the scan takes.  g = 10^5 is left out (about 6 s per candidate).
-    # Budget 10 s (under 1 s here)
+    # Budget 10 s (about 1.5 s here, half of it <375, 2626>)
     start = time.perf_counter()
     sample = _production_sample()
-    assert len(sample) == 46
+    assert len(sample) == 47
     admissible = 0
     for a, b, g, d in sample:
         expect = oracles.table_check(a, b, g, d)

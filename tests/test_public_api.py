@@ -9,9 +9,14 @@ def test_all_resolves_and_is_sorted():
 
 
 def test_retired_names_are_gone():
-    # the general series arithmetic, the whole-fold wrapper and the
-    # truncated series product were removed from the library; no command
-    # used them
-    for name in ("node_parametrization", "combined_gap_value", "PowerSeries", "LucasSeq"):
+    # the general series arithmetic, the whole-fold wrapper, the
+    # truncated series product, the k = 0 and k = g row predicates and the
+    # element test were removed from the library; no command used them
+    for name in ("node_parametrization", "combined_gap_value", "PowerSeries", "LucasSeq",
+                 "triangle_lower", "triangle_upper"):
         assert name not in unicusp.__all__
         assert not hasattr(unicusp, name)
+    from unicusp import obstruction
+    assert not hasattr(obstruction, "triangle_lower")
+    assert not hasattr(obstruction, "triangle_upper")
+    assert not hasattr(unicusp.Semigroup, "contains")

@@ -21,7 +21,7 @@ _HOMES = {
         ("semigroup", ("GapFunction", "Semigroup", "convolve")),
         ("obstruction", ("ObstructionWitness", "Verdict", "check_multi", "check_single")),
         ("quadring", ("PellDecomposition", "QuadInt", "canonical", "coprime_decompose",
-                      "fundamental_prime", "generating_set", "has_solution", "phi_power")),
+                      "generating_set", "has_solution", "phi_power")),
         ("families", ("Candidate", "IdentityReport", "cremona_step",
                       "element_to_pair", "fibonacci", "lucas", "lucas_family",
                       "lucas_family_neg", "orbit_candidates", "pair_to_element",

@@ -23,7 +23,9 @@ Each command is declared once, in `_COMMAND_ROWS`, and one loop builds,
 from its `add_argument` calls, both its subparser and the table that
 well-formed argvs are read off.  An option the table does not model (an
 action but store_true, such as append, store_const or count; any nargs;
-a typed string default) raises TypeError when the parser is built.
+a typed string default) raises TypeError when the parser is built.  A
+row's last element is its command's limits, each a bound on one flag or a
+choice of exactly one of two, checked in order before the handler runs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sys
 from functools import partial
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
-from operator import not_
+from operator import ge, gt, le, not_
 
 SCHEMA_VERSION = "1"
 
@@ -279,6 +281,31 @@ def _fail(message: str) -> int:
     return 2
 
 
+_HOLDS = {">=": ge, ">": gt, "<=": le}
+
+
+def _broken_limit(args, entries, limits) -> str | None:
+    """The message of the first of limits that args breaks, in order, else
+    None.  A limit (flag, op, bound) holds while its flag is unset, and
+    (flag, "or", other) holds when exactly one of the two is set; entries
+    maps each flag to its parse-table entry, which starts with its dest."""
+    for flag, op, bound in limits:
+        value = getattr(args, entries[flag][0])
+        if op == "or":
+            if (value is None) == (getattr(args, entries[bound][0]) is None):
+                return f"exactly one of {flag} or {bound} is required"
+        elif value is not None and not _HOLDS[op](value, bound):
+            return f"{flag} must be {op} {bound}, got {value}"
+    return None
+
+
+def _limited(entries, limits, func, args) -> int:
+    """func(args) once args meets its command's limits, else exit 2 with
+    the first one it breaks."""
+    message = _broken_limit(args, entries, limits)
+    return func(args) if message is None else _fail(message)
+
+
 def _cmd_semigroup(args) -> int:
     try:
         s = _cli.Semigroup(args.a, args.b)
@@ -339,8 +366,9 @@ def _cmd_check(args) -> int:
         return _fail("-a and -b must be given together")
     if not single and args.pairs is None:
         return _fail("one of -a/-b or --pairs is required")
-    if args.genus < 0:
-        return _fail(f"--genus must be >= 0, got {args.genus}")
+    message = _broken_limit(args, _TABLES["check"][1], (("--genus", ">=", 0),))
+    if message is not None:
+        return _fail(message)
 
     try:
         pairs = [(args.a, args.b)] if single else _parse_pairs(args.pairs)
@@ -434,14 +462,6 @@ def _enumerate_json(report) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.dmax > ENUMERATE_DMAX_MAX:
-        return _fail(f"--dmax must be <= {ENUMERATE_DMAX_MAX}, got {args.dmax}")
-    if args.genus < 0:
-        return _fail(f"--genus must be >= 0, got {args.genus}")
-    if args.dmax < 1:
-        return _fail(f"--dmax must be >= 1, got {args.dmax}")
-    if args.jobs < 1:
-        return _fail(f"--jobs must be >= 1, got {args.jobs}")
     report = _cli.enumerate_candidates(args.genus, args.dmax, allow_smooth=args.allow_smooth)
     if args.format == "tsv":
         sys.stdout.write(_enumerate_tsv(report))
@@ -451,10 +471,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_pell(args) -> int:
-    if (args.n is None) == (args.genus is None):
-        return _fail("exactly one of --n or --genus is required")
-    if args.genus is not None and args.genus < 0:
-        return _fail(f"--genus must be >= 0, got {args.genus}")
     if args.genus is not None:
         n = 4 * (2 * args.genus - 1)
     else:
@@ -507,14 +523,6 @@ def _cmd_pell(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    if (args.i is None) == (args.j is None):
-        return _fail("exactly one of --i or --j is required")
-    for flag, value in (("--i", args.i), ("--j", args.j)):
-        if value is not None and value > FAMILIES_INDEX_MAX:
-            return _fail(f"{flag} must be <= {FAMILIES_INDEX_MAX}, got {value}")
-    for flag, value, floor in (("--k", args.k, 2), ("--i", args.i, 2), ("--j", args.j, 1)):
-        if value is not None and value < floor:
-            return _fail(f"{flag} must be >= {floor}, got {value}")
     if args.i is not None:
         cand = _cli.lucas_family(args.k, args.i)
         which = {"i": args.i}
@@ -526,12 +534,6 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_sectors(args) -> int:
-    if args.lmax < 2:
-        return _fail(f"--lmax must be >= 2, got {args.lmax}")
-    if args.lmax > SECTORS_LMAX_MAX:
-        return _fail(f"--lmax must be <= {SECTORS_LMAX_MAX}, got {args.lmax}")
-    if args.genus < 1:
-        return _fail(f"--genus must be >= 1, got {args.genus}")
     sectors = []
     for sector in islice(_cli.walk_sectors(), args.lmax - 1):
         a_max, b_max = _cli.sector_bounds(args.genus, sector.l)
@@ -548,17 +550,6 @@ def _cmd_sectors(args) -> int:
 
 
 def _cmd_germ(args) -> int:
-    if (args.node is None) == (args.flex is None):
-        return _fail("exactly one of --node or --flex is required")
-    for flag, value, ceiling in (("--node", args.node, GERM_NODE_MAX),
-                                 ("--flex", args.flex, GERM_FLEX_MAX),
-                                 ("--order", args.order, GERM_ORDER_MAX)):
-        if value is not None and value > ceiling:
-            return _fail(f"{flag} must be <= {ceiling}, got {value}")
-    if args.node is not None and args.node < 1:
-        return _fail(f"--node must be >= 1, got {args.node}")
-    if args.flex is not None and args.flex <= 2:
-        return _fail(f"--flex must be > 2, got {args.flex}")
     # both models need order >= 3 * (N or d) + 3, their default
     flag, size = ("--node", args.node) if args.node is not None else ("--flex", args.flex)
     order = 3 * size + 3
@@ -582,10 +573,6 @@ def _cmd_germ(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    if args.lmax > IDENTITIES_LMAX_MAX:
-        return _fail(f"--lmax must be <= {IDENTITIES_LMAX_MAX}, got {args.lmax}")
-    if args.lmax < 2:
-        return _fail(f"--lmax must be >= 2, got {args.lmax}")
     report = _cli.verify_fibonacci_identities(args.lmax)
     _emit("identities", {
         "l_max": report.l_max,
@@ -611,43 +598,58 @@ def _orbit_window(text: str) -> tuple[int, int]:
 HELP_WIDTH = 78
 
 
-# Each command once: its name, its help line, its handler and its options,
-# each option the flag and keyword arguments of one `add_argument` call.
+# Each command once: its name, its help line, its handler, its options,
+# each option the flag and keyword arguments of one `add_argument` call,
+# and its limits, checked in order by `_broken_limit` before the handler:
+# (flag, op, bound) with op ">=", ">" or "<=", or (flag, "or", other).  A
+# check that reads several flags, or a value derived from them, stays in
+# its handler.
 _COMMAND_ROWS = (
     ("semigroup", "gaps and counting functions of <a,b>", _cmd_semigroup, (
         ("-a", {"type": int, "required": True}),
         ("-b", {"type": int, "required": True}),
         ("--query", {"choices": ["R", "I", "gamma"]}),
-        ("--arg", {"type": int}))),
+        ("--arg", {"type": int})), ()),
+    # its --genus floor comes after the -a/-b/--pairs rules (see `_cmd_check`)
     ("check", "admissibility of a candidate at a degree", _cmd_check, (
         ("--genus", {"type": int, "required": True}),
         ("-a", {"type": int}),
         ("-b", {"type": int}),
         ("-d", {"type": int}),
-        ("--pairs", {"help": 'multi-cusp pair list "a1,b1;a2,b2"'}))),
+        ("--pairs", {"help": 'multi-cusp pair list "a1,b1;a2,b2"'})), ()),
     ("enumerate", "sweep all candidate pairs up to a degree", _cmd_enumerate, (
         ("--genus", {"type": int, "required": True}),
         ("--dmax", {"type": int, "required": True}),
         ("--allow-smooth", {"action": "store_true"}),
         ("--format", {"choices": ["json", "tsv"], "default": "json"}),
-        ("--jobs", {"type": int, "default": 1}))),
+        ("--jobs", {"type": int, "default": 1})), (
+        ("--dmax", "<=", ENUMERATE_DMAX_MAX), ("--genus", ">=", 0), ("--dmax", ">=", 1),
+        ("--jobs", ">=", 1))),
     ("pell", "solvability and generators of x^2 - 5y^2 = n", _cmd_pell, (
         ("--n", {"type": int}),
         ("--genus", {"type": int}),
-        ("--orbit", {"type": _orbit_window, "metavar": "HMIN:HMAX"}))),
+        ("--orbit", {"type": _orbit_window, "metavar": "HMIN:HMAX"})), (
+        ("--n", "or", "--genus"), ("--genus", ">=", 0))),
     ("families", "Lucas ladder candidates", _cmd_families, (
         ("--k", {"type": int, "required": True}),
         ("--i", {"type": int}),
-        ("--j", {"type": int}))),
+        ("--j", {"type": int})), (
+        ("--i", "or", "--j"), ("--i", "<=", FAMILIES_INDEX_MAX), ("--j", "<=", FAMILIES_INDEX_MAX),
+        ("--k", ">=", 2), ("--i", ">=", 2), ("--j", ">=", 1))),
     ("sectors", "Fibonacci sector walls and search boxes", _cmd_sectors, (
         ("--genus", {"type": int, "required": True}),
-        ("--lmax", {"type": int, "required": True}))),
+        ("--lmax", {"type": int, "required": True})), (
+        ("--lmax", ">=", 2), ("--lmax", "<=", SECTORS_LMAX_MAX), ("--genus", ">=", 1))),
     ("germ", "local germ valuations on the two models", _cmd_germ, (
         ("--node", {"type": int}),
         ("--flex", {"type": int}),
-        ("--order", {"type": int}))),
+        ("--order", {"type": int})), (
+        ("--node", "or", "--flex"), ("--node", "<=", GERM_NODE_MAX),
+        ("--flex", "<=", GERM_FLEX_MAX), ("--order", "<=", GERM_ORDER_MAX),
+        ("--node", ">=", 1), ("--flex", ">", 2))),
     ("identities", "exact Fibonacci identity sweep", _cmd_identities, (
-        ("--lmax", {"type": int, "required": True}),)),
+        ("--lmax", {"type": int, "required": True}),), (
+        ("--lmax", "<=", IDENTITIES_LMAX_MAX), ("--lmax", ">=", 2))),
 )
 
 # The keyword arguments an option may pass: the parse table models an
@@ -659,20 +661,22 @@ def _build_parser(rows) -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     """The parser of the command rows, and each command's parse table: the
     namespace argparse starts it from (`command`, each option's default,
     then `func`), each option string's (dest, type, choices), with type
-    None for store_true, and the option strings it requires.
+    None for store_true, and the option strings it requires.  A command
+    with limits has for `func` its handler behind `_limited`.
 
     An option the table does not model raises TypeError: a positional
     one, a keyword argument outside _MODELLED (nargs, const, ...), an
     action other than store_true, or a string default that its type
-    would convert.  So an option added later cannot be parsed wrong
-    unnoticed."""
+    would convert.  So does a limit on a flag its row lacks, or with an
+    unknown operator.  So an option or limit added later cannot be parsed
+    or checked wrong unnoticed."""
     formatter = partial(argparse.HelpFormatter, width=HELP_WIDTH)
     parser = argparse.ArgumentParser(
         prog="unicusp", description="Exact arithmetic for cuspidal plane-curve candidates.",
         formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
     tables = {}
-    for name, help_line, func, options in rows:
+    for name, help_line, func, options, limits in rows:
         p = sub.add_parser(name, help=help_line, formatter_class=formatter)
         namespace, entries, required = {"command": name}, {}, set()
         for flag, kwargs in options:
@@ -687,6 +691,10 @@ def _build_parser(rows) -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
                              else (action.dest, action.type or str, action.choices))
             if action.required:
                 required.add(flag)
+        for flag, op, bound in limits:
+            if flag not in entries or (bound not in entries if op == "or" else op not in _HOLDS):
+                raise TypeError(f"{name}: the limit {flag} {op} {bound} names no option or operator")
+        func = partial(_limited, entries, limits, func) if limits else func
         p.set_defaults(func=func)
         tables[name] = ({**namespace, "func": func}, entries, frozenset(required))
     return parser, tables

@@ -150,17 +150,9 @@ def has_solution(n: int) -> bool:
     return all(e % 2 == 0 for p, e in factorize(n).items() if p % 5 in (2, 3))
 
 
-def fundamental_prime(p: int) -> QuadInt:
-    """Smallest-y solution of x^2 - 5y^2 = p for a split or ramified prime."""
-    if p < 2 or factorize(p) != {p: 1}:
-        raise ValueError(f"{p} is not prime")
-    if p != 5 and p % 5 in (2, 3):
-        raise ValueError(f"{p} is congruent to +-2 mod 5; no solution exists")
-    return _least_solution(p)
-
-
 def _least_solution(p: int) -> QuadInt:
-    """`fundamental_prime(p)` for a p known to be a prime with a solution."""
+    """The smallest-y solution of x^2 - 5y^2 = p, for a p known to be a
+    prime with a solution: 5, or a prime congruent to +-1 mod 5."""
     for y in range(p + 1):
         x2 = p + 5 * y * y
         x = isqrt(x2)

@@ -499,6 +499,26 @@ def test_families_sectors_and_check_floors_name_their_flags(capsys):
         assert invoke(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("enumerate --genus -1 --dmax 2001", "--dmax must be <= 2000, got 2001"),
+    ("enumerate --genus -1 --dmax 0 --jobs 0", "--genus must be >= 0, got -1"),
+    ("families --k 1 --i 1 --j 1", "exactly one of --i or --j is required"),
+    ("families --k 1 --i 100001", "--i must be <= 100000, got 100001"),
+    ("germ --node 0 --order 1001", "--order must be <= 1000, got 1001"),
+    ("germ --flex 2 --order 4", "--flex must be > 2, got 2"),
+    ("sectors --genus 0 --lmax 401", "--lmax must be <= 400, got 401"),
+    ("sectors --genus 0 --lmax 1", "--lmax must be >= 2, got 1"),
+    ("pell --genus -1 --n 5", "exactly one of --n or --genus is required"),
+    ("pell --genus -1 --orbit=-4000:1", "--genus must be >= 0, got -1"),
+    ("check --genus -1", "one of -a/-b or --pairs is required"),
+    ("check --genus -1 -a 4 -b 2 -d 0", "--genus must be >= 0, got -1"),
+])
+def test_an_argv_breaking_several_limits_meets_the_first(argv, message, capsys):
+    # the limits of a command are checked in a fixed order, so an argv
+    # that breaks several of them is told of the first one only
+    assert invoke(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
 def test_germ_ceilings_admit_the_benchmark_pool(capsys):
     # every germ pool input lies within the ceilings, and the largest of
     # each model, by (N or d, order), runs

@@ -278,4 +278,12 @@ def test_benchmark_argvs_parse_without_argparse(monkeypatch):
 ])
 def test_parse_table_refuses_what_it_does_not_model(kwargs):
     with pytest.raises(TypeError, match="does not model"):
-        _build_parser([("x", "", run, [("--y", kwargs)])])
+        _build_parser([("x", "", run, [("--y", kwargs)], ())])
+
+
+@pytest.mark.parametrize("limit", [("--z", ">=", 0), ("--y", "<", 0), ("--y", "or", "--z")])
+def test_parse_table_refuses_a_limit_outside_its_row(limit):
+    # a limit on a flag its row lacks, or with an unknown operator, fails
+    # when the parser is built, not on the first argv that reaches it
+    with pytest.raises(TypeError, match="names no option or operator"):
+        _build_parser([("x", "", run, [("--y", {"type": int})], (limit,))])

@@ -1,5 +1,4 @@
 import random
-from math import isqrt
 
 import pytest
 
@@ -7,10 +6,10 @@ from unicusp import (
     QuadInt,
     canonical,
     coprime_decompose,
-    fundamental_prime,
     generating_set,
     has_solution,
     phi_power,
+    quadring,
 )
 
 import oracles
@@ -150,29 +149,13 @@ def test_coprime_decompose_structure():
 
 
 def test_fundamental_primes():
-    assert (fundamental_prime(5).u, fundamental_prime(5).v) == (10, 4)
-    assert (fundamental_prime(11).u, fundamental_prime(11).v) == (8, 2)
-    assert (fundamental_prime(19).u, fundamental_prime(19).v) == (16, 6)
+    # the least solution of each split or ramified prime, which seeds
+    # `generating_set`'s orbits
+    for p, uv in ((5, (10, 4)), (11, (8, 2)), (19, (16, 6))):
+        least = quadring._least_solution(p)
+        assert (least.u, least.v) == uv
     for p in (11, 19, 29, 31, 41):
-        a = fundamental_prime(p)
-        assert a.norm() == p
-    with pytest.raises(ValueError):
-        fundamental_prime(4)
-    with pytest.raises(ValueError):
-        fundamental_prime(7)  # inert
-
-
-def test_fundamental_prime_rejects_exactly_the_non_primes():
-    # against trial division by every q <= sqrt(n); 0, 1, composites and
-    # squares up to 10^4, then two composites of primes near 10^6
-    for n in [*range(-3, 10 ** 4 + 1), 1000003 * 1000033, 1000003 ** 2]:
-        prime = n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
-        try:
-            fundamental_prime(n)
-            message = None
-        except ValueError as exc:
-            message = str(exc)
-        assert (message == f"{n} is not prime") == (not prime), n
+        assert quadring._least_solution(p).norm() == p
 
 
 def test_generating_sets():

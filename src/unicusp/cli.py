@@ -47,9 +47,9 @@ _cli = sys.modules[__name__]
 # Germ input ceilings.  The cost of a germ grows with both its exponent and
 # the order, and a node germ prints about N^2 / 2 polynomial terms (1.9 MB
 # at N = 200), so larger inputs are refused before any series is built.
-# At the ceilings, `germ --node 200 --order 1000` takes 0.14-0.19 s at
-# 26 MB peak RSS, and `germ --flex 300 --order 1000` 0.09-0.15 s at 17 MB
-# (2-vCPU x86-64, Python 3.11.7, whole process, five runs each).
+# At the ceilings, `germ --node 200 --order 1000` takes 0.10-0.17 s at
+# 24 MB peak RSS, and `germ --flex 300 --order 1000` 0.07-0.12 s at 16 MB
+# (2-vCPU x86-64, Python 3.11.7, whole process, ten runs each).
 GERM_NODE_MAX = 200
 GERM_FLEX_MAX = 300
 GERM_ORDER_MAX = 1000

@@ -16,9 +16,13 @@ y(t) = t^2/(1 + t^3), which satisfies x^3 + y^3 - x*y = 0 identically.
 
 where c_n is the leading coefficient of f_n along the parametrization.
 The terms of f_1 and f_2 all have the form x^k y^(k+1) or x^(k+2) y^k, and
-multiplying by x y moves a term one place along its own diagonal, so every
-f_n lives on these two diagonals and is held as two int lists, one per
-diagonal; a step is one scaled subtraction on each list.
+multiplying by x y maps each form to itself with k + 1 for k, so every
+f_n is held as one int list that interleaves the two forms: position 2k
+on x^k y^(k+1) and position 2k + 1 on x^(k+2) y^k.  Position p then has
+total degree p + 1, x y moves position p to p + 2, and a step is one
+scaled subtraction on one list; the total degree of f_n is the list's
+length, and the records' term order is one fixed permutation of the
+positions, computed once per call.
 Evaluation along the parametrization is a ring homomorphism, so the same
 recursion runs on series without re-evaluating any polynomial.  It runs on
 the unit-scaled U_n = (1 + t^3)^n f_n(x(t), y(t)): since
@@ -38,18 +42,18 @@ from one JSON template, with one f-string per polynomial term.
 The flex model is x(t) = t, y(t) = t^3/(1 - t^2), where
 x^3 + x^2 y - y = 0 identically, so `flex_check` confirms that
 y^d + x^3 + x^2 y - y collapses to y^d on the nose, with valuation
-exactly 3d.  Dividing a series by 1 - t^2 is h[k] += h[k - 2] for rising
-k, that is, one running sum over the even slots and one over the odd
-slots.  So y is t^3 after one such division and y^d = t^{3d} / (1 - t^2)^d
-is t^{3d} after d of them, each a single running sum over the slots
-t^{3d + 2i}, the only ones that fill.  The tail x^3 + x^2 y - y is t^3
+exactly 3d.  y^d = t^{3d} (1 - t^2)^{-d}, and the negative binomial series
+(1 - u)^{-d} = sum over i of C(d - 1 + i, i) u^i puts C(d - 1 + i, i) on
+the slot t^{3d + 2i} and nothing on any other, so y and y^d are filled
+from binomials with no series division.  The tail x^3 + x^2 y - y is t^3
 plus y shifted by 2, minus y.  The collapse and the valuation are read
 off these computed lists, not assumed.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, takewhile
+from itertools import takewhile, zip_longest
+from math import comb
 from operator import add, not_, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -64,7 +68,7 @@ class PowerSeries:
     `__mul__` and `__rmul__` from this class's own `__dict__` to count
     series products per op (`perfbench/spans.py`); no model multiplies two
     series, so every op counts none.  It goes when the tracer stops looking
-    it up (ROADMAP item 3)."""
+    it up (ROADMAP item 12)."""
 
     def __mul__(self, other):
         return NotImplemented
@@ -86,14 +90,19 @@ class GermRecord(NamedTuple):
     valuation: int
 
 
-def _diagonal_step(prev: list[Coeff], prev2: list[Coeff], c2: Coeff, c1: Coeff) -> list[Coeff]:
-    """c2 * prev[k] - c1 * prev2[k - 1] for every k, trailing zeros trimmed:
-    one diagonal of c2 f_{n-1} - c1 x y f_{n-2}, where x y moves each term
-    of f_{n-2} one place along its diagonal."""
-    out = [c2 * v for v in prev]
-    out += [0] * (len(prev2) + 1 - len(out))
-    for k, v in enumerate(prev2, 1):
-        out[k] -= c1 * v
+def _position_monomial(p: int) -> tuple[int, int]:
+    """The exponents (i, j) of the monomial x^i y^j that position p of a
+    node coefficient list holds: x^k y^(k+1) at p = 2k and x^(k+2) y^k at
+    p = 2k + 1."""
+    k = p >> 1
+    return (k + 2, k) if p & 1 else (k, k + 1)
+
+
+def _node_step(prev: list[Coeff], prev2: list[Coeff], c2: Coeff, c1: Coeff) -> list[Coeff]:
+    """c2 * prev[p] - c1 * prev2[p - 2] at every position p, trailing zeros
+    trimmed: c2 f_{n-1} - c1 x y f_{n-2} on the interleaved layout, where
+    x y moves position p to p + 2."""
+    out = [c2 * u - c1 * v for u, v in zip_longest(prev, [0, 0, *prev2], fillvalue=0)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -120,19 +129,35 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
     vanishes to the wrong order or breaks a structural invariant.
 
     The polynomials.  f_1 = y and f_2 = y - x^2 have terms only of the
-    forms x^k y^(k+1) (the low diagonal) and x^(k+2) y^k (the high one),
-    and x y maps each form to itself with k + 1 for k.  So f_n is two int
-    lists, low[k] on x^k y^(k+1) and high[k] on x^(k+2) y^k, and the
-    recursion runs on each list alone:
+    forms x^k y^(k+1), where i - j = -1, and x^(k+2) y^k, where i - j = 2.
+    Multiplying by x y adds 1 to i and to j, so it maps each form to itself
+    with k + 1 for k, and every f_n has terms of these two forms only.
+    f_n is one int list coef that interleaves them (`_position_monomial`):
 
-        L_n[k] = c_{n-2} L_{n-1}[k] - c_{n-1} L_{n-2}[k - 1],
+        coef[2k] on x^k y^(k+1),  coef[2k + 1] on x^(k+2) y^k.
 
-    with trailing zeros trimmed.  A low term has total degree 2k + 1 and a
-    high term 2k + 2, so the total degree is max(2 len(low) - 1,
-    2 len(high)), and the y coefficient is low[0].  On both diagonals
-    i + 2j is 3k + 2, so the residue check below cannot fail on lists the
-    recursion built; it still runs on the emitted terms, so that a fault
-    in the term layout shows.
+    Each monomial of either form has exactly one position, and x y moves
+    position p to p + 2 (2k to 2k + 2, and 2k + 1 to 2k + 3).  So the
+    recursion is one scaled subtraction on one list (`_node_step`):
+
+        coef_n[p] = c_{n-2} coef_{n-1}[p] - c_{n-1} coef_{n-2}[p - 2],
+
+    with trailing zeros trimmed, from coef_1 = [1] and coef_2 = [1, -1].
+    Position p has total degree p + 1 (2k + 1 at p = 2k, 2k + 2 at
+    p = 2k + 1), so after the trim the total degree of f_n is len(coef),
+    and the y coefficient is coef[0].  On both forms i + 2j is 3k + 2, so
+    the residue check below cannot fail on this layout; it still runs on
+    the emitted terms, so that a fault in the layout shows.
+
+    The term order.  The records list their terms sorted by (i, j), and
+    that order depends on the positions alone.  Position 2k has i = k and
+    position 2k + 1 has i = k + 2, so for each i the low term sits at 2i
+    (j = i + 1) and, for i >= 2, the high term at 2i - 3 (j = i - 2 <
+    i + 1, so it comes first).  The sorted positions are therefore
+    0, 2, 1, 4, 3, 6, 5, ..., a fixed permutation whose restriction to the
+    positions below any length is still sorted.  It is computed once per
+    call, by sorting the positions below n_max on their monomials, and
+    each step emits its nonzero terms in that order.
 
     The series.  The valuations and leading coefficients are read off
     U_n = (1 + t^3)^n S_n, where S_n = f_n(x(t), y(t)).  Multiplying
@@ -169,9 +194,9 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
         order = 3 * n_max + 3
     if order < 3 * n_max + 3:
         raise ValueError(f"order {order} too small; need at least {3 * n_max + 3}")
-    # f_n = sum of low[k] x^k y^(k+1) + high[k] x^(k+2) y^k
-    lows: list[list[Coeff]] = [[1], [1]]
-    highs: list[list[Coeff]] = [[], [-1]]
+    monomials = [_position_monomial(p) for p in range(n_max)]
+    term_order = sorted(range(n_max), key=monomials.__getitem__)
+    coefs: list[list[Coeff]] = [[1], [1, -1]]
     # U_n = (1 + t^3)^n f_n(x(t), y(t)) mod t^order: U_1 = t^2, U_2 = t^5
     units: list[dict[int, Coeff]] = [{2: 1}, {5: 1}]
     cs: list[Coeff] = []
@@ -179,18 +204,14 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
     for n in range(1, n_max + 1):
         if n > 2:
             c2, c1 = cs[-2], cs[-1]
-            lows.append(_diagonal_step(lows[-1], lows[-2], c2, c1))
-            highs.append(_diagonal_step(highs[-1], highs[-2], c2, c1))
+            coefs.append(_node_step(coefs[-1], coefs[-2], c2, c1))
             units.append(_unit_step(units[-1], units[-2], c2, c1, order))
-        low, high = lows[n - 1], highs[n - 1]
-        degree = max(2 * len(low) - 1, 2 * len(high))
-        if degree != n:
-            raise RuntimeError(f"step {n}: total degree {degree} != {n}")
-        if not low or low[0] == 0:
+        coef = coefs[n - 1]
+        if len(coef) != n:
+            raise RuntimeError(f"step {n}: total degree {len(coef)} != {n}")
+        if not coef[0]:
             raise RuntimeError(f"step {n}: vanishing y coefficient")
-        # the records list their terms sorted by (i, j)
-        terms = sorted([((k, k + 1), v) for k, v in enumerate(low) if v]
-                       + [((k + 2, k), v) for k, v in enumerate(high) if v])
+        terms = tuple([(monomials[p], v) for p in term_order if p < n and (v := coef[p])])
         bad = [(i, j) for (i, j), _ in terms if (i + 2 * j) % 3 != 2]
         if bad:
             raise RuntimeError(f"step {n}: support off the residue class: {bad}")
@@ -201,7 +222,7 @@ def germ_sequence(n_max: int, order: int | None = None) -> list[GermRecord]:
             raise RuntimeError(f"step {n}: valuation {shown}, expected {3 * n - 1}")
         c = unit[val]
         cs.append(c)
-        records.append(GermRecord(n=n, polynomial=tuple(terms), c=c, valuation=val))
+        records.append(GermRecord(n=n, polynomial=terms, c=c, valuation=val))
     return records
 
 
@@ -216,16 +237,12 @@ class FlexReport(NamedTuple):
 def _flex_y_power(d: int, order: int) -> list[int]:
     """y^d = t^{3d} / (1 - t^2)^d below t^order, for y = t^3 / (1 - t^2).
 
-    Dividing h by 1 - t^2 is g[k] = h[k] + g[k - 2]: a running sum over the
-    even slots and one over the odd slots.  Starting from t^{3d}, only the
-    slots t^{3d + 2i} are ever nonzero, so each of the d divisions is one
-    running sum over those."""
+    The negative binomial series (1 - u)^{-d} = sum over i >= 0 of
+    C(d - 1 + i, i) u^i, at u = t^2, puts C(d - 1 + i, i) on the slot
+    t^{3d + 2i} and nothing on any other slot.  The slots t^{3d + 2i}
+    below t^order number (order - 3d + 1) // 2, none when 3d >= order."""
     h = [0] * order
-    if 3 * d < order:
-        steps = [1] + [0] * ((order - 3 * d - 1) // 2)
-        for _ in range(d):
-            steps = list(accumulate(steps))
-        h[3 * d::2] = steps
+    h[3 * d::2] = [comb(d - 1 + i, i) for i in range((order - 3 * d + 1) // 2)]
     return h
 
 

@@ -266,6 +266,23 @@ def node_germ_series(poly, order):
     return out
 
 
+def flex_y_power(d, order):
+    """y^d for y = t^3/(1 - t^2), truncated at t^order, as a list of ints.
+
+    y^d = t^(3d) / (1 - t^2)^d, and dividing h by 1 - t^2 is
+    g[k] = h[k] + g[k - 2] for rising k.  Starting from t^(3d), only the
+    slots t^(3d + 2i) ever fill, so each of the d divisions is one running
+    sum over those slots.
+    """
+    h = [0] * order
+    if 3 * d < order:
+        slots = [1] + [0] * ((order - 3 * d - 1) // 2)
+        for _ in range(d):
+            slots = list(accumulate(slots))
+        h[3 * d::2] = slots
+    return h
+
+
 def series_product(a, b):
     """The first min(len(a), len(b)) coefficients of the product of two
     truncated power series, given as coefficient lists, by the schoolbook

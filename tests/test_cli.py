@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from unicusp import fibonacci
-from unicusp import cli, quadring
+from unicusp import cli, germs, quadring
 from unicusp.cli import (
     FAMILIES_INDEX_MAX,
     GERM_FLEX_MAX,
@@ -441,6 +441,16 @@ def test_germ_flex(capsys):
     _, payload = payload_of(out)
     assert payload == {"model": "flex", "d": 5, "order": 18,
                        "valuation": 15, "collapse_exact": True}
+
+
+def test_germ_computation_fault_exits_1(capsys, monkeypatch):
+    # a step that breaks its valuation check is rejected as a computation,
+    # with nothing written to stdout
+    unit_step = germs._unit_step
+    monkeypatch.setattr(germs, "_unit_step",
+                        lambda *args: {e + 1: v for e, v in unit_step(*args).items()})
+    assert invoke(capsys, "germ", "--node", "5") == (
+        1, "", "computation rejected: step 3: valuation 9, expected 8\n")
 
 
 def test_germ_usage_errors(capsys):

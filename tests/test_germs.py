@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from unicusp import GermRecord, flex_check, germ_sequence
+from unicusp import GermRecord, flex_check, germ_sequence, germs
 from unicusp.germs import _flex_y_power, _leading_zeros
 
 import oracles
@@ -217,7 +217,7 @@ def test_flex_check_default_order_and_validation():
 
 
 def test_flex_y_power_matches_oracle_products():
-    # y^d from d running-sum passes equals y multiplied by itself d times
+    # y^d from its binomial coefficients equals y multiplied by itself d times
     # under the oracle's schoolbook product, at the default order, past it,
     # and where t^{3d} is at or beyond the truncation
     for d, order in ((1, 8), (3, 12), (3, 40), (4, 12), (5, 15), (5, 18), (5, 45),
@@ -229,3 +229,50 @@ def test_flex_y_power_matches_oracle_products():
         power = _flex_y_power(d, order)
         assert power == expect, (d, order)
         assert all(type(c) is int for c in power)
+
+
+def test_flex_y_power_matches_running_sum_oracle():
+    # the binomial coefficients against d divisions by 1 - t^2, for every d
+    # up to the --flex ceiling, at the default order, one past it and at the
+    # order ceiling
+    for d in range(1, 301):
+        for order in (3 * d + 3, 3 * d + 4, 1000):
+            assert _flex_y_power(d, order) == oracles.flex_y_power(d, order), (d, order)
+
+
+@pytest.mark.parametrize("name, fault, message", [
+    # a stray top-degree term
+    ("_node_step", lambda step: lambda *args: step(*args) + [1],
+     "step 3: total degree 4 != 3"),
+    # the y coefficient lost
+    ("_node_step", lambda step: lambda *args: [0] + step(*args)[1:],
+     "step 3: vanishing y coefficient"),
+    # a layout that puts x^3 where x^2 belongs
+    ("_position_monomial", lambda layout: lambda p: (3, 0) if p == 1 else layout(p),
+     "step 2: support off the residue class: [(3, 0)]"),
+    # a unit series one degree too high, and one that vanishes
+    ("_unit_step", lambda unit: lambda *args: {e + 1: v for e, v in unit(*args).items()},
+     "step 3: valuation 9, expected 8"),
+    ("_unit_step", lambda unit: lambda *args: {},
+     "step 3: valuation None, expected 8"),
+])
+def test_germ_sequence_guards(monkeypatch, name, fault, message):
+    # each fault wraps the original helper
+    monkeypatch.setattr(germs, name, fault(getattr(germs, name)))
+    with pytest.raises(RuntimeError) as excinfo:
+        germ_sequence(6)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("fault, message", [
+    # y^d two slots too high, and y^d lost; y itself is left alone
+    (lambda power: lambda d, order: [0, 0] + power(d, order)[:-2] if d > 1 else power(d, order),
+     "flex germ at d=5: valuation 17, expected 15"),
+    (lambda power: lambda d, order: [0] * order if d > 1 else power(d, order),
+     "flex germ at d=5: valuation None, expected 15"),
+])
+def test_flex_check_guard(monkeypatch, fault, message):
+    monkeypatch.setattr(germs, "_flex_y_power", fault(germs._flex_y_power))
+    with pytest.raises(RuntimeError) as excinfo:
+        flex_check(5)
+    assert str(excinfo.value) == message

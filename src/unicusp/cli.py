@@ -35,7 +35,7 @@ import json
 import re
 import sys
 from functools import partial
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
 from operator import ge, gt, le, not_
 
@@ -47,8 +47,8 @@ _cli = sys.modules[__name__]
 # Germ input ceilings.  The cost of a germ grows with both its exponent and
 # the order, and a node germ prints about N^2 / 2 polynomial terms (1.9 MB
 # at N = 200), so larger inputs are refused before any series is built.
-# At the ceilings, `germ --node 200 --order 1000` takes 0.10-0.17 s at
-# 24 MB peak RSS, and `germ --flex 300 --order 1000` 0.07-0.12 s at 16 MB
+# At the ceilings, `germ --node 200 --order 1000` takes 0.09-0.15 s at
+# 23 MB peak RSS, and `germ --flex 300 --order 1000` 0.06-0.11 s at 16 MB
 # (2-vCPU x86-64, Python 3.11.7, whole process, ten runs each).
 GERM_NODE_MAX = 200
 GERM_FLEX_MAX = 300
@@ -227,29 +227,36 @@ def _tagged(texts: list[str], tag_lists: list, indent: str) -> list[str]:
             for text, tags in zip(texts, tag_lists)]
 
 
-def _step_json(r: GermRecord, indent: str) -> str:
-    """A node step's object from one template: its keys in sorted order are
-    c, n, polynomial and valuation, and each polynomial term x^i y^j with
-    coefficient c renders as the list [i, j, "c"]."""
-    i = indent + "  "
-    j = i + "  "
-    k = j + "  "
-    terms = f",\n{j}".join([
-        f"[\n{k}{a},\n{k}{b},\n{k}{encode_basestring_ascii(str(c))}\n{j}]"
-        for (a, b), c in r.polynomial])
-    polynomial = f"[\n{j}{terms}\n{i}]" if terms else "[]"
-    return (f'{{\n{i}"c": {encode_basestring_ascii(str(r.c))},\n{i}"n": {r.n},\n'
-            f'{i}"polynomial": {polynomial},\n{i}"valuation": {r.valuation}\n{indent}}}')
-
-
 def _node_json(n_max: int, order: int, steps: list[GermRecord]) -> str:
     """A node `germ` record from one template: its payload's keys in sorted
-    order are model, n_max, order and steps, each step `_step_json`'s
-    object."""
-    step_list = _list_text([_step_json(r, _ITEM_INDENT) for r in steps], _LIST_INDENT)
+    order are model, n_max, order and steps, a step's c, n, polynomial and
+    valuation, and a term x^i y^j with coefficient c is [i, j, "c"], its
+    text up to c built once per monomial in the call.  Each c is written as
+    "{c}" unescaped, which is exact: str of an int or a `Fraction` holds
+    only digits, "-" and "/", and JSON escapes none of them."""
+    i, j, k = " " * 8, " " * 10, " " * 12
+    sep, close, texts = f",\n{j}", f'"\n{j}]', []
+    head, to_n, tail = f'{{\n{i}"c": "', f'",\n{i}"n": ', f"\n{_ITEM_INDENT}}}"
+    to_terms, to_valuation = f',\n{i}"polynomial": [\n{j}', f'\n{i}],\n{i}"valuation": '
+    prefixes = {m: f'[\n{k}{m[0]},\n{k}{m[1]},\n{k}"'
+                for m in dict(chain.from_iterable([r.polynomial for r in steps]))}
+    for n, poly, c, val in steps:
+        terms = sep.join([f"{prefixes[m]}{v}{close}" for m, v in poly])
+        texts.append(f"{head}{c}{to_n}{n}{to_terms}{terms}{to_valuation}{val}{tail}" if terms
+                     else f'{head}{c}{to_n}{n},\n{i}"polynomial": [],\n{i}"valuation": {val}{tail}')
     return (f'{{\n  "command": "germ",\n  "payload": {{\n    "model": "node",\n'
-            f'    "n_max": {n_max},\n    "order": {order},\n    "steps": {step_list}\n  }},\n'
+            f'    "n_max": {n_max},\n    "order": {order},\n'
+            f'    "steps": {_list_text(texts, _LIST_INDENT)}\n  }},\n'
             f'  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)}\n}}')
+
+
+def _flex_json(report: FlexReport, order: int) -> str:
+    """A flex `germ` record from one template: its payload's keys in sorted
+    order are collapse_exact, d, model, order and valuation."""
+    return (f'{{\n  "command": "germ",\n  "payload": {{\n    "collapse_exact": '
+            f'{"true" if report.collapse_exact else "false"},\n    "d": {report.d},\n'
+            f'    "model": "flex",\n    "order": {order},\n    "valuation": {report.valuation}\n'
+            f'  }},\n  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)}\n}}')
 
 
 def _check_json(pairs: list[tuple[int, int]], genus: int, degree: int, verdict) -> str:
@@ -561,14 +568,7 @@ def _cmd_germ(args) -> int:
         records = _cli.germ_sequence(args.node, order)
         sys.stdout.write(_node_json(args.node, order, records) + "\n")
         return 0
-    report = _cli.flex_check(args.flex, order)
-    _emit("germ", {
-        "model": "flex",
-        "d": report.d,
-        "order": order,
-        "valuation": report.valuation,
-        "collapse_exact": report.collapse_exact,
-    })
+    sys.stdout.write(_flex_json(_cli.flex_check(args.flex, order), order) + "\n")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Local germ computations on two plane-curve models, done in exact
-truncated power series.  Coefficients are Python ints, and Python's
-number tower turns them into `Fraction`s only where a division leaves a
-denominator, so every result stays exact.
+truncated power series.  Every coefficient is a Python int: the node
+recursion only adds and multiplies integers, and each flex slot is a
+binomial, so no step divides and every result is exact.
 
 Neither model below multiplies two series: both run on plain int lists
 or sparse maps, where multiplying by a monomial is a shift.  `PowerSeries`
@@ -58,9 +58,7 @@ from operator import add, not_, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
-    Coeff = int | Fraction
+    Coeff = int
 
 
 class PowerSeries:

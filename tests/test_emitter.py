@@ -1,14 +1,17 @@
 """The CLI's records give the bytes of json.dumps(indent=2).
 
-`unicusp.cli` writes most records with `json.dumps(record, sort_keys=True,
+`unicusp.cli` writes the records of `semigroup`, `pell`, `families`,
+`sectors` and `identities` with `json.dumps(record, sort_keys=True,
 indent=2)`, and fills one template each for a `check` record, an
 `enumerate` record, whose candidate lists render in one pass of
-`_candidate_texts`, and a node `germ` record.  These tests hold every
-record to that layout on a sample of the benchmark's commands and on the
-payload shapes the sample may miss, refuse a non-integer number anywhere
-in a record, hold each rendered candidate and each candidate object to
-the object built from the candidate's fields, and check that the parser
-every `run` call shares keeps no state between calls.
+`_candidate_texts`, a node `germ` record, whose terms render from
+per-monomial prefixes, and a flex `germ` record.  These tests hold every
+record to that layout on a sample of the benchmark's commands, on the
+payload shapes the sample may miss and on hand-built germ records no argv
+produces, refuse a non-integer number anywhere in a record, hold each
+rendered candidate and each candidate object to the object built from
+the candidate's fields, and check that the parser every `run` call
+shares keeps no state between calls.
 """
 
 import json
@@ -19,9 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from unicusp import GermRecord
+from unicusp import FlexReport, GermRecord
 from unicusp.classify import _FAMILIES, enumerate_candidates
-from unicusp.cli import _candidate_object, _candidate_texts, _node_json, _tagged, run
+from unicusp.cli import (_candidate_object, _candidate_texts, _flex_json, _node_json, _tagged,
+                         run)
 from unicusp.families import orbit_candidates
 from unicusp.quadring import QuadInt, generating_set
 
@@ -54,9 +58,12 @@ EXTRA_ARGVS = [
     ["pell", "--n", "-4"],
     ["pell", "--genus", "0", "--orbit=-6:6"],
     ["identities", "--lmax", "50"],
+    # germ records render from their own templates, each also at its
+    # smallest argv
+    ["germ", "--flex", "3"],
     ["germ", "--flex", "7"],
-    # node steps render from their own template
-    *[["germ", "--node", str(n)] for n in range(1, 21)],
+    ["germ", "--node", "1"],
+    *[["germ", "--node", str(n)] for n in range(2, 21)],
     ["germ", "--node", "14", "--order", "95"],
     # the largest node payload, at both germ ceilings
     ["germ", "--node", "200", "--order", "1000"],
@@ -187,6 +194,42 @@ def test_writer_matches_json_dumps_on_a_rational_node_step():
         {"c": "-355/113", "n": 7, "valuation": 20,
          "polynomial": [[0, 1, "-22/7"], [2, 11, "-1234567"], [13, 4, str(10 ** 30)]]},
     ]}
+
+
+def _germ_record(payload):
+    """json.dumps's layout of a germ record with the given payload."""
+    record = {"schema_version": "1", "command": "germ", "payload": payload}
+    return json.dumps(record, sort_keys=True, indent=2)
+
+
+def test_node_template_matches_json_dumps_on_repeated_monomials():
+    # (0, 1) and (2, 0) recur across steps, so their prefixes are reused;
+    # the coefficients and c are negative and multi-digit, and one step
+    # has no term
+    steps = [
+        GermRecord(n=1, polynomial=(((0, 1), 1),), c=-9876, valuation=2),
+        GermRecord(n=2, polynomial=(((0, 1), -31), ((2, 0), -1)), c=1, valuation=5),
+        GermRecord(n=3, polynomial=(((0, 1), 4), ((1, 2), -1), ((2, 0), -205)),
+                   c=-10 ** 25, valuation=8),
+        GermRecord(n=4, polynomial=(), c=7, valuation=11),
+        GermRecord(n=5, polynomial=(((0, 1), -1), ((2, 0), 0)), c=-12, valuation=14),
+    ]
+    expected = {"model": "node", "n_max": 5, "order": 123, "steps": [
+        {"c": str(r.c), "n": r.n, "valuation": r.valuation,
+         "polynomial": [[i, j, str(v)] for (i, j), v in r.polynomial]}
+        for r in steps]}
+    assert _node_json(5, 123, steps) == _germ_record(expected)
+    assert _node_json(0, 3, []) == _germ_record(
+        {"model": "node", "n_max": 0, "order": 3, "steps": []})
+
+
+def test_flex_template_matches_json_dumps():
+    # no argv reaches collapse_exact False: the tail cancels on the model
+    for report, order in ((FlexReport(d=123, valuation=369, collapse_exact=False), 1000),
+                          (FlexReport(d=3, valuation=9, collapse_exact=True), 12)):
+        assert _flex_json(report, order) == _germ_record(
+            {"model": "flex", "d": report.d, "order": order,
+             "valuation": report.valuation, "collapse_exact": report.collapse_exact})
 
 
 def test_shared_parser_keeps_no_state(capsys):

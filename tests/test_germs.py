@@ -12,7 +12,7 @@ import oracles
 
 def test_leading_zeros():
     assert _leading_zeros([0, 0, 0, 5, 7]) == 3
-    assert _leading_zeros([Fraction(0), Fraction(0), Fraction(1, 2)]) == 2
+    assert _leading_zeros([0, 0, -3]) == 2
     assert _leading_zeros([1]) == 0
     assert _leading_zeros([0] * 6) == 6
     assert _leading_zeros([]) == 0
